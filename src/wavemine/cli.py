@@ -1,13 +1,19 @@
 """Command-line pipeline: synth, abstract, mine, matrix, evaluate, render.
 
+Each stage is one ``_*_stage`` function that computes and writes its
+artifact; its subcommand reads the inputs from disk, while ``pipeline`` hands
+each stage the previous one's results in memory and reads nothing back.
+
 Every run writes a run manifest (tool version, input digests, effective
-config, per-stage timings; mining time is reported separately from loading
-and abstraction).  All stages are deterministic for fixed inputs and seeds;
-only the manifest's timing fields vary between reruns.
+config, measured ``metrics`` such as the miner's search counters, per-stage
+timings; mining time is reported separately from loading and abstraction).
+All stages are deterministic for fixed inputs and seeds; only the manifest's
+timing fields vary between reruns.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -33,7 +39,7 @@ from .matrix import (
     write_matrix_csv,
     write_sidecar_json,
 )
-from .miner import MinerConfig, PatternResult, RiskStats, TemporalPattern, mine_with_stats, odds_ratio, relative_risk
+from .miner import MinerConfig, MiningStats, PatternResult, RiskStats, TemporalPattern, mine_with_stats, odds_ratio, relative_risk
 from .survival import (
     DEFAULT_LAMBDA_GRID,
     cross_validate,
@@ -65,7 +71,9 @@ def _read_json(path: Path):
             raise ConfigError(f"bad JSON in {path}: {exc}") from None
 
 
-def _run_manifest(path: Path, command: str, inputs: dict, config: dict, timings: dict) -> None:
+def _run_manifest(
+    path: Path, command: str, inputs: dict, config: dict, metrics: dict, timings: dict
+) -> None:
     _write_json(
         path,
         {
@@ -74,24 +82,32 @@ def _run_manifest(path: Path, command: str, inputs: dict, config: dict, timings:
             "command": command,
             "input_digests": {name: _digest(Path(p)) for name, p in inputs.items()},
             "config": config,
+            "metrics": metrics,
             "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
         },
     )
 
 
-def _patterns_payload(results, config: MinerConfig, doc: CohortIntervals, n: int, events: int):
+def _mining_metrics(stats: MiningStats) -> dict:
+    """The miner's search counters, as recorded by ``mine`` and ``pipeline``."""
+    return {"mining": dataclasses.asdict(stats)}
+
+
+def _mine_config_payload(config: MinerConfig) -> dict:
+    return {"minsup": config.minsup, "minsup_scope": config.minsup_scope,
+            "risk_threshold": config.risk_sup, "measure": config.measure,
+            "max_length": config.max_length, "workers": config.workers}
+
+
+def _patterns_payload(results, config: MinerConfig, doc: CohortIntervals, sequences):
     # deliberately excludes runtime knobs (workers): the artifact is identical
     # for any degree of parallelism
+    config_payload = _mine_config_payload(config)
+    del config_payload["workers"]
     return {
-        "config": {
-            "minsup": config.minsup,
-            "minsup_scope": config.minsup_scope,
-            "risk_threshold": config.risk_sup,
-            "measure": config.measure,
-            "max_length": config.max_length,
-        },
-        "total_patients": n,
-        "total_events": events,
+        "config": config_payload,
+        "total_patients": len(sequences),
+        "total_events": sum(1 for s in sequences if s.event),
         "levels": {f: dict(by) for f, by in sorted(doc.levels.items())},
         "patterns": [
             {
@@ -213,40 +229,46 @@ def _cmd_synth(args) -> int:
         {"seed": config.seed, "patients": config.patients, "waves": config.waves,
          "features": config.features, "event_rate": config.event_rate,
          "noise_rate": config.noise_rate},
+        {},
         {"synth": time.perf_counter() - t0},
     )
     print(f"synth: wrote cohort of {config.patients} patients to {out_dir}")
     return 0
 
 
-def _abstract_stage(cohort_path: Path, outcomes_path: Path, features_path: Path,
-                    wave_count: int | None, clip_to_outcome: bool) -> CohortIntervals:
-    specs = load_feature_config(str(features_path))
-    with open(outcomes_path, "r", encoding="utf-8") as fh:
+def _abstract_stage(args, out: Path) -> CohortIntervals:
+    specs = load_feature_config(args.features)
+    with open(args.outcomes, "r", encoding="utf-8") as fh:
         outcomes = parse_outcomes(fh)
-    with open(cohort_path, "r", encoding="utf-8") as fh:
-        cohort = parse_cohort(fh, specs, outcomes, wave_count=wave_count)
-    cohort = carry_forward(cohort, clip_to_outcome=clip_to_outcome)
-    return abstract_cohort(cohort, specs)
+    with open(args.cohort, "r", encoding="utf-8") as fh:
+        cohort = parse_cohort(fh, specs, outcomes, wave_count=args.wave_count)
+    cohort = carry_forward(cohort, clip_to_outcome=not args.carry_past_outcome)
+    doc = abstract_cohort(cohort, specs)
+    with open(out, "w", encoding="utf-8") as fh:
+        write_intervals_json(doc, fh)
+    return doc
 
 
 def _cmd_abstract(args) -> int:
     t0 = time.perf_counter()
-    doc = _abstract_stage(
-        Path(args.cohort), Path(args.outcomes), Path(args.features),
-        args.wave_count, not args.carry_past_outcome,
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        write_intervals_json(doc, fh)
+    doc = _abstract_stage(args, Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "abstract",
         {"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features},
         {"wave_count": args.wave_count, "carry_past_outcome": args.carry_past_outcome},
+        {},
         {"abstract": time.perf_counter() - t0},
     )
     print(f"abstract: wrote intervals for {len(doc.patients)} patients to {args.out}")
     return 0
+
+
+def _mine_stage(doc: CohortIntervals, sequences, config: MinerConfig, out: Path):
+    results, stats = mine_with_stats(sequences, config)
+    payload = _patterns_payload(results, config, doc, sequences)
+    _write_json(out, payload)
+    return results, stats, payload
 
 
 def _cmd_mine(args) -> int:
@@ -256,40 +278,40 @@ def _cmd_mine(args) -> int:
     config = _miner_config(_effective(args, MINE_DEFAULTS))
     load_time = time.perf_counter() - t0
     t1 = time.perf_counter()
-    results, stats = mine_with_stats(sequences, config)
+    results, stats, _ = _mine_stage(doc, sequences, config, Path(args.out))
     mine_time = time.perf_counter() - t1
-    events = sum(1 for s in sequences if s.event)
-    _write_json(Path(args.out), _patterns_payload(results, config, doc, len(sequences), events))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "mine",
         {"intervals": args.intervals},
-        {"minsup": config.minsup, "minsup_scope": config.minsup_scope,
-         "risk_threshold": config.risk_sup, "measure": config.measure,
-         "max_length": config.max_length, "workers": config.workers,
-         "nodes": stats.nodes, "candidates": stats.candidates},
+        _mine_config_payload(config),
+        _mining_metrics(stats),
         {"load": load_time, "mining": mine_time},
     )
     print(f"mine: {len(results)} patterns ({stats.nodes} nodes) in {mine_time:.2f}s -> {args.out}")
     return 0
 
 
+def _matrix_stage(results, sequences, outcomes, out: Path):
+    matrix = build_matrix(results, sequences, outcomes)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        write_matrix_csv(matrix, fh)
+    sidecar = sidecar_payload(matrix, results)
+    with open(str(out) + ".cols.json", "w", encoding="utf-8") as fh:
+        write_sidecar_json(sidecar, fh)
+    return matrix, sidecar
+
+
 def _cmd_matrix(args) -> int:
     t0 = time.perf_counter()
     doc = _load_intervals(Path(args.intervals))
-    payload = _read_json(Path(args.patterns))
-    results = _results_from_payload(payload)
-    sequences = doc.sequences()
-    matrix = build_matrix(results, sequences, doc.outcomes())
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_matrix_csv(matrix, fh)
-    sidecar = sidecar_payload(matrix, results)
-    with open(args.out + ".cols.json", "w", encoding="utf-8") as fh:
-        write_sidecar_json(sidecar, fh)
+    results = _results_from_payload(_read_json(Path(args.patterns)))
+    matrix, _ = _matrix_stage(results, doc.sequences(), doc.outcomes(), Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "matrix",
         {"intervals": args.intervals, "patterns": args.patterns},
+        {},
         {},
         {"matrix": time.perf_counter() - t0},
     )
@@ -297,10 +319,13 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _evaluate_stage(matrix_path: Path, sidecar_path: Path, k: int, seed: int, lam_grid):
-    sidecar = _read_json(sidecar_path)
-    with open(matrix_path, "r", encoding="utf-8") as fh:
-        matrix = read_matrix_csv(fh, sidecar)
+def _eval_params(eff: dict):
+    """(k, seed, lambda grid) from the effective evaluation settings."""
+    lam_grid = tuple(float(x) for x in str(eff["lambda_grid"]).split(","))
+    return int(eff["k"]), int(eff["seed"]), lam_grid
+
+
+def _evaluate_stage(matrix, sidecar: dict, k: int, seed: int, lam_grid, out: Path) -> dict:
     cv = cross_validate(matrix, k=k, seed=seed, lam_grid=lam_grid)
     ranking = rank_patterns(cv.models, matrix)
     rr_by_key = {c["key"]: c["rr"] for c in sidecar["columns"] if "rr" in c}
@@ -326,22 +351,24 @@ def _evaluate_stage(matrix_path: Path, sidecar_path: Path, k: int, seed: int, la
             "rank_sums": [ranking.rank_sum[k_] for k_ in ranking.ordered_keys],
         },
     }
+    _write_json(out, report)
     return report
 
 
 def _cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
-    eff = _effective(args, EVAL_DEFAULTS)
-    k, seed = int(eff["k"]), int(eff["seed"])
-    lam_grid = tuple(float(x) for x in str(eff["lambda_grid"]).split(","))
+    k, seed, lam_grid = _eval_params(_effective(args, EVAL_DEFAULTS))
     sidecar_path = Path(args.sidecar if args.sidecar else args.matrix + ".cols.json")
-    report = _evaluate_stage(Path(args.matrix), sidecar_path, k, seed, lam_grid)
-    _write_json(Path(args.out), report)
+    sidecar = _read_json(sidecar_path)
+    with open(args.matrix, "r", encoding="utf-8") as fh:
+        matrix = read_matrix_csv(fh, sidecar)
+    report = _evaluate_stage(matrix, sidecar, k, seed, lam_grid, Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "evaluate",
         {"matrix": args.matrix, "sidecar": str(sidecar_path)},
         {"k": k, "seed": seed, "lambda_grid": list(lam_grid)},
+        {},
         {"evaluate": time.perf_counter() - t0},
     )
     print(f"evaluate: cox mean C={report['cox']['mean_c']:.3f} "
@@ -349,7 +376,7 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _render_stage(patterns_payload, ranking_keys, top: int) -> str:
+def _render_stage(patterns_payload, ranking_keys, top: int, out: Path) -> None:
     severity_of = {
         (feature, level): sev
         for feature, by in patterns_payload.get("levels", {}).items()
@@ -363,7 +390,7 @@ def _render_stage(patterns_payload, ranking_keys, top: int) -> str:
     }
     label = "RR" if patterns_payload.get("config", {}).get("measure") != "odds_ratio" else "OR"
     spec = RenderSpec(max_patterns=top, severity_of=severity_of, risk_label=label)
-    return render_svg(ranking_keys, patterns, spec)
+    out.write_text(render_svg(ranking_keys, patterns, spec), encoding="utf-8")
 
 
 def _cmd_render(args) -> int:
@@ -373,8 +400,7 @@ def _cmd_render(args) -> int:
         ranking_keys = _read_json(Path(args.report))["ranking"]["keys"]
     else:
         ranking_keys = [entry["key"] for entry in payload["patterns"]]
-    svg = _render_stage(payload, ranking_keys, args.top)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    _render_stage(payload, ranking_keys, args.top, Path(args.out))
     inputs = {"patterns": args.patterns}
     if args.report:
         inputs["report"] = args.report
@@ -383,6 +409,7 @@ def _cmd_render(args) -> int:
         "render",
         inputs,
         {"top": args.top},
+        {},
         {"render": time.perf_counter() - t0},
     )
     print(f"render: wrote {args.out}")
@@ -395,55 +422,37 @@ def _cmd_pipeline(args) -> int:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    doc = _abstract_stage(
-        Path(args.cohort), Path(args.outcomes), Path(args.features),
-        args.wave_count, not args.carry_past_outcome,
-    )
-    with open(out_dir / "intervals.json", "w", encoding="utf-8") as fh:
-        write_intervals_json(doc, fh)
+    doc = _abstract_stage(args, out_dir / "intervals.json")
     sequences = doc.sequences()
     timings["abstract"] = time.perf_counter() - t0
 
     eff = _effective(args, {**MINE_DEFAULTS, **EVAL_DEFAULTS, "top": 10})
     config = _miner_config(eff)
     t1 = time.perf_counter()
-    results, stats = mine_with_stats(sequences, config)
+    results, stats, payload = _mine_stage(doc, sequences, config, out_dir / "patterns.json")
     timings["mining"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    events = sum(1 for s in sequences if s.event)
-    _write_json(out_dir / "patterns.json", _patterns_payload(results, config, doc, len(sequences), events))
-    matrix = build_matrix(results, sequences, doc.outcomes())
-    with open(out_dir / "matrix.csv", "w", encoding="utf-8", newline="") as fh:
-        write_matrix_csv(matrix, fh)
-    with open(out_dir / "matrix.csv.cols.json", "w", encoding="utf-8") as fh:
-        write_sidecar_json(sidecar_payload(matrix, results), fh)
+    matrix, sidecar = _matrix_stage(results, sequences, doc.outcomes(), out_dir / "matrix.csv")
     timings["matrix"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    k, seed, top = int(eff["k"]), int(eff["seed"]), int(eff["top"])
-    lam_grid = tuple(float(x) for x in str(eff["lambda_grid"]).split(","))
-    report = _evaluate_stage(
-        out_dir / "matrix.csv", out_dir / "matrix.csv.cols.json", k, seed, lam_grid
-    )
-    _write_json(out_dir / "report.json", report)
+    k, seed, lam_grid = _eval_params(eff)
+    report = _evaluate_stage(matrix, sidecar, k, seed, lam_grid, out_dir / "report.json")
     timings["evaluate"] = time.perf_counter() - t3
 
     t4 = time.perf_counter()
-    payload = _read_json(out_dir / "patterns.json")
-    svg = _render_stage(payload, report["ranking"]["keys"], top)
-    (out_dir / "patterns.svg").write_text(svg, encoding="utf-8")
+    top = int(eff["top"])
+    _render_stage(payload, report["ranking"]["keys"], top, out_dir / "patterns.svg")
     timings["render"] = time.perf_counter() - t4
 
     _run_manifest(
         out_dir / "run_manifest.json",
         "pipeline",
         {"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features},
-        {"minsup": config.minsup, "minsup_scope": config.minsup_scope,
-         "risk_threshold": config.risk_sup, "measure": config.measure,
-         "max_length": config.max_length, "workers": config.workers,
-         "k": k, "seed": seed, "lambda_grid": list(lam_grid),
-         "top": top, "nodes": stats.nodes},
+        {**_mine_config_payload(config),
+         "k": k, "seed": seed, "lambda_grid": list(lam_grid), "top": top},
+        _mining_metrics(stats),
         timings,
     )
     print(f"pipeline: {len(results)} patterns, cox mean C={report['cox']['mean_c']:.3f}, "

@@ -81,44 +81,55 @@ def encode(
     return seq
 
 
-def verify_pairing(seq: EndpointSequence) -> None:
-    """Check the pairing invariant: every Finish closes a previously opened Start.
+def pair_endpoints(
+    groups: Iterable[Iterable[Endpoint]],
+) -> tuple[list[tuple[str, str, int, int]], dict[tuple[str, str], int]]:
+    """Match every Start with its Finish across endpoint groups.
 
-    Within a group, Starts open before Finishes close (single-wave intervals
-    are well-formed); two simultaneously open intervals of one (feature,
-    level) are an error.
+    Within a group, Starts open before Finishes close, so a single-group
+    interval is well-formed.  Returns the closed intervals as
+    ``(feature, level, start group, finish group)`` in closing order, and the
+    still-open ``(feature, level)`` intervals mapped to their start group.
+    Raises PairingError when an interval is opened while already open or
+    closed without being open.
     """
-    open_count: dict[tuple[str, str], int] = {}
-    for group in seq.groups:
-        for ep in sorted(group.endpoints, key=lambda e: e.is_finish):
+    pending: dict[tuple[str, str], int] = {}
+    closed: list[tuple[str, str, int, int]] = []
+    for gi, group in enumerate(groups):
+        for ep in sorted(group, key=lambda e: e.is_finish):
             key = (ep.feature, ep.level)
             if not ep.is_finish:
-                if open_count.get(key, 0) > 0:
-                    raise PairingError(f"{seq.patient_id}: {key} opened twice at t{group.time}")
-                open_count[key] = 1
+                if key in pending:
+                    raise PairingError(f"{key} opened twice in group {gi}")
+                pending[key] = gi
+            elif key in pending:
+                closed.append((ep.feature, ep.level, pending.pop(key), gi))
             else:
-                if open_count.get(key, 0) != 1:
-                    raise PairingError(
-                        f"{seq.patient_id}: finish without open start for {key} at t{group.time}"
-                    )
-                open_count[key] = 0
-    left_open = [k for k, v in open_count.items() if v]
+                raise PairingError(f"finish without open start for {key} in group {gi}")
+    return closed, pending
+
+
+def verify_pairing(seq: EndpointSequence) -> list[tuple[str, str, int, int]]:
+    """Check the pairing invariant: every Finish closes a previously opened Start.
+
+    Returns the closed intervals as ``pair_endpoints`` does (group indices).
+    """
+    try:
+        closed, left_open = pair_endpoints(g.endpoints for g in seq.groups)
+    except PairingError as exc:
+        raise PairingError(f"{seq.patient_id}: {exc}") from None
     if left_open:
         raise PairingError(f"{seq.patient_id}: intervals never finished: {sorted(left_open)}")
+    return closed
 
 
 def decode_intervals(seq: EndpointSequence) -> list[StateInterval]:
     """Invert ``encode``: rebuild the non-normal intervals from the endpoints."""
-    verify_pairing(seq)
-    pending: dict[tuple[str, str], int] = {}
-    out: list[StateInterval] = []
-    for group in seq.groups:
-        for ep in sorted(group.endpoints, key=lambda e: e.is_finish):
-            key = (ep.feature, ep.level)
-            if not ep.is_finish:
-                pending[key] = group.time
-            else:
-                out.append(StateInterval(ep.feature, ep.level, pending.pop(key), group.time))
+    times = [g.time for g in seq.groups]
+    out = [
+        StateInterval(feature, level, times[gs], times[ge])
+        for feature, level, gs, ge in verify_pairing(seq)
+    ]
     out.sort(key=lambda iv: (iv.feature, iv.level, iv.start))
     return out
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .encoding import EndpointSequence
 from .errors import CohortValidationError, MatrixFormatError
-from .miner import PatternResult, _SeqIndex, _embeds
+from .miner import PatternResult
 
 
 @dataclass(frozen=True)
@@ -45,22 +45,27 @@ def build_matrix(
     sequences: Sequence[EndpointSequence],
     outcomes: Mapping[str, tuple[float, bool]],
 ) -> BinaryDesignMatrix:
-    """Indicator matrix: cell(i, j) = 1 iff patient i's sequence contains pattern j.
+    """Indicator matrix: cell(i, j) = 1 iff patient i carries pattern j.
 
-    Column order follows the miner's deterministic result order.  Column sums
-    are checked against each pattern's reported a+b at build time.
+    The carriers are the miner's ``PatternResult.matched`` ids, so no pattern
+    is searched for again; an id that names no sequence or repeats is
+    rejected.  Rows follow ``sequences``; column order follows the miner's
+    deterministic result order.  Column sums are checked against each
+    pattern's reported a+b at build time.
     """
     missing = [s.patient_id for s in sequences if s.patient_id not in outcomes]
     if missing:
         raise CohortValidationError(f"patients without an outcome: {sorted(missing)}")
-    n = len(sequences)
-    cells = np.zeros((n, len(patterns)), dtype=np.int8)
-    idxs = [_SeqIndex(s) for s in sequences]
+    row_of = {s.patient_id: i for i, s in enumerate(sequences)}
+    cells = np.zeros((len(sequences), len(patterns)), dtype=np.int8)
     for j, result in enumerate(patterns):
-        groups = result.pattern.groups
-        for i, idx in enumerate(idxs):
-            if _embeds(idx, groups):
-                cells[i, j] = 1
+        rows = [row_of.get(pid) for pid in result.matched]
+        if None in rows or len(set(rows)) != len(rows):
+            raise MatrixFormatError(
+                f"column {j}: matched ids of pattern {result.pattern.key()} "
+                "name unknown or repeated patients"
+            )
+        cells[rows, j] = 1
         expected = result.stats.a + result.stats.b
         got = int(cells[:, j].sum())
         if got != expected:
@@ -126,7 +131,6 @@ def read_matrix_csv(stream: IO[str], sidecar: dict | None = None) -> BinaryDesig
         raise MatrixFormatError("matrix header must start with patient_id,time,event")
     names = header[3:]
     keys: list[str] = list(names)
-    rr_by_key: dict[str, float] = {}
     if sidecar is not None:
         columns = sidecar.get("columns")
         if not isinstance(columns, list) or [c.get("column") for c in columns] != names:

@@ -27,11 +27,19 @@ from concurrent import futures
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .encoding import Endpoint, EndpointSequence, canonical_form, group_order, pattern_key
+from .encoding import (
+    Endpoint,
+    EndpointSequence,
+    canonical_form,
+    group_order,
+    pair_endpoints,
+    pattern_key,
+)
 from .errors import (
     CohortValidationError,
     ConfigError,
     GuardError,
+    PairingError,
     UndefinedRiskError,
 )
 
@@ -152,68 +160,37 @@ class MiningStats:
 # Risk measures
 
 
-def _corrected(a, b, c, d):
+def _risk_value(a: int, b: int, c: int, d: int, measure: str) -> float:
     if a + b == 0:
         raise UndefinedRiskError("pattern matches no patients: risk undefined")
     if c + d == 0:
         raise UndefinedRiskError("pattern matches every patient: risk undefined")
     if min(a, b, c, d) == 0:
         # Haldane-Anscombe continuity correction on all four cells.
-        return a + 0.5, b + 0.5, c + 0.5, d + 0.5
-    return float(a), float(b), float(c), float(d)
+        a, b, c, d = a + 0.5, b + 0.5, c + 0.5, d + 0.5
+    else:
+        a, b, c, d = float(a), float(b), float(c), float(d)
+    if measure == "relative_risk":
+        return (a / (a + b)) / (c / (c + d))
+    return (a * d) / (b * c)
 
 
 def relative_risk(stats) -> float:
     """RR = (a/(a+b)) / (c/(c+d)) with +0.5 correction on any zero cell."""
-    a, b, c, d = _corrected(stats.a, stats.b, stats.c, stats.d)
-    return (a / (a + b)) / (c / (c + d))
+    return _risk_value(stats.a, stats.b, stats.c, stats.d, "relative_risk")
 
 
 def odds_ratio(stats) -> float:
     """OR = (a*d) / (b*c) with +0.5 correction on any zero cell."""
-    a, b, c, d = _corrected(stats.a, stats.b, stats.c, stats.d)
-    return (a * d) / (b * c)
-
-
-class _Counts:
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-
-def _risk_value(a: int, b: int, c: int, d: int, measure: str) -> float:
-    if measure == "relative_risk":
-        return relative_risk(_Counts(a, b, c, d))
-    return odds_ratio(_Counts(a, b, c, d))
+    return _risk_value(stats.a, stats.b, stats.c, stats.d, "odds_ratio")
 
 
 # ---------------------------------------------------------------------------
 # Containment (embedding with pairing consistency)
 
 
-class _SeqIndex:
-    """Per-sequence lookup tables for embedding searches."""
-
-    __slots__ = ("groups", "partner", "event", "patient_id")
-
-    def __init__(self, seq: EndpointSequence):
-        self.groups = [frozenset(g.endpoints) for g in seq.groups]
-        self.partner: dict[tuple[int, Endpoint], int] = {}
-        self.event = seq.event
-        self.patient_id = seq.patient_id
-        pending: dict[tuple[str, str], int] = {}
-        for gi, g in enumerate(seq.groups):
-            for ep in sorted(g.endpoints, key=lambda e: e.is_finish):
-                key = (ep.feature, ep.level)
-                if ep.is_finish:
-                    self.partner[(pending.pop(key), Endpoint(ep.feature, ep.level, False))] = gi
-                else:
-                    pending[key] = gi
-
-
-def _embeds(idx: _SeqIndex, pgroups, closable: bool = False) -> bool:
-    """Backtracking embedding search.
+def _embeds(pat: _PatientSeq, pgroups, closable: bool = False) -> bool:
+    """Backtracking embedding search of token pattern groups into one patient.
 
     Pattern groups map to strictly later data groups; all endpoints of a
     pattern group must share one data group; a Start and its Finish must map
@@ -221,10 +198,9 @@ def _embeds(idx: _SeqIndex, pgroups, closable: bool = False) -> bool:
     pattern leaves open must finish at or after the last matched group.
     """
     split = [
-        ([ep for ep in g if not ep.is_finish], [ep for ep in g if ep.is_finish])
-        for g in pgroups
+        ([tok for tok in g if not tok & 1], [tok for tok in g if tok & 1]) for g in pgroups
     ]
-    n = len(idx.groups)
+    n = pat.n_groups
 
     def rec(pi, min_g, open_map):
         if pi == len(split):
@@ -234,22 +210,20 @@ def _embeds(idx: _SeqIndex, pgroups, closable: bool = False) -> bool:
             return True
         starts, fins = split[pi]
         for h in range(min_g, n):
-            tokens = idx.groups[h]
+            tokens = pat.groups[h]
             new_open = dict(open_map)
             ok = True
-            for ep in starts:
-                key = (ep.feature, ep.level)
-                if ep not in tokens or key in new_open:
+            for tok in starts:
+                if tok not in tokens or tok >> 1 in new_open:
                     ok = False
                     break
-                new_open[key] = idx.partner[(h, ep)]
+                new_open[tok >> 1] = pat.partner[(h, tok)]
             if ok:
-                for ep in fins:
-                    key = (ep.feature, ep.level)
-                    if new_open.get(key) != h:
+                for tok in fins:
+                    if new_open.get(tok >> 1) != h:
                         ok = False
                         break
-                    del new_open[key]
+                    del new_open[tok >> 1]
             if ok and rec(pi + 1, h + 1, new_open):
                 return True
         return False
@@ -260,7 +234,11 @@ def _embeds(idx: _SeqIndex, pgroups, closable: bool = False) -> bool:
 def contains(sequence: EndpointSequence, pattern) -> bool:
     """True iff the pattern embeds into the patient's endpoint sequence."""
     groups = pattern.groups if isinstance(pattern, TemporalPattern) else canonical_form(pattern)
-    return _embeds(_SeqIndex(sequence), groups)
+    store = _Store([sequence])
+    tgroups = [[store.token(ep) for ep in g] for g in groups]
+    if any(None in g for g in tgroups):
+        return False  # an endpoint the sequence never holds
+    return _embeds(store.patients[0], tgroups)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +246,15 @@ def contains(sequence: EndpointSequence, pattern) -> bool:
 
 
 class _PatientSeq:
-    __slots__ = ("patient_id", "event", "groups", "group_list", "partner", "n_groups", "times")
+    __slots__ = ("patient_id", "event", "groups", "group_list", "partner", "n_groups")
 
-    def __init__(self, patient_id, event, groups, group_list, partner, times):
+    def __init__(self, patient_id, event, group_list, partner):
         self.patient_id = patient_id
         self.event = event
-        self.groups = groups          # list[frozenset[int]]
+        self.groups = [frozenset(g) for g in group_list]
         self.group_list = group_list  # list[tuple[int, ...]] sorted
         self.partner = partner        # (group_idx, start_token) -> finish group_idx
-        self.n_groups = len(groups)
-        self.times = times
+        self.n_groups = len(group_list)
 
 
 class _Store:
@@ -289,27 +266,12 @@ class _Store:
         self.fl_index = {p: i for i, p in enumerate(pairs)}
         self.patients: list[_PatientSeq] = []
         for seq in db:
-            groups = []
-            group_list = []
-            times = []
-            partner: dict[tuple[int, int], int] = {}
-            pending: dict[int, int] = {}
-            for gi, g in enumerate(seq.groups):
-                toks = []
-                for ep in sorted(g.endpoints, key=lambda e: e.is_finish):
-                    fl = self.fl_index[(ep.feature, ep.level)]
-                    tok = fl * 2 + int(ep.is_finish)
-                    toks.append(tok)
-                    if ep.is_finish:
-                        partner[(pending.pop(fl), fl * 2)] = gi
-                    else:
-                        pending[fl] = gi
-                groups.append(frozenset(toks))
-                group_list.append(tuple(sorted(toks)))
-                times.append(g.time)
-            self.patients.append(
-                _PatientSeq(seq.patient_id, seq.event, groups, group_list, partner, times)
-            )
+            closed, _ = pair_endpoints(g.endpoints for g in seq.groups)
+            partner = {
+                (gs, self.fl_index[(feature, level)] * 2): ge for feature, level, gs, ge in closed
+            }
+            group_list = [tuple(sorted(map(self.token, g.endpoints))) for g in seq.groups]
+            self.patients.append(_PatientSeq(seq.patient_id, seq.event, group_list, partner))
         self.n = len(self.patients)
         self.n_events = sum(1 for p in self.patients if p.event)
 
@@ -428,20 +390,10 @@ def _project(store, pdb, last_set, tok, site_later: int, pids):
 
 def _sweep_open(groups) -> frozenset | None:
     """Open (feature, level) set after the groups, or None if ill-formed."""
-    open_set = set()
-    for g in groups:
-        eps = sorted(g, key=lambda e: e.is_finish)
-        for ep in eps:
-            key = (ep.feature, ep.level)
-            if not ep.is_finish:
-                if key in open_set:
-                    return None
-                open_set.add(key)
-            else:
-                if key not in open_set:
-                    return None
-                open_set.remove(key)
-    return frozenset(open_set)
+    try:
+        return frozenset(pair_endpoints(groups)[1])
+    except PairingError:
+        return None
 
 
 def point_prune(
@@ -596,17 +548,8 @@ def _assemble(store: _Store, config: MinerConfig, raw) -> list[PatternResult]:
         by_key[key] = (counts, pids, risk)
     results = []
     for key, (counts, pids, risk) in by_key.items():
-        a, b, c, d = counts
         groups = tuple(tuple(store.endpoint(t) for t in g) for g in key)
-        stats = RiskStats(
-            a=a,
-            b=b,
-            c=c,
-            d=d,
-            support_pop=(a + b) / store.n,
-            support_event=a / store.n_events,
-            risk=risk,
-        )
+        stats = counts_stats(*counts, risk)
         matched = tuple(sorted(store.patients[p].patient_id for p in pids))
         results.append(
             PatternResult(
@@ -819,7 +762,7 @@ def brute_force_mine(
     if len(alphabet) > _GUARD_MAX_ENDPOINTS:
         raise GuardError(f"brute force refuses more than {_GUARD_MAX_ENDPOINTS} endpoints")
 
-    idxs = [_SeqIndex(s) for s in db]
+    store = _Store(db)
     n = len(db)
     n_events = sum(1 for s in db if s.event)
     carrier_cache: dict = {}
@@ -827,14 +770,17 @@ def brute_force_mine(
     def carriers(groups):
         hit = carrier_cache.get(groups)
         if hit is None:
-            hit = tuple(i for i, idx in enumerate(idxs) if _embeds(idx, groups, closable=True))
+            tgroups = [[store.token(ep) for ep in g] for g in groups]
+            hit = tuple(
+                i for i, pat in enumerate(store.patients) if _embeds(pat, tgroups, closable=True)
+            )
             carrier_cache[groups] = hit
         return hit
 
     def gate(groups, parent_risk):
         pids = carriers(groups)
         ab = len(pids)
-        a = sum(1 for i in pids if idxs[i].event)
+        a = sum(1 for i in pids if store.patients[i].event)
         if not _support_fraction(a, ab, n, n_events, config.minsup_scope) > config.minsup:
             return None
         b, c = ab - a, n_events - a
@@ -896,17 +842,8 @@ def brute_force_mine(
         by_key[cand] = (counts, pids, risk)
     results = []
     for cand, (counts, pids, risk) in by_key.items():
-        a, b, c, d = counts
-        stats = RiskStats(
-            a=a,
-            b=b,
-            c=c,
-            d=d,
-            support_pop=(a + b) / n,
-            support_event=a / n_events,
-            risk=risk,
-        )
-        matched = tuple(sorted(idxs[i].patient_id for i in pids))
+        stats = counts_stats(*counts, risk)
+        matched = tuple(sorted(store.patients[i].patient_id for i in pids))
         results.append(
             PatternResult(
                 pattern=TemporalPattern(groups=cand, closed=True), stats=stats, matched=matched

@@ -19,9 +19,10 @@ from .encoding import (
     canonical_form,
     groups_from_payload,
     groups_to_payload,
+    pair_endpoints,
     pattern_key,
 )
-from .errors import ConfigError, UndefinedRiskError
+from .errors import ConfigError, PairingError, UndefinedRiskError
 from .ingest import PatientRecord, RawCohort, SurvivalOutcome
 from .miner import contains, counts_stats, relative_risk
 
@@ -54,22 +55,13 @@ class PlantedPattern:
 
     def intervals(self) -> list[tuple[str, str, int, int]]:
         """(feature, level, start group, end group) per planted interval."""
-        pending: dict[tuple[str, str], int] = {}
-        out = []
-        for gi, group in enumerate(self.groups):
-            for ep in sorted(group, key=lambda e: e.is_finish):
-                key = (ep.feature, ep.level)
-                if not ep.is_finish:
-                    if key in pending:
-                        raise ConfigError(f"planted pattern opens {key} twice")
-                    pending[key] = gi
-                else:
-                    if key not in pending:
-                        raise ConfigError(f"planted pattern closes {key} before opening it")
-                    out.append((ep.feature, ep.level, pending.pop(key), gi))
-        if pending:
-            raise ConfigError(f"planted pattern leaves intervals open: {sorted(pending)}")
-        return out
+        try:
+            closed, left_open = pair_endpoints(self.groups)
+        except PairingError as exc:
+            raise ConfigError(f"ill-formed planted pattern: {exc}") from None
+        if left_open:
+            raise ConfigError(f"planted pattern leaves intervals open: {sorted(left_open)}")
+        return closed
 
 
 @dataclass(frozen=True)

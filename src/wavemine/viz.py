@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
 
-from .encoding import Endpoint
+from .encoding import Endpoint, pair_endpoints
 
 COLOR_MAP = {
     "very_low": "#d62728",   # red
@@ -47,21 +47,6 @@ class RenderSpec:
             raise ValueError("max_patterns must be >= 1")
 
 
-def _bars(groups) -> list[tuple[str, str, int, int]]:
-    """Pair each Start with its Finish: (feature, level, start group, end group)."""
-    pending: dict[tuple[str, str], int] = {}
-    bars = []
-    for gi, group in enumerate(groups):
-        for ep in sorted(group, key=lambda e: e.is_finish):
-            key = (ep.feature, ep.level)
-            if not ep.is_finish:
-                pending[key] = gi
-            else:
-                bars.append((ep.feature, ep.level, pending.pop(key), gi))
-    bars.sort(key=lambda b: (b[2], b[0], b[1]))
-    return bars
-
-
 def render_svg(
     ranking: Sequence[str],
     patterns: Mapping[str, RenderPattern],
@@ -74,7 +59,8 @@ def render_svg(
     max_groups = 1
     for key in shown:
         pat = patterns[key]
-        bars = _bars(pat.groups)
+        # one bar per interval: (feature, level, start group, end group)
+        bars = sorted(pair_endpoints(pat.groups)[0], key=lambda b: (b[2], b[0], b[1]))
         rows.append((key, pat, bars))
         max_groups = max(max_groups, len(pat.groups))
 

@@ -124,6 +124,15 @@ def test_stage_by_stage_matches_pipeline(tmp_path):
     ]) == 0
     for name in ("intervals.json", "patterns.json", "matrix.csv", "report.json", "patterns.svg"):
         assert (work / name).read_bytes() == (piped / name).read_bytes(), name
+    # both record all five search counters, apart from the configuration
+    mined = json.loads((work / "patterns.json.manifest.json").read_text())
+    run = json.loads((piped / "run_manifest.json").read_text())
+    assert mined["metrics"]["mining"] == run["metrics"]["mining"]
+    assert set(run["metrics"]["mining"]) == {
+        "nodes", "candidates", "emitted", "duplicates", "undefined_risk"
+    }
+    assert run["metrics"]["mining"]["nodes"] > 0
+    assert "nodes" not in run["config"] and "candidates" not in mined["config"]
 
 
 def test_evaluate_zero_columns_fails_cleanly(tmp_path, capsys):

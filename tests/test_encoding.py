@@ -103,31 +103,81 @@ def test_decode_inverts_encode():
         )
 
 
-def test_verify_pairing_rejects_unmatched_finish():
-    from wavemine.encoding import EndpointGroup, EndpointSequence
-
-    bad = EndpointSequence(
-        patient_id="p",
-        groups=(EndpointGroup(1, (ep("A", "x", "-"),)),),
-        event=False,
-    )
-    with pytest.raises(PairingError):
-        verify_pairing(bad)
+A_PLUS, A_MINUS = ep("A", "x", "+"), ep("A", "x", "-")
+B_PLUS, B_MINUS = ep("B", "y", "+"), ep("B", "y", "-")
 
 
-def test_verify_pairing_rejects_double_open():
-    from wavemine.encoding import EndpointGroup, EndpointSequence
-
-    bad = EndpointSequence(
-        patient_id="p",
-        groups=(
-            EndpointGroup(1, (ep("A", "x", "+"),)),
-            EndpointGroup(2, (ep("A", "x", "+"),)),
+@pytest.mark.parametrize(
+    "groups, closed, left_open",
+    [
+        # closed is None: the groups are ill-formed
+        pytest.param([[A_PLUS], [A_MINUS]], [("A", "x", 0, 1)], {}, id="one-interval"),
+        pytest.param([[A_MINUS, A_PLUS]], [("A", "x", 0, 0)], {}, id="single-group"),
+        pytest.param(
+            [[A_PLUS], [A_MINUS, B_PLUS], [B_MINUS]],
+            [("A", "x", 0, 1), ("B", "y", 1, 2)],
+            {},
+            id="chained",
         ),
+        pytest.param(
+            [[A_PLUS], [A_MINUS], [A_PLUS, A_MINUS]],
+            [("A", "x", 0, 1), ("A", "x", 2, 2)],
+            {},
+            id="reopened",
+        ),
+        pytest.param([[A_MINUS]], None, None, id="unmatched-finish"),
+        pytest.param([[A_MINUS], [A_PLUS], [A_MINUS]], None, None, id="finish-before-start"),
+        pytest.param([[A_PLUS], [A_PLUS]], None, None, id="double-open"),
+        pytest.param(
+            [[A_PLUS], [B_PLUS, A_MINUS]], [("A", "x", 0, 1)], {("B", "y"): 1}, id="left-open"
+        ),
+    ],
+)
+def test_pairing_sweep(groups, closed, left_open):
+    """One Start/Finish sweep; each caller keeps its own result and error type."""
+    from wavemine.encoding import EndpointGroup, EndpointSequence, pair_endpoints
+    from wavemine.errors import ConfigError
+    from wavemine.miner import _sweep_open, contains, make_pattern
+    from wavemine.synth import PlantedPattern
+    from wavemine.viz import RenderPattern, render_svg
+
+    seq = EndpointSequence(
+        patient_id="p",
+        groups=tuple(EndpointGroup(t + 1, tuple(g)) for t, g in enumerate(groups)),
         event=False,
     )
-    with pytest.raises(PairingError):
-        verify_pairing(bad)
+    planted = PlantedPattern(groups=groups, frac_events=0.5, frac_nonevents=0.1)
+    render = lambda: render_svg(["k"], {"k": RenderPattern(groups=groups, risk=2.0)})  # noqa: E731
+    if closed is None:
+        with pytest.raises(PairingError):
+            pair_endpoints(groups)
+        assert _sweep_open(groups) is None
+        with pytest.raises(ConfigError):
+            make_pattern(groups)
+        with pytest.raises(PairingError):
+            contains(seq, [[A_PLUS]])  # the token store pairs the sequence
+        with pytest.raises(PairingError):
+            render()
+    else:
+        assert pair_endpoints(groups) == (closed, left_open)
+        assert _sweep_open(groups) == frozenset(left_open)
+        assert make_pattern(groups).closed == (not left_open)
+        assert render().count("<rect") == len(closed)
+    if closed is not None and not left_open:
+        assert verify_pairing(seq) == closed
+        assert decode_intervals(seq) == sorted(
+            (StateInterval(f, lvl, s + 1, e + 1) for f, lvl, s, e in closed),
+            key=lambda iv: (iv.feature, iv.level, iv.start),
+        )
+        assert sorted(planted.intervals()) == sorted(closed)
+        assert contains(seq, groups)
+    else:
+        with pytest.raises(PairingError):
+            verify_pairing(seq)
+        with pytest.raises(PairingError):
+            decode_intervals(seq)
+        with pytest.raises(ConfigError):
+            planted.intervals()
 
 
 def test_groups_payload_round_trip():

@@ -112,3 +112,42 @@ def test_sidecar_carries_risk_stats():
     assert col["key"] == results[0].pattern.key()
     assert col["a"] == 2 and col["b"] == 0
     assert col["rr"] > 1.0
+
+
+def test_build_matrix_rejects_unknown_or_repeated_matched_ids():
+    db, outcomes, results = _toy()
+    for matched in (("e1", "ghost"), ("e1", "e1")):
+        bad = [dataclasses.replace(results[0], matched=matched)]
+        with pytest.raises(MatrixFormatError, match="unknown or repeated"):
+            build_matrix(bad, db, outcomes)
+
+
+def test_matrix_columns_equal_containment():
+    """The miner's carriers agree with an independent containment search."""
+    from wavemine.abstraction import abstract_cohort
+    from wavemine.miner import contains
+    from wavemine.synth import PlantedPattern, SynthConfig, generate
+
+    from util import ep
+
+    chain = PlantedPattern(
+        groups=(
+            (ep("F01", "H", "+"),),
+            (ep("F01", "H", "-"), ep("F02", "L", "+")),
+            (ep("F02", "L", "-"),),
+        ),
+        frac_events=0.5,
+        frac_nonevents=0.1,
+    )
+    cohort, specs, _ = generate(
+        SynthConfig(patients=300, waves=6, features=5, event_rate=0.2, noise_rate=0.12,
+                    planted=(chain,), seed=3)
+    )
+    doc = abstract_cohort(cohort, specs)
+    sequences = doc.sequences()
+    results = mine(sequences, MinerConfig(minsup=0.01, risk_sup=0.5))
+    assert len(results) >= 20
+    assert any(len(r.pattern.groups) > 2 for r in results)
+    matrix = build_matrix(results, sequences, doc.outcomes())
+    for j, result in enumerate(results):
+        assert matrix.cells[:, j].tolist() == [int(contains(s, result.pattern)) for s in sequences]
