@@ -1,98 +1,41 @@
-"""Numeric hot kernels: numba-compiled with a pure-numpy fallback.
+"""Numeric hot kernels of the survival layer, in plain numpy.
 
-Backend selection: numba is used when importable unless the environment
-variable ``WAVEMINE_NO_NUMBA`` is set to a non-empty value, in which case
-the numpy implementations run.  Both backends are importable directly for
-testing and benchmarking (``concordance_counts_py`` / ``_nb`` etc.).
-
-When numba is absent (or disabled), ``njit`` is the identity, so
-``concordance_counts_nb`` and ``cox_suffix_sums_nb`` run as plain-Python
-loops.  On such a machine ``test_concordance_backends_agree`` and
-``test_cox_suffix_sums_backends_agree`` compare the numpy kernels against
-that loop reference, not against compiled code.
+``concordance_counts`` counts Harrell's pairs by sorting: O(n log n + D·n)
+time and O(n) memory for n patients and D distinct event times.
+``cox_suffix_sums`` gives the Cox risk-set sums as reversed cumulative sums.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = bool(os.environ.get("WAVEMINE_NO_NUMBA"))
 
-try:  # pragma: no cover - exercised via backend tests
-    if _DISABLED:
-        raise ImportError("numba disabled via WAVEMINE_NO_NUMBA")
-    from numba import njit
+def concordance_counts(scores, times, events):
+    """Exact pair counts (concordant, score_ties, comparable) for Harrell's C.
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def concordance_counts_py(scores, times, events):
-    """Pairwise concordance counts via numpy broadcasting.
-
-    Returns (concordant, score_ties, comparable) over ordered pairs (i, j)
-    where i is the event member: time_i < time_j with event_i, or equal
-    times with event_i and not event_j.
+    The ordered pair (i, j) is comparable when i has an event and either
+    time_i < time_j, or the times are equal and j is censored.  It is
+    concordant when score_i > score_j.  The scores are sorted once; for each
+    distinct event time T the events at T are located by ``searchsorted`` in
+    the score-sorted partners of T.
     """
     s = np.asarray(scores, dtype=float)
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=bool)
-    lt = t[:, None] < t[None, :]
-    eq = t[:, None] == t[None, :]
-    comp = (lt & e[:, None]) | (eq & e[:, None] & ~e[None, :])
-    higher = s[:, None] > s[None, :]
-    tied = s[:, None] == s[None, :]
-    comparable = int(comp.sum())
-    concordant = int((comp & higher).sum())
-    ties = int((comp & tied).sum())
+    order = np.argsort(s, kind="stable")
+    s_sorted, t_sorted, censored_sorted = s[order], t[order], ~e[order]
+    concordant = ties = comparable = 0
+    for T in np.unique(t[e]):
+        partners = s_sorted[(t_sorted > T) | ((t_sorted == T) & censored_sorted)]
+        at_T = s[e & (t == T)]
+        below = np.searchsorted(partners, at_T, side="left")
+        not_above = np.searchsorted(partners, at_T, side="right")
+        concordant += int(below.sum())
+        ties += int((not_above - below).sum())
+        comparable += at_T.size * partners.size
     return concordant, ties, comparable
 
 
-@njit(cache=False)
-def _concordance_counts_jit(s, t, e):  # pragma: no cover - compiled
-    n = s.shape[0]
-    concordant = 0
-    ties = 0
-    comparable = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if t[i] < t[j]:
-                if not e[i]:
-                    continue
-            elif t[i] == t[j]:
-                if not (e[i] and not e[j]):
-                    continue
-            else:
-                continue
-            comparable += 1
-            if s[i] > s[j]:
-                concordant += 1
-            elif s[i] == s[j]:
-                ties += 1
-    return concordant, ties, comparable
-
-
-def concordance_counts_nb(scores, times, events):
-    s = np.ascontiguousarray(scores, dtype=np.float64)
-    t = np.ascontiguousarray(times, dtype=np.float64)
-    e = np.ascontiguousarray(events, dtype=np.bool_)
-    c, ties, comp = _concordance_counts_jit(s, t, e)
-    return int(c), int(ties), int(comp)
-
-
-def cox_suffix_sums_py(exp_eta, x):
+def cox_suffix_sums(exp_eta, x):
     """Risk-set suffix sums for rows sorted by ascending time.
 
     Returns (s0, s1): s0[i] = sum_{j >= i} w_j and s1[i] = sum_{j >= i} w_j x_j.
@@ -104,35 +47,6 @@ def cox_suffix_sums_py(exp_eta, x):
     return s0, s1
 
 
-@njit(cache=False)
-def _cox_suffix_sums_jit(w, xs):  # pragma: no cover - compiled
-    n, p = xs.shape
-    s0 = np.empty(n, dtype=np.float64)
-    s1 = np.empty((n, p), dtype=np.float64)
-    acc0 = 0.0
-    acc1 = np.zeros(p, dtype=np.float64)
-    for i in range(n - 1, -1, -1):
-        acc0 += w[i]
-        for k in range(p):
-            acc1[k] += w[i] * xs[i, k]
-            s1[i, k] = acc1[k]
-        s0[i] = acc0
-    return s0, s1
-
-
-def cox_suffix_sums_nb(exp_eta, x):
-    w = np.ascontiguousarray(exp_eta, dtype=np.float64)
-    xs = np.ascontiguousarray(x, dtype=np.float64)
-    return _cox_suffix_sums_jit(w, xs)
-
-
-if HAS_NUMBA:
-    concordance_counts = concordance_counts_nb
-    cox_suffix_sums = cox_suffix_sums_nb
-else:
-    concordance_counts = concordance_counts_py
-    cox_suffix_sums = cox_suffix_sums_py
-
-
 def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the numeric backend, as recorded in benchmark environment reports."""
+    return "numpy"

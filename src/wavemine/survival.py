@@ -57,13 +57,17 @@ def concordance_index(scores, times, events) -> float:
 
     A pair is comparable when the earlier time carries an event (equal times:
     exactly one event).  Concordant means the higher risk score belongs to
-    the earlier event; tied scores contribute 0.5.
+    the earlier event; tied scores contribute 0.5.  The pairs are counted
+    exactly in O(n log n + D·n) time and O(n) memory, D being the number of
+    distinct event times.  A NaN or infinite score or time is a ConfigError.
     """
     scores = np.asarray(scores, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=bool)
     if not (scores.shape == times.shape == events.shape):
         raise ConfigError("scores, times and events must have identical shapes")
+    if not (np.isfinite(scores).all() and np.isfinite(times).all()):
+        raise ConfigError("scores and times must be finite")
     concordant, ties, comparable = concordance_counts(scores, times, events)
     if comparable == 0:
         raise UndefinedMetricError("no comparable pairs: concordance undefined")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,39 @@ def test_concordance_sign_flip_complements():
     events = rng.random(40) < 0.5
     c = concordance_index(scores, times, events)
     assert concordance_index(-scores, times, events) == pytest.approx(1 - c)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("scores", math.nan), ("scores", math.inf), ("times", math.nan)],
+    ids=["nan-score", "inf-score", "nan-time"],
+)
+def test_concordance_rejects_non_finite(field, value):
+    rng = np.random.default_rng(5)
+    data = {
+        "scores": rng.normal(size=50),
+        "times": rng.integers(1, 7, size=50).astype(float),
+        "events": rng.random(50) < 0.4,
+    }
+    data[field][7] = value
+    with pytest.raises(ConfigError):
+        concordance_index(**data)
+
+
+def test_concordance_allocates_no_pairwise_array():
+    # 10k patients over 6 waves: one n×n float array alone would be 800 MB
+    rng = np.random.default_rng(6)
+    n = 10_000
+    scores = rng.normal(size=n)
+    times = rng.integers(1, 7, size=n).astype(float)
+    events = rng.random(n) < 0.3
+    tracemalloc.start()
+    try:
+        concordance_index(scores, times, events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
