@@ -36,7 +36,6 @@ from .miner import (
     brute_force_mine,
     contains,
     mine,
-    mine_parallel,
     odds_ratio,
     relative_risk,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "fit_ridge_cox",
     "generate",
     "mine",
-    "mine_parallel",
     "odds_ratio",
     "parse_cohort",
     "parse_outcomes",

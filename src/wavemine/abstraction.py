@@ -285,13 +285,16 @@ def bmi_feature(name: str = "bmi") -> FeatureSpec:
 
 def load_feature_config(source) -> list[FeatureSpec]:
     """Parse the feature-config JSON document (path, stream, or parsed list)."""
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        doc = source
+    try:
+        if isinstance(source, (str, bytes)):
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        elif hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            doc = source
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad feature config JSON: {exc}") from None
     if not isinstance(doc, list):
         raise ConfigError("feature config must be a JSON array of feature objects")
     specs = []
@@ -328,6 +331,8 @@ def feature_config_payload(specs: Sequence[FeatureSpec]) -> list[dict]:
 
 
 def _feature_from_dict(entry: Mapping) -> FeatureSpec:
+    if not isinstance(entry, Mapping):
+        raise ConfigError(f"feature entry must be a JSON object, got {entry!r}")
     try:
         name = entry["name"]
         kind = entry["kind"]

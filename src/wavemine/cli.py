@@ -30,7 +30,7 @@ from .encoding import (
     read_intervals_json,
     write_intervals_json,
 )
-from .errors import ConfigError, WaveMineError
+from .errors import ConfigError, MatrixFormatError, WaveMineError
 from .ingest import carry_forward, parse_cohort, parse_outcomes, write_cohort_csv, write_outcomes_csv
 from .matrix import (
     build_matrix,
@@ -114,13 +114,7 @@ def _patterns_payload(results, config: MinerConfig, doc: CohortIntervals, sequen
                 "id": f"P{j + 1}",
                 "key": r.pattern.key(),
                 "groups": groups_to_payload(r.pattern.groups),
-                "a": r.stats.a,
-                "b": r.stats.b,
-                "c": r.stats.c,
-                "d": r.stats.d,
-                "support_pop": r.stats.support_pop,
-                "support_event": r.stats.support_event,
-                "risk": r.stats.risk,
+                **dataclasses.asdict(r.stats),
                 "rr": relative_risk(r.stats),
                 "odds_ratio": odds_ratio(r.stats),
                 "matched_patient_ids": list(r.matched),
@@ -130,23 +124,26 @@ def _patterns_payload(results, config: MinerConfig, doc: CohortIntervals, sequen
     }
 
 
-def _results_from_payload(payload) -> list[PatternResult]:
-    out = []
-    for entry in payload["patterns"]:
-        pattern = TemporalPattern(groups=groups_from_payload(entry["groups"]), closed=True)
-        stats = RiskStats(
-            a=entry["a"],
-            b=entry["b"],
-            c=entry["c"],
-            d=entry["d"],
-            support_pop=entry["support_pop"],
-            support_event=entry["support_event"],
-            risk=entry["risk"],
-        )
-        out.append(
-            PatternResult(pattern=pattern, stats=stats, matched=tuple(entry["matched_patient_ids"]))
-        )
-    return out
+def _read_patterns(path: Path):
+    """A patterns.json file as (results, level severities, risk measure)."""
+    payload = _read_json(path)
+    try:
+        results = [
+            PatternResult(
+                pattern=TemporalPattern(groups=groups_from_payload(entry["groups"]), closed=True),
+                stats=RiskStats(**{f.name: entry[f.name] for f in dataclasses.fields(RiskStats)}),
+                matched=tuple(entry["matched_patient_ids"]),
+            )
+            for entry in payload["patterns"]
+        ]
+        severity_of = {
+            (feature, level): sev
+            for feature, by in payload.get("levels", {}).items()
+            for level, sev in by.items()
+        }
+        return results, severity_of, payload.get("config", {}).get("measure")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MatrixFormatError(f"bad patterns JSON structure in {path}: {exc!r}") from None
 
 
 def _load_intervals(path: Path) -> CohortIntervals:
@@ -163,11 +160,14 @@ MINE_DEFAULTS = {
     "workers": 1,
 }
 EVAL_DEFAULTS = {"k": 5, "seed": 0, "lambda_grid": ",".join(str(x) for x in DEFAULT_LAMBDA_GRID)}
+RENDER_DEFAULTS = {"top": 10}
 
 
 def _effective(args, defaults: dict) -> dict:
     """Flag > config file > built-in default."""
     doc = _read_json(Path(args.config)) if getattr(args, "config", None) else {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{args.config}: a config file must hold a JSON object")
     out = {}
     for name, default in defaults.items():
         value = getattr(args, name, None)
@@ -177,18 +177,45 @@ def _effective(args, defaults: dict) -> dict:
     return out
 
 
+def _typed(convert, name: str, value):
+    """``convert(value)``, or a ConfigError naming the setting."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: cannot read {value!r} as {convert.__name__}") from None
+
+
 def _miner_config(eff: dict) -> MinerConfig:
     measure = eff["measure"]
     if measure not in ("rr", "or"):
         raise ConfigError(f"measure must be rr or or, got {measure!r}")
+    max_length = eff["max_length"]
     return MinerConfig(
-        minsup=float(eff["minsup"]),
+        minsup=_typed(float, "minsup", eff["minsup"]),
         minsup_scope=eff["minsup_scope"],
-        risk_sup=float(eff["risk_threshold"]),
+        risk_sup=_typed(float, "risk_threshold", eff["risk_threshold"]),
         measure={"rr": "relative_risk", "or": "odds_ratio"}[measure],
-        max_length=eff["max_length"],
-        workers=int(eff["workers"]),
+        max_length=None if max_length is None else _typed(int, "max_length", max_length),
+        workers=_typed(int, "workers", eff["workers"]),
     )
+
+
+# Each stage's settings, as its manifest ``config`` records them; ``pipeline``
+# records their union.
+
+
+def _abstract_config(args) -> dict:
+    return {"wave_count": args.wave_count, "carry_past_outcome": args.carry_past_outcome}
+
+
+def _eval_config(eff: dict) -> dict:
+    lam_grid = [_typed(float, "lambda_grid", x) for x in str(eff["lambda_grid"]).split(",")]
+    return {"k": _typed(int, "k", eff["k"]), "seed": _typed(int, "seed", eff["seed"]),
+            "lambda_grid": lam_grid}
+
+
+def _render_config(eff: dict) -> dict:
+    return {"top": _typed(int, "top", eff["top"])}
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +227,7 @@ def _cmd_synth(args) -> int:
     if args.config:
         config = parse_synth_config(_read_json(Path(args.config)))
         if args.seed is not None:
-            config = SynthConfig(
-                **{**config.__dict__, "seed": args.seed}
-            )
+            config = dataclasses.replace(config, seed=args.seed)
     else:
         config = SynthConfig(
             patients=args.patients,
@@ -256,7 +281,7 @@ def _cmd_abstract(args) -> int:
         Path(args.out + ".manifest.json"),
         "abstract",
         {"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features},
-        {"wave_count": args.wave_count, "carry_past_outcome": args.carry_past_outcome},
+        _abstract_config(args),
         {},
         {"abstract": time.perf_counter() - t0},
     )
@@ -266,9 +291,8 @@ def _cmd_abstract(args) -> int:
 
 def _mine_stage(doc: CohortIntervals, sequences, config: MinerConfig, out: Path):
     results, stats = mine_with_stats(sequences, config)
-    payload = _patterns_payload(results, config, doc, sequences)
-    _write_json(out, payload)
-    return results, stats, payload
+    _write_json(out, _patterns_payload(results, config, doc, sequences))
+    return results, stats
 
 
 def _cmd_mine(args) -> int:
@@ -278,7 +302,7 @@ def _cmd_mine(args) -> int:
     config = _miner_config(_effective(args, MINE_DEFAULTS))
     load_time = time.perf_counter() - t0
     t1 = time.perf_counter()
-    results, stats, _ = _mine_stage(doc, sequences, config, Path(args.out))
+    results, stats = _mine_stage(doc, sequences, config, Path(args.out))
     mine_time = time.perf_counter() - t1
     _run_manifest(
         Path(args.out + ".manifest.json"),
@@ -305,7 +329,7 @@ def _matrix_stage(results, sequences, outcomes, out: Path):
 def _cmd_matrix(args) -> int:
     t0 = time.perf_counter()
     doc = _load_intervals(Path(args.intervals))
-    results = _results_from_payload(_read_json(Path(args.patterns)))
+    results = _read_patterns(Path(args.patterns))[0]
     matrix, _ = _matrix_stage(results, doc.sequences(), doc.outcomes(), Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
@@ -319,22 +343,16 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _eval_params(eff: dict):
-    """(k, seed, lambda grid) from the effective evaluation settings."""
-    lam_grid = tuple(float(x) for x in str(eff["lambda_grid"]).split(","))
-    return int(eff["k"]), int(eff["seed"]), lam_grid
-
-
-def _evaluate_stage(matrix, sidecar: dict, k: int, seed: int, lam_grid, out: Path) -> dict:
-    cv = cross_validate(matrix, k=k, seed=seed, lam_grid=lam_grid)
+def _evaluate_stage(matrix, sidecar: dict, settings: dict, out: Path) -> dict:
+    cv = cross_validate(
+        matrix, k=settings["k"], seed=settings["seed"], lam_grid=settings["lambda_grid"]
+    )
     ranking = rank_patterns(cv.models, matrix)
     rr_by_key = {c["key"]: c["rr"] for c in sidecar["columns"] if "rr" in c}
     scores = rr_score(matrix, rr_by_key)
     rr_fold_c = cv_score_vector(matrix, scores, cv.folds)
     report = {
-        "k": k,
-        "seed": seed,
-        "lambda_grid": list(lam_grid),
+        **settings,
         "cox": {
             "fold_c": list(cv.fold_c),
             "mean_c": cv.mean_c,
@@ -357,17 +375,17 @@ def _evaluate_stage(matrix, sidecar: dict, k: int, seed: int, lam_grid, out: Pat
 
 def _cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
-    k, seed, lam_grid = _eval_params(_effective(args, EVAL_DEFAULTS))
+    settings = _eval_config(_effective(args, EVAL_DEFAULTS))
     sidecar_path = Path(args.sidecar if args.sidecar else args.matrix + ".cols.json")
     sidecar = _read_json(sidecar_path)
     with open(args.matrix, "r", encoding="utf-8") as fh:
         matrix = read_matrix_csv(fh, sidecar)
-    report = _evaluate_stage(matrix, sidecar, k, seed, lam_grid, Path(args.out))
+    report = _evaluate_stage(matrix, sidecar, settings, Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "evaluate",
         {"matrix": args.matrix, "sidecar": str(sidecar_path)},
-        {"k": k, "seed": seed, "lambda_grid": list(lam_grid)},
+        settings,
         {},
         {"evaluate": time.perf_counter() - t0},
     )
@@ -376,31 +394,27 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _render_stage(patterns_payload, ranking_keys, top: int, out: Path) -> None:
-    severity_of = {
-        (feature, level): sev
-        for feature, by in patterns_payload.get("levels", {}).items()
-        for level, sev in by.items()
-    }
+def _render_stage(results, severity_of, measure, ranking_keys, top: int, out: Path) -> None:
     patterns = {
-        entry["key"]: RenderPattern(
-            groups=groups_from_payload(entry["groups"]), risk=entry["risk"]
-        )
-        for entry in patterns_payload["patterns"]
+        r.pattern.key(): RenderPattern(groups=r.pattern.groups, risk=r.stats.risk) for r in results
     }
-    label = "RR" if patterns_payload.get("config", {}).get("measure") != "odds_ratio" else "OR"
+    label = "RR" if measure != "odds_ratio" else "OR"
     spec = RenderSpec(max_patterns=top, severity_of=severity_of, risk_label=label)
     out.write_text(render_svg(ranking_keys, patterns, spec), encoding="utf-8")
 
 
 def _cmd_render(args) -> int:
     t0 = time.perf_counter()
-    payload = _read_json(Path(args.patterns))
+    settings = _render_config(_effective(args, RENDER_DEFAULTS))
+    results, severity_of, measure = _read_patterns(Path(args.patterns))
     if args.report:
-        ranking_keys = _read_json(Path(args.report))["ranking"]["keys"]
+        try:
+            ranking_keys = _read_json(Path(args.report))["ranking"]["keys"]
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"{args.report}: no ranking keys ({exc!r})") from None
     else:
-        ranking_keys = [entry["key"] for entry in payload["patterns"]]
-    _render_stage(payload, ranking_keys, args.top, Path(args.out))
+        ranking_keys = [r.pattern.key() for r in results]
+    _render_stage(results, severity_of, measure, ranking_keys, settings["top"], Path(args.out))
     inputs = {"patterns": args.patterns}
     if args.report:
         inputs["report"] = args.report
@@ -408,7 +422,7 @@ def _cmd_render(args) -> int:
         Path(args.out + ".manifest.json"),
         "render",
         inputs,
-        {"top": args.top},
+        settings,
         {},
         {"render": time.perf_counter() - t0},
     )
@@ -426,10 +440,11 @@ def _cmd_pipeline(args) -> int:
     sequences = doc.sequences()
     timings["abstract"] = time.perf_counter() - t0
 
-    eff = _effective(args, {**MINE_DEFAULTS, **EVAL_DEFAULTS, "top": 10})
+    eff = _effective(args, {**MINE_DEFAULTS, **EVAL_DEFAULTS, **RENDER_DEFAULTS})
     config = _miner_config(eff)
+    eval_settings, render_settings = _eval_config(eff), _render_config(eff)
     t1 = time.perf_counter()
-    results, stats, payload = _mine_stage(doc, sequences, config, out_dir / "patterns.json")
+    results, stats = _mine_stage(doc, sequences, config, out_dir / "patterns.json")
     timings["mining"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -437,21 +452,22 @@ def _cmd_pipeline(args) -> int:
     timings["matrix"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    k, seed, lam_grid = _eval_params(eff)
-    report = _evaluate_stage(matrix, sidecar, k, seed, lam_grid, out_dir / "report.json")
+    report = _evaluate_stage(matrix, sidecar, eval_settings, out_dir / "report.json")
     timings["evaluate"] = time.perf_counter() - t3
 
     t4 = time.perf_counter()
-    top = int(eff["top"])
-    _render_stage(payload, report["ranking"]["keys"], top, out_dir / "patterns.svg")
+    _render_stage(
+        results, doc.severity_of(), config.measure, report["ranking"]["keys"],
+        render_settings["top"], out_dir / "patterns.svg",
+    )
     timings["render"] = time.perf_counter() - t4
 
     _run_manifest(
         out_dir / "run_manifest.json",
         "pipeline",
         {"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features},
-        {**_mine_config_payload(config),
-         "k": k, "seed": seed, "lambda_grid": list(lam_grid), "top": top},
+        {**_abstract_config(args), **_mine_config_payload(config), **eval_settings,
+         **render_settings},
         _mining_metrics(stats),
         timings,
     )
@@ -532,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render ranked patterns as SVG")
     p.add_argument("--patterns", required=True)
     p.add_argument("--report", default=None, help="report JSON providing the ranking")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_render)
 

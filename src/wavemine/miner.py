@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .encoding import (
@@ -149,11 +149,8 @@ class MiningStats:
     undefined_risk: int = 0
 
     def merge(self, other: "MiningStats") -> None:
-        self.nodes += other.nodes
-        self.candidates += other.candidates
-        self.emitted += other.emitted
-        self.duplicates += other.duplicates
-        self.undefined_risk += other.undefined_risk
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -408,119 +405,97 @@ def point_prune(
 # Growth
 
 
-def _support_fraction(a: int, ab: int, store_n: int, store_events: int, scope: str) -> float:
-    if scope == "event_group":
-        return a / store_events
-    return ab / store_n
+def _gate(store: _Store, config: MinerConfig, pids, parent_risk: float, stats: MiningStats):
+    """Support, risk and strict-increase test of one carrier set.
+
+    Returns ``((a, b, c, d), risk)`` for a pattern that clears ``minsup``,
+    ``risk_sup`` and its parent's risk, else None.  Branch roots pass a parent
+    risk of 0.0, which both (always positive) measures clear.
+    """
+    ab = len(pids)
+    a = sum(1 for p in pids if store.patients[p].event)
+    support = a / store.n_events if config.minsup_scope == "event_group" else ab / store.n
+    if not support > config.minsup:
+        return None
+    b = ab - a
+    c = store.n_events - a
+    d = store.n - ab - c
+    try:
+        risk = _risk_value(a, b, c, d, config.measure)
+    except UndefinedRiskError:
+        stats.undefined_risk += 1
+        return None
+    if not (risk > config.risk_sup and risk > parent_risk):
+        return None
+    return (a, b, c, d), risk
 
 
-def _grow_branch(store: _Store, config: MinerConfig, tok: int, risk: float):
-    """Mine every pattern whose growth starts at the given Start endpoint."""
-    pdb = _initial_pdb(store, tok)
-    key = (_group_key((tok,)),)
-    seen = {key}
-    acc: list = []
-    stats = MiningStats()
-    _tpspan(
-        store,
-        config,
-        key,
-        frozenset((tok,)),
-        frozenset((tok >> 1,)),
-        pdb,
-        risk,
-        1,
-        seen,
-        acc,
-        stats,
-    )
-    return acc, stats
-
-
-def _tpspan(store, config, key, last_set, open_fls, pdb, risk, n_tokens, seen, acc, stats):
-    stats.nodes += 1
-    if config.max_length is not None and n_tokens >= config.max_length:
-        return
-    cands = _scan_states(store, pdb, last_set)
-    for tok, site in sorted(cands, key=lambda ts: (_token_sort_key(ts[0]), ts[1])):
-        # point-pruning (the scan only produces qualifying finishes; keep the
-        # explicit gate so the growth rule does not depend on that detail)
-        if tok & 1 and (tok >> 1) not in open_fls:
-            continue
-        stats.candidates += 1
-        pids = cands[(tok, site)]
-        ab = len(pids)
-        a = sum(1 for p in pids if store.patients[p].event)
-        if not _support_fraction(a, ab, store.n, store.n_events, config.minsup_scope) > config.minsup:
-            continue
-        b = ab - a
-        c = store.n_events - a
-        d = store.n - ab - c
-        try:
-            new_risk = _risk_value(a, b, c, d, config.measure)
-        except UndefinedRiskError:
-            stats.undefined_risk += 1
-            continue
-        if not (new_risk > config.risk_sup and new_risk > risk):
-            continue
-        if site == 0:
-            new_key = key[:-1] + (_group_key(last_set | {tok}),)
-            new_last = last_set | {tok}
-        else:
-            new_key = key + ((tok,),)
-            new_last = frozenset((tok,))
-        if new_key in seen:
-            stats.duplicates += 1
-            continue
-        seen.add(new_key)
-        fl = tok >> 1
-        new_open = open_fls - {fl} if tok & 1 else open_fls | {fl}
-        new_pdb = _project(store, pdb, last_set, tok, site, pids)
-        if not new_open:
-            acc.append((new_key, (a, b, c, d), tuple(pids), new_risk))
-            stats.emitted += 1
-        _tpspan(
-            store,
-            config,
-            new_key,
-            new_last,
-            new_open,
-            new_pdb,
-            new_risk,
-            n_tokens + 1,
-            seen,
-            acc,
-            stats,
-        )
-
-
-def _top_level(store: _Store, config: MinerConfig, stats: MiningStats):
-    """Frequent high-risk Start endpoints: the branch roots."""
+def _roots(store: _Store, config: MinerConfig, stats: MiningStats) -> list[tuple[int, float]]:
+    """Frequent high-risk Start endpoints: the branch roots, with their risks."""
     carriers: dict[int, list[int]] = {}
     for pidx, pat in enumerate(store.patients):
-        toks = set().union(*pat.groups) if pat.groups else set()
-        for tok in toks:
+        for tok in set().union(*pat.groups):
             carriers.setdefault(tok, []).append(pidx)
     roots = []
     for tok in sorted(carriers, key=_token_sort_key):
         if tok & 1:
             continue  # only starting endpoints seed growth
-        pids = carriers[tok]
-        ab = len(pids)
-        a = sum(1 for p in pids if store.patients[p].event)
-        if not _support_fraction(a, ab, store.n, store.n_events, config.minsup_scope) > config.minsup:
-            continue
-        b = ab - a
-        c = store.n_events - a
-        d = store.n - ab - c
-        try:
-            risk = _risk_value(a, b, c, d, config.measure)
-        except UndefinedRiskError:
-            stats.undefined_risk += 1
-            continue
-        if risk > config.risk_sup:
-            roots.append((tok, risk))
+        gated = _gate(store, config, carriers[tok], 0.0, stats)
+        if gated is not None:
+            roots.append((tok, gated[1]))
     return roots
+
+
+def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float):
+    """Mine every pattern whose growth starts at the given Start endpoint.
+
+    Returns the branch's ``(groups, counts, pids, risk)`` emissions and its
+    search counters.
+    """
+    seen: set = set()
+    emitted: list = []
+    stats = MiningStats()
+
+    def grow(key, last_set, open_fls, pdb, risk, n_tokens):
+        stats.nodes += 1
+        if config.max_length is not None and n_tokens >= config.max_length:
+            return
+        cands = _scan_states(store, pdb, last_set)
+        for tok, site in sorted(cands, key=lambda ts: (_token_sort_key(ts[0]), ts[1])):
+            # point-pruning (the scan only produces qualifying finishes; keep the
+            # explicit gate so the growth rule does not depend on that detail)
+            if tok & 1 and (tok >> 1) not in open_fls:
+                continue
+            stats.candidates += 1
+            pids = cands[(tok, site)]
+            gated = _gate(store, config, pids, risk, stats)
+            if gated is None:
+                continue
+            if site == 0:
+                new_last = last_set | {tok}
+                new_key = key[:-1] + (_group_key(new_last),)
+            else:
+                new_last = frozenset((tok,))
+                new_key = key + ((tok,),)
+            if new_key in seen:
+                stats.duplicates += 1
+                continue
+            seen.add(new_key)
+            fl = tok >> 1
+            new_open = open_fls - {fl} if tok & 1 else open_fls | {fl}
+            counts, new_risk = gated
+            if not new_open:
+                groups = tuple(tuple(store.endpoint(t) for t in g) for g in new_key)
+                emitted.append((groups, counts, tuple(pids), new_risk))
+                stats.emitted += 1
+            new_pdb = _project(store, pdb, last_set, tok, site, pids)
+            grow(new_key, new_last, new_open, new_pdb, new_risk, n_tokens + 1)
+
+    grow(
+        ((root,),), frozenset((root,)), frozenset((root >> 1,)), _initial_pdb(store, root),
+        root_risk, 1,
+    )
+    return emitted, stats
 
 
 def _check_db(db: Sequence[EndpointSequence]) -> None:
@@ -536,26 +511,20 @@ def _check_db(db: Sequence[EndpointSequence]) -> None:
         raise CohortValidationError("duplicate patient ids in the database")
 
 
-def _assemble(store: _Store, config: MinerConfig, raw) -> list[PatternResult]:
-    """Convert token-space emissions to sorted, deduplicated PatternResults."""
-    by_key = {}
-    for key, counts, pids, risk in raw:
-        prev = by_key.get(key)
-        if prev is not None:
-            if prev[0] != counts:
-                raise AssertionError(f"duplicate pattern with conflicting stats: {key}")
-            continue
-        by_key[key] = (counts, pids, risk)
-    results = []
-    for key, (counts, pids, risk) in by_key.items():
-        groups = tuple(tuple(store.endpoint(t) for t in g) for g in key)
-        stats = counts_stats(*counts, risk)
-        matched = tuple(sorted(store.patients[p].patient_id for p in pids))
-        results.append(
-            PatternResult(
-                pattern=TemporalPattern(groups=groups, closed=True), stats=stats, matched=matched
-            )
+def _results(store: _Store, emitted) -> list[PatternResult]:
+    """Sorted, deduplicated PatternResults from ``(groups, counts, pids, risk)`` emissions."""
+    by_groups: dict = {}
+    for groups, counts, pids, risk in emitted:
+        if by_groups.setdefault(groups, (counts, pids, risk))[0] != counts:
+            raise AssertionError(f"duplicate pattern with conflicting stats: {groups}")
+    results = [
+        PatternResult(
+            pattern=TemporalPattern(groups=groups, closed=True),
+            stats=counts_stats(*counts, risk),
+            matched=tuple(sorted(store.patients[p].patient_id for p in pids)),
         )
+        for groups, (counts, pids, risk) in by_groups.items()
+    ]
     results.sort(key=lambda r: (-r.stats.risk, r.pattern.groups))
     return results
 
@@ -569,52 +538,39 @@ def _worker_init(store, config):
 
 
 def _worker_branch(root):
-    tok, risk = root
-    store, config = _WORKER_STATE
-    return _grow_branch(store, config, tok, risk)
+    return _grow_branch(*_WORKER_STATE, *root)
 
 
 def mine_with_stats(
-    db: Sequence[EndpointSequence], config: MinerConfig, workers: int | None = None
+    db: Sequence[EndpointSequence], config: MinerConfig
 ) -> tuple[list[PatternResult], MiningStats]:
-    """Mine and also report search statistics (nodes visited, emissions)."""
+    """Mine with ``config.workers`` processes and report the search counters."""
     _check_db(db)
-    workers = config.workers if workers is None else workers
     store = _Store(db)
     stats = MiningStats()
-    roots = _top_level(store, config, stats)
-    raw: list = []
-    if not roots:
-        return [], stats
-    if workers == 1 or len(roots) == 1:
-        for root in roots:
-            branch_raw, branch_stats = _grow_branch(store, config, *root)
-            raw.extend(branch_raw)
-            stats.merge(branch_stats)
+    roots = _roots(store, config, stats)
+    if config.workers == 1 or len(roots) <= 1:
+        branches = [_grow_branch(store, config, *root) for root in roots]
     else:
         # a failing worker fails the whole run; pool.map re-raises the
         # worker's own exception as the diagnostic
-        ctx = multiprocessing.get_context("fork")
         with futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(roots)),
-            mp_context=ctx,
+            max_workers=min(config.workers, len(roots)),
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init,
             initargs=(store, config),
         ) as pool:
-            for branch_raw, branch_stats in pool.map(_worker_branch, roots):
-                raw.extend(branch_raw)
-                stats.merge(branch_stats)
-    return _assemble(store, config, raw), stats
+            branches = list(pool.map(_worker_branch, roots))
+    emitted: list = []
+    for branch_emitted, branch_stats in branches:
+        emitted.extend(branch_emitted)
+        stats.merge(branch_stats)
+    return _results(store, emitted), stats
 
 
 def mine(db: Sequence[EndpointSequence], config: MinerConfig) -> list[PatternResult]:
-    """Sequential mining: all closed patterns reachable under the growth rules."""
-    return mine_with_stats(db, config, workers=1)[0]
-
-
-def mine_parallel(db: Sequence[EndpointSequence], config: MinerConfig) -> list[PatternResult]:
-    """Parallel mining, partitioned by top-level endpoint; same output as mine."""
-    return mine_with_stats(db, config, workers=config.workers)[0]
+    """All closed patterns reachable under the growth rules (see mine_with_stats)."""
+    return mine_with_stats(db, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -763,35 +719,19 @@ def brute_force_mine(
         raise GuardError(f"brute force refuses more than {_GUARD_MAX_ENDPOINTS} endpoints")
 
     store = _Store(db)
-    n = len(db)
-    n_events = sum(1 for s in db if s.event)
     carrier_cache: dict = {}
-
-    def carriers(groups):
-        hit = carrier_cache.get(groups)
-        if hit is None:
-            tgroups = [[store.token(ep) for ep in g] for g in groups]
-            hit = tuple(
-                i for i, pat in enumerate(store.patients) if _embeds(pat, tgroups, closable=True)
-            )
-            carrier_cache[groups] = hit
-        return hit
+    uncounted = MiningStats()  # the oracle reports no search counters
 
     def gate(groups, parent_risk):
-        pids = carriers(groups)
-        ab = len(pids)
-        a = sum(1 for i in pids if store.patients[i].event)
-        if not _support_fraction(a, ab, n, n_events, config.minsup_scope) > config.minsup:
-            return None
-        b, c = ab - a, n_events - a
-        d = n - ab - c
-        try:
-            risk = _risk_value(a, b, c, d, config.measure)
-        except UndefinedRiskError:
-            return None
-        if not (risk > config.risk_sup and risk > parent_risk):
-            return None
-        return pids, (a, b, c, d), risk
+        pids = carrier_cache.get(groups)
+        if pids is None:
+            tgroups = [[store.token(ep) for ep in g] for g in groups]
+            pids = tuple(
+                i for i, pat in enumerate(store.patients) if _embeds(pat, tgroups, closable=True)
+            )
+            carrier_cache[groups] = pids
+        gated = _gate(store, config, pids, parent_risk, uncounted)
+        return None if gated is None else (pids, *gated)
 
     seen: set = set()
     emitted: list = []
@@ -826,28 +766,6 @@ def brute_force_mine(
             continue
         base = ((ep,),)
         res = gate(base, 0.0)
-        if res is None:
-            continue
-        if base in seen:
-            continue
-        seen.add(base)
-        grow(base, res[2], 1)
-
-    by_key: dict = {}
-    for cand, counts, pids, risk in emitted:
-        if cand in by_key:
-            if by_key[cand][0] != counts:
-                raise AssertionError(f"oracle duplicate with conflicting stats: {cand}")
-            continue
-        by_key[cand] = (counts, pids, risk)
-    results = []
-    for cand, (counts, pids, risk) in by_key.items():
-        stats = counts_stats(*counts, risk)
-        matched = tuple(sorted(store.patients[i].patient_id for i in pids))
-        results.append(
-            PatternResult(
-                pattern=TemporalPattern(groups=cand, closed=True), stats=stats, matched=matched
-            )
-        )
-    results.sort(key=lambda r: (-r.stats.risk, r.pattern.groups))
-    return results
+        if res is not None:
+            grow(base, res[2], 1)
+    return _results(store, emitted)

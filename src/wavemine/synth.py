@@ -274,20 +274,23 @@ def _manifest(config, cohort, specs, carrier_ids, ids):
 
 
 def parse_synth_config(doc: dict) -> SynthConfig:
-    """Build a SynthConfig from its JSON form."""
-    planted = tuple(
-        PlantedPattern(
-            groups=groups_from_payload(p["groups"]),
-            frac_events=float(p["frac_events"]),
-            frac_nonevents=float(p["frac_nonevents"]),
+    """Build a SynthConfig from its JSON form; a malformed one raises ConfigError."""
+    try:
+        planted = tuple(
+            PlantedPattern(
+                groups=groups_from_payload(p["groups"]),
+                frac_events=float(p["frac_events"]),
+                frac_nonevents=float(p["frac_nonevents"]),
+            )
+            for p in doc.get("planted", [])
         )
-        for p in doc.get("planted", [])
-    )
-    kwargs = {
-        key: doc[key]
-        for key in ("patients", "waves", "features", "event_rate", "noise_rate", "seed", "normal_level")
-        if key in doc
-    }
-    if "levels" in doc:
-        kwargs["levels"] = tuple((lv["name"], lv["severity"]) for lv in doc["levels"])
-    return SynthConfig(planted=planted, **kwargs)
+        kwargs = {
+            key: doc[key]
+            for key in ("patients", "waves", "features", "event_rate", "noise_rate", "seed", "normal_level")
+            if key in doc
+        }
+        if "levels" in doc:
+            kwargs["levels"] = tuple((lv["name"], lv["severity"]) for lv in doc["levels"])
+        return SynthConfig(planted=planted, **kwargs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad synth config: {exc!r}") from None

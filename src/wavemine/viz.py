@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from .encoding import Endpoint, pair_endpoints
+from .errors import ConfigError
 
 COLOR_MAP = {
     "very_low": "#d62728",   # red
@@ -22,6 +23,14 @@ COLOR_MAP = {
     "very_high": "#1f3f8f",  # dark blue
     "other": "#9e9e9e",      # gray
 }
+
+# Layout, in pixels.
+LANE_HEIGHT = 26
+GROUP_WIDTH = 120
+MARGIN_LEFT = 150
+MARGIN_TOP = 56
+BAR_PAD = 6
+ROW_GAP = 16
 
 
 @dataclass(frozen=True)
@@ -33,18 +42,12 @@ class RenderPattern:
 @dataclass(frozen=True)
 class RenderSpec:
     max_patterns: int = 10
-    lane_height: int = 26
-    group_width: int = 120
-    margin_left: int = 150
-    margin_top: int = 56
-    bar_pad: int = 6
-    row_gap: int = 16
     risk_label: str = "RR"
     severity_of: Mapping[tuple[str, str], str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.max_patterns < 1:
-            raise ValueError("max_patterns must be >= 1")
+            raise ConfigError(f"max_patterns must be >= 1, got {self.max_patterns}")
 
 
 def render_svg(
@@ -64,12 +67,12 @@ def render_svg(
         rows.append((key, pat, bars))
         max_groups = max(max_groups, len(pat.groups))
 
-    width = spec.margin_left + max_groups * spec.group_width + 40
-    y = spec.margin_top
+    width = MARGIN_LEFT + max_groups * GROUP_WIDTH + 40
+    y = MARGIN_TOP
     body: list[str] = []
     for rank, (key, pat, bars) in enumerate(rows, start=1):
         lanes = max(len(bars), 1)
-        row_h = lanes * spec.lane_height
+        row_h = lanes * LANE_HEIGHT
         label_y = y + row_h / 2
         body.append(
             f'<text x="12" y="{label_y - 4:.1f}" class="pid">P{rank}</text>'
@@ -79,10 +82,10 @@ def render_svg(
             f"{escape(spec.risk_label)} {pat.risk:.2f}</text>"
         )
         for lane, (feature, level, gs, ge) in enumerate(bars):
-            x = spec.margin_left + gs * spec.group_width + spec.bar_pad
-            w = (ge - gs + 1) * spec.group_width - 2 * spec.bar_pad
-            by = y + lane * spec.lane_height + 3
-            bh = spec.lane_height - 6
+            x = MARGIN_LEFT + gs * GROUP_WIDTH + BAR_PAD
+            w = (ge - gs + 1) * GROUP_WIDTH - 2 * BAR_PAD
+            by = y + lane * LANE_HEIGHT + 3
+            bh = LANE_HEIGHT - 6
             severity = spec.severity_of.get((feature, level), "other")
             color = COLOR_MAP.get(severity, COLOR_MAP["other"])
             body.append(
@@ -93,17 +96,17 @@ def render_svg(
                 f"{escape(feature)} - {escape(level)}</text>"
             )
         body.append(
-            f'<line x1="{spec.margin_left - 8}" y1="{y + row_h + spec.row_gap / 2:.1f}" '
-            f'x2="{width - 20}" y2="{y + row_h + spec.row_gap / 2:.1f}" class="sep"/>'
+            f'<line x1="{MARGIN_LEFT - 8}" y1="{y + row_h + ROW_GAP / 2:.1f}" '
+            f'x2="{width - 20}" y2="{y + row_h + ROW_GAP / 2:.1f}" class="sep"/>'
         )
-        y += row_h + spec.row_gap
+        y += row_h + ROW_GAP
     height = y + 20
 
-    arrow_y = spec.margin_top - 24
+    arrow_y = MARGIN_TOP - 24
     header = [
-        f'<line x1="{spec.margin_left}" y1="{arrow_y}" x2="{width - 28}" y2="{arrow_y}" '
+        f'<line x1="{MARGIN_LEFT}" y1="{arrow_y}" x2="{width - 28}" y2="{arrow_y}" '
         'class="axis" marker-end="url(#arrow)"/>',
-        f'<text x="{spec.margin_left}" y="{arrow_y - 8}" class="axis-label">time</text>',
+        f'<text x="{MARGIN_LEFT}" y="{arrow_y - 8}" class="axis-label">time</text>',
     ]
     doc = [
         '<?xml version="1.0" encoding="UTF-8"?>',

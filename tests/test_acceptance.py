@@ -20,7 +20,6 @@ from wavemine.miner import (
     brute_force_mine,
     counts_stats,
     mine,
-    mine_parallel,
     mine_with_stats,
     odds_ratio,
     relative_risk,
@@ -229,7 +228,7 @@ def test_criterion_7_determinism(tmp_path):
     serialized = []
     for workers in (1, 2, 8):
         cfg = MinerConfig(minsup=0.05, risk_sup=1.5, workers=workers)
-        results = mine_parallel(sequences, cfg)
+        results = mine(sequences, cfg)
         serialized.append(
             json.dumps(
                 [

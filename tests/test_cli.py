@@ -133,6 +133,13 @@ def test_stage_by_stage_matches_pipeline(tmp_path):
     }
     assert run["metrics"]["mining"]["nodes"] > 0
     assert "nodes" not in run["config"] and "candidates" not in mined["config"]
+    # the pipeline records every stage's settings, as the stages record them
+    stage_configs = {}
+    for manifest in ("intervals.json", "patterns.json", "report.json", "patterns.svg"):
+        stage = json.loads((work / f"{manifest}.manifest.json").read_text())
+        stage_configs.update(stage["config"])
+    assert run["config"] == stage_configs
+    assert {"wave_count", "carry_past_outcome", "minsup", "k", "top"} <= set(stage_configs)
 
 
 def test_evaluate_zero_columns_fails_cleanly(tmp_path, capsys):
@@ -160,11 +167,58 @@ def test_evaluate_zero_columns_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_file_fails_cleanly(tmp_path, capsys):
-    code = main([
-        "mine", "--intervals", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out.json"),
-    ])
-    assert code == 1
+@pytest.fixture(scope="module")
+def mined(tmp_path_factory):
+    """A synth cohort with its intervals and patterns, read by the bad-input cases."""
+    tmp = tmp_path_factory.mktemp("mined")
+    data = _make_cohort(tmp)
+    assert main([
+        "abstract", "--cohort", str(data / "cohort.csv"), "--outcomes", str(data / "outcomes.csv"),
+        "--features", str(data / "features.json"), "--out", str(tmp / "intervals.json"),
+    ]) == 0
+    assert main([
+        "mine", "--intervals", str(tmp / "intervals.json"), "--out", str(tmp / "patterns.json"),
+        "--minsup", "0.1", "--risk-threshold", "1.3",
+    ]) == 0
+    return data, tmp
+
+
+_COHORT = "--cohort {data}/cohort.csv --outcomes {data}/outcomes.csv"
+_PLANT_WITHOUT_FRACTION = {"groups": PLANT["groups"], "frac_nonevents": 0.1}
+
+# (id, JSON written to {bad} or None, command line)
+_BAD_INPUTS = [
+    ("missing-file", None, "mine --intervals {tmp}/nope.json --out {tmp}/out.json"),
+    ("features-not-json", "[{", f"abstract {_COHORT} --features {{bad}} --out {{tmp}}/iv.json"),
+    ("features-entry-not-object", [1], f"abstract {_COHORT} --features {{bad}} --out {{tmp}}/iv.json"),
+    ("patterns-entry-without-groups", {"patterns": [{"key": "k"}]},
+     "matrix --intervals {work}/intervals.json --patterns {bad} --out {tmp}/m.csv"),
+    ("render-patterns-without-groups", {"patterns": [{"key": "k"}]},
+     "render --patterns {bad} --out {tmp}/p.svg"),
+    ("config-holds-list", [],
+     "mine --intervals {work}/intervals.json --out {tmp}/p.json --config {bad}"),
+    ("config-minsup-not-number", {"minsup": "abc"},
+     "mine --intervals {work}/intervals.json --out {tmp}/p.json --config {bad}"),
+    ("lambda-grid-not-numbers", None,
+     f"pipeline {_COHORT} --features {{data}}/features.json --out-dir {{tmp}}/run --lambda-grid a,b"),
+    ("report-without-ranking", {"cox": {}},
+     "render --patterns {work}/patterns.json --report {bad} --out {tmp}/p.svg"),
+    ("render-top-zero", None, "render --patterns {work}/patterns.json --top 0 --out {tmp}/p.svg"),
+    ("synth-plant-without-fraction", {"planted": [_PLANT_WITHOUT_FRACTION]},
+     "synth --out-dir {tmp}/synth --config {bad}"),
+]
+
+
+@pytest.mark.parametrize("content,command", [c[1:] for c in _BAD_INPUTS],
+                         ids=[c[0] for c in _BAD_INPUTS])
+def test_missing_file_fails_cleanly(mined, tmp_path, capsys, content, command):
+    data, work = mined
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content if isinstance(content, str) else json.dumps(content),
+                       encoding="utf-8")
+    argv = [arg.format(data=data, work=work, tmp=tmp_path, bad=bad) for arg in command.split()]
+    assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
     # unknown flags exit with argparse's usage error
     with pytest.raises(SystemExit):

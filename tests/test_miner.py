@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -23,7 +24,6 @@ from wavemine.miner import (
     counts_stats,
     make_pattern,
     mine,
-    mine_parallel,
     mine_with_stats,
     odds_ratio,
     point_prune,
@@ -448,15 +448,23 @@ def test_threshold_monotonicity_property():
 
 
 def test_parallel_matches_sequential():
-    rng = random.Random(62)
-    db = random_db(rng, n_pat=20, waves=5)
-    cfg = MinerConfig(minsup=0.1, risk_sup=1.1)
-    sequential = mine(db, cfg)
-    for workers in (2, 4):
-        parallel = mine_parallel(db, MinerConfig(minsup=0.1, risk_sup=1.1, workers=workers))
-        assert [(r.pattern, r.stats, r.matched) for r in parallel] == [
-            (r.pattern, r.stats, r.matched) for r in sequential
-        ]
+    dbs = [
+        (random_db(random.Random(62), n_pat=20, waves=5), MinerConfig(minsup=0.1, risk_sup=1.1)),
+        (random_db(random.Random(62), n_pat=40, waves=5), MinerConfig(minsup=0.1, risk_sup=1.05)),
+        (_duplicate_pruning_db(), MinerConfig(minsup=0.1, risk_sup=1.1)),
+    ]
+    for db, cfg in dbs:
+        sequential, sequential_stats = mine_with_stats(db, cfg)
+        for workers in (2, 4):
+            parallel_cfg = dataclasses.replace(cfg, workers=workers)
+            parallel = mine(db, parallel_cfg)
+            assert [(r.pattern, r.stats, r.matched) for r in parallel] == [
+                (r.pattern, r.stats, r.matched) for r in sequential
+            ]
+            # roots are gated in the parent, branch counters merged from the workers
+            assert mine_with_stats(db, parallel_cfg)[1] == sequential_stats
+    # the last input mines patterns and prunes a permuted regrowth
+    assert sequential and sequential_stats.duplicates >= 1
 
 
 def test_no_frequent_endpoints_no_work():

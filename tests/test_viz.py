@@ -2,7 +2,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from wavemine.viz import COLOR_MAP, RenderPattern, RenderSpec, render_svg
+from wavemine.errors import ConfigError
+from wavemine.viz import COLOR_MAP, GROUP_WIDTH, MARGIN_LEFT, RenderPattern, RenderSpec, render_svg
 
 from util import ep
 
@@ -49,11 +50,10 @@ def test_single_pattern_layout():
     assert "RR 2.50" in texts
     # bars are laid out in start order: A spans groups 0-1, B spans groups 1-2;
     # A's finish and B's start share group column 1 (vertical alignment)
-    spec = RenderSpec()
     a_rect, b_rect = rects
     a_end = float(a_rect.get("x")) + float(a_rect.get("width"))
     b_start = float(b_rect.get("x"))
-    column = lambda x: int((x - spec.margin_left) // spec.group_width)  # noqa: E731
+    column = lambda x: int((x - MARGIN_LEFT) // GROUP_WIDTH)  # noqa: E731
     assert column(a_end) == column(b_start) == 1
     # severity colors come from the fixed map
     assert a_rect.get("fill") == COLOR_MAP["very_low"]
@@ -93,5 +93,5 @@ def test_labels_are_escaped():
 
 
 def test_max_patterns_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RenderSpec(max_patterns=0)
