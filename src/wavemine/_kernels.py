@@ -2,7 +2,7 @@
 
 ``concordance_counts`` counts Harrell's pairs by sorting: O(n log n + D·n)
 time and O(n) memory for n patients and D distinct event times.
-``cox_suffix_sums`` gives the Cox risk-set sums as reversed cumulative sums.
+The Cox risk-set sums are per-time-block sums, formed in ``survival.py``.
 """
 from __future__ import annotations
 
@@ -33,18 +33,6 @@ def concordance_counts(scores, times, events):
         ties += int((not_above - below).sum())
         comparable += at_T.size * partners.size
     return concordant, ties, comparable
-
-
-def cox_suffix_sums(exp_eta, x):
-    """Risk-set suffix sums for rows sorted by ascending time.
-
-    Returns (s0, s1): s0[i] = sum_{j >= i} w_j and s1[i] = sum_{j >= i} w_j x_j.
-    """
-    w = np.asarray(exp_eta, dtype=float)
-    xs = np.asarray(x, dtype=float)
-    s0 = np.cumsum(w[::-1])[::-1].copy()
-    s1 = np.cumsum((w[:, None] * xs)[::-1], axis=0)[::-1].copy()
-    return s0, s1
 
 
 def backend_name() -> str:

@@ -347,28 +347,25 @@ def _feature_from_dict(entry: Mapping) -> FeatureSpec:
             return base
         rule = base.rule
         level_names = rule.levels
-    elif method == "cutoffs":
-        pairs = entry.get("cutoffs")
+    elif method in ("cutoffs", "custom_percentiles"):
+        key, bound = ("cutoffs", "upper") if method == "cutoffs" else ("percentiles", "pct")
+        pairs = entry.get(key)
         if not pairs:
-            raise ConfigError(f"feature {name!r}: cutoffs method needs a cutoffs list")
-        bounds = tuple(float(p["upper"]) for p in pairs if "upper" in p)
+            raise ConfigError(f"feature {name!r}: {method} method needs a {key} list")
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, Mapping) and "level" in p for p in pairs
+        ):
+            raise ConfigError(
+                f"feature {name!r}: each {key} entry must be an object with a level"
+            )
+        try:
+            bounds = tuple(float(p[bound]) for p in pairs if bound in p)
+        except (TypeError, ValueError):
+            raise ConfigError(f"feature {name!r}: {bound!r} must be a number") from None
         level_names = tuple(p["level"] for p in pairs)
         if len(level_names) != len(bounds) + 1:
-            raise ConfigError(
-                f"feature {name!r}: cutoffs must list one final level without an upper bound"
-            )
-        rule = AbstractionRule(method="cutoffs", bounds=bounds, levels=level_names)
-    elif method == "custom_percentiles":
-        pairs = entry.get("percentiles")
-        if not pairs:
-            raise ConfigError(f"feature {name!r}: custom_percentiles needs a percentiles list")
-        bounds = tuple(float(p["pct"]) for p in pairs if "pct" in p)
-        level_names = tuple(p["level"] for p in pairs)
-        if len(level_names) != len(bounds) + 1:
-            raise ConfigError(
-                f"feature {name!r}: percentiles must list one final level without a pct"
-            )
-        rule = AbstractionRule(method="custom_percentiles", bounds=bounds, levels=level_names)
+            raise ConfigError(f"feature {name!r}: {key} must end with one level without {bound!r}")
+        rule = AbstractionRule(method=method, bounds=bounds, levels=level_names)
     elif method == "categorical":
         categories = entry.get("categories")
         if not categories:

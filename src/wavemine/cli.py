@@ -5,8 +5,9 @@ artifact; its subcommand reads the inputs from disk, while ``pipeline`` hands
 each stage the previous one's results in memory and reads nothing back.
 
 Every run writes a run manifest (tool version, input digests, effective
-config, measured ``metrics`` such as the miner's search counters, per-stage
-timings; mining time is reported separately from loading and abstraction).
+config, measured ``metrics`` such as the miner's search counters and each
+fold's Cox fit diagnostics, per-stage timings; mining time is reported
+separately from loading and abstraction).
 All stages are deterministic for fixed inputs and seeds; only the manifest's
 timing fields vary between reruns.
 """
@@ -91,6 +92,15 @@ def _run_manifest(
 def _mining_metrics(stats: MiningStats) -> dict:
     """The miner's search counters, as recorded by ``mine`` and ``pipeline``."""
     return {"mining": dataclasses.asdict(stats)}
+
+
+def _evaluate_metrics(cv) -> dict:
+    """Each fold's chosen fit, as recorded by ``evaluate`` and ``pipeline``."""
+    return {"evaluate": {"folds": [
+        {"lambda": lam, "iterations": m.iterations, "converged": m.converged,
+         "train_c": c_train, "test_c": c_test, "objective_path_length": len(m.objective_path)}
+        for lam, m, c_train, c_test in zip(cv.chosen_lambda, cv.models, cv.train_c, cv.fold_c)
+    ]}}
 
 
 def _mine_config_payload(config: MinerConfig) -> dict:
@@ -343,7 +353,7 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _evaluate_stage(matrix, sidecar: dict, settings: dict, out: Path) -> dict:
+def _evaluate_stage(matrix, sidecar: dict, settings: dict, out: Path) -> tuple[dict, dict]:
     cv = cross_validate(
         matrix, k=settings["k"], seed=settings["seed"], lam_grid=settings["lambda_grid"]
     )
@@ -370,7 +380,7 @@ def _evaluate_stage(matrix, sidecar: dict, settings: dict, out: Path) -> dict:
         },
     }
     _write_json(out, report)
-    return report
+    return report, _evaluate_metrics(cv)
 
 
 def _cmd_evaluate(args) -> int:
@@ -380,13 +390,13 @@ def _cmd_evaluate(args) -> int:
     sidecar = _read_json(sidecar_path)
     with open(args.matrix, "r", encoding="utf-8") as fh:
         matrix = read_matrix_csv(fh, sidecar)
-    report = _evaluate_stage(matrix, sidecar, settings, Path(args.out))
+    report, metrics = _evaluate_stage(matrix, sidecar, settings, Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "evaluate",
         {"matrix": args.matrix, "sidecar": str(sidecar_path)},
         settings,
-        {},
+        metrics,
         {"evaluate": time.perf_counter() - t0},
     )
     print(f"evaluate: cox mean C={report['cox']['mean_c']:.3f} "
@@ -412,6 +422,8 @@ def _cmd_render(args) -> int:
             ranking_keys = _read_json(Path(args.report))["ranking"]["keys"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{args.report}: no ranking keys ({exc!r})") from None
+        if not (isinstance(ranking_keys, list) and all(isinstance(k, str) for k in ranking_keys)):
+            raise ConfigError(f"{args.report}: ranking keys must be a list of strings")
     else:
         ranking_keys = [r.pattern.key() for r in results]
     _render_stage(results, severity_of, measure, ranking_keys, settings["top"], Path(args.out))
@@ -452,7 +464,7 @@ def _cmd_pipeline(args) -> int:
     timings["matrix"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    report = _evaluate_stage(matrix, sidecar, eval_settings, out_dir / "report.json")
+    report, eval_metrics = _evaluate_stage(matrix, sidecar, eval_settings, out_dir / "report.json")
     timings["evaluate"] = time.perf_counter() - t3
 
     t4 = time.perf_counter()
@@ -468,7 +480,7 @@ def _cmd_pipeline(args) -> int:
         {"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features},
         {**_abstract_config(args), **_mine_config_payload(config), **eval_settings,
          **render_settings},
-        _mining_metrics(stats),
+        {**_mining_metrics(stats), **eval_metrics},
         timings,
     )
     print(f"pipeline: {len(results)} patterns, cox mean C={report['cox']['mean_c']:.3f}, "

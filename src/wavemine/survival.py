@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._kernels import concordance_counts, cox_suffix_sums
+from ._kernels import concordance_counts
 from .errors import CohortValidationError, ConfigError, FoldError, UndefinedMetricError
 from .matrix import BinaryDesignMatrix
 
@@ -38,6 +38,7 @@ class CoxModel:
 @dataclass(frozen=True)
 class CVResult:
     fold_c: tuple[float, ...]
+    train_c: tuple[float, ...]  # training-side C of each fold's chosen model
     mean_c: float
     pooled_c: float
     models: tuple[CoxModel, ...]
@@ -74,51 +75,65 @@ def concordance_index(scores, times, events) -> float:
     return (concordant + 0.5 * ties) / comparable
 
 
+class _RiskSets:
+    """A fold's rows sorted once by time, grouped into its D distinct-time blocks.
+
+    The risk set of block b is blocks b..D-1, so every Breslow sum is a suffix
+    sum over D block sums instead of over n rows.
+    """
+
+    def __init__(self, X: np.ndarray, times: np.ndarray, events: np.ndarray):
+        order = np.argsort(times, kind="stable")
+        self.X, ts, es = X[order], times[order], events[order]
+        if not es.any():
+            raise CohortValidationError("Cox objective needs at least one event")
+        starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
+        self.starts, self.sizes = starts, np.diff(np.r_[starts, ts.size])
+        d = np.add.reduceat(es.astype(float), starts)
+        self.ev = np.flatnonzero(d)  # blocks holding at least one event
+        self.d = d[self.ev]
+        self.x_events = self.X[es].sum(axis=0)  # does not depend on beta
+
+    def objective(self, beta: np.ndarray, lam: float):
+        """(ll, gradient, (w, S0, S1)): the sums are reused by ``hessian``."""
+        w = np.exp(self.X @ beta)
+        W0 = np.add.reduceat(w, self.starts)
+        W1 = np.array([w[lo:lo + k] @ self.X[lo:lo + k] for lo, k in zip(self.starts, self.sizes)])
+        S0, S1 = np.cumsum(W0[::-1])[::-1], np.cumsum(W1[::-1], axis=0)[::-1]
+        s0 = S0[self.ev]
+        ll = float(self.x_events @ beta - self.d @ np.log(s0) - 0.5 * lam * beta @ beta)
+        grad = self.x_events - (self.d / s0) @ S1[self.ev] - lam * beta
+        return ll, grad, (w, S0, S1)
+
+    def hessian(self, w, S0, S1, lam: float) -> np.ndarray:
+        """-lam*I - sum over event blocks b of d_b (S2_b/S0_b - m_b m_b^T), m_b = S1_b/S0_b.
+
+        Row i lies in the risk sets of every block up to its own, so the S2
+        terms regroup into one weighted Gram matrix: row i weighs
+        w_i * c_i, with c_i the sum of d_b/S0_b over those blocks.
+        """
+        c = np.zeros(S0.size)
+        c[self.ev] = self.d / S0[self.ev]
+        row_w = w * np.repeat(np.cumsum(c), self.sizes)
+        m = S1[self.ev] / S0[self.ev, None]
+        return (m.T * self.d) @ m - self.X.T @ (row_w[:, None] * self.X) - lam * np.eye(m.shape[1])
+
+
 def cox_objective(
     X: np.ndarray, times: np.ndarray, events: np.ndarray, beta: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray]:
     """Penalized Breslow partial log-likelihood and its gradient."""
-    order = np.argsort(times, kind="stable")
-    Xs = X[order]
-    ts = times[order]
-    es = events[order]
-    eta = Xs @ beta
-    w = np.exp(eta)
-    s0, s1 = cox_suffix_sums(w, Xs)
-    first = np.searchsorted(ts, ts, side="left")
-    ev = np.flatnonzero(es)
-    if ev.size == 0:
-        raise CohortValidationError("Cox objective needs at least one event")
-    f = first[ev]
-    ll = float(np.sum(eta[ev] - np.log(s0[f])) - 0.5 * lam * beta @ beta)
-    grad = Xs[ev].sum(axis=0) - (s1[f] / s0[f, None]).sum(axis=0) - lam * beta
-    return ll, grad
-
-
-def _cox_hessian(Xs, ts, es, w, s0, s1, lam):
-    p = Xs.shape[1]
-    hess = -lam * np.eye(p)
-    ev = np.flatnonzero(es)
-    for t in np.unique(ts[ev]):
-        f = int(np.searchsorted(ts, t, side="left"))
-        d = int(np.sum(es & (ts == t)))
-        tail = Xs[f:]
-        S2 = tail.T @ (w[f:, None] * tail)
-        mean = s1[f] / s0[f]
-        hess -= d * (S2 / s0[f] - np.outer(mean, mean))
-    return hess
+    return _RiskSets(X, times, events).objective(beta, lam)[:2]
 
 
 def _fit_cox(X, times, events, lam, tol, max_iter):
-    n, p = X.shape
-    order = np.argsort(times, kind="stable")
-    Xs, ts, es = X[order], times[order], events[order]
+    p = X.shape[1]
     beta = np.zeros(p)
     if p == 0:
         return CoxModel(beta, lam, True, 0, ())
-    path = []
-    ll, grad = cox_objective(X, times, events, beta, lam)
-    path.append(ll)
+    risk = _RiskSets(X, times, events)
+    ll, grad, sums = risk.objective(beta, lam)
+    path = [ll]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -126,10 +141,7 @@ def _fit_cox(X, times, events, lam, tol, max_iter):
             converged = True
             iterations -= 1
             break
-        eta = Xs @ beta
-        w = np.exp(eta)
-        s0, s1 = cox_suffix_sums(w, Xs)
-        hess = _cox_hessian(Xs, ts, es, w, s0, s1, lam)
+        hess = risk.hessian(*sums, lam)
         try:
             delta = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
@@ -141,10 +153,10 @@ def _fit_cox(X, times, events, lam, tol, max_iter):
         moved = False
         for _ in range(30):
             cand = beta + step * delta
-            cand_ll, cand_grad = cox_objective(X, times, events, cand, lam)
+            cand_ll, cand_grad, cand_sums = risk.objective(cand, lam)
             if np.isfinite(cand_ll) and cand_ll >= ll - slack:
                 moved = not np.array_equal(cand, beta)
-                beta, ll, grad = cand, cand_ll, cand_grad
+                beta, ll, grad, sums = cand, cand_ll, cand_grad, cand_sums
                 path.append(ll)
                 break
             step *= 0.5
@@ -243,6 +255,7 @@ def cross_validate(
     X = matrix.cells.astype(float)
     heldout = np.zeros(X.shape[0])
     fold_c: list[float] = []
+    train_c: list[float] = []
     models: list[CoxModel] = []
     chosen: list[float] = []
     for f in range(k):
@@ -258,7 +271,7 @@ def cross_validate(
             )
             if best is None or c_train > best[0]:
                 best = (c_train, lam, model)
-        _, lam, model = best
+        c_train, lam, model = best
         scores = X[test] @ model.coefficients
         heldout[test] = scores
         try:
@@ -266,6 +279,7 @@ def cross_validate(
         except UndefinedMetricError:
             c_test = float("nan")
         fold_c.append(c_test)
+        train_c.append(c_train)
         models.append(model)
         chosen.append(lam)
     pooled = concordance_index(heldout, matrix.times, matrix.events)
@@ -273,6 +287,7 @@ def cross_validate(
     mean_c = float(np.mean(defined)) if defined else pooled
     return CVResult(
         fold_c=tuple(fold_c),
+        train_c=tuple(train_c),
         mean_c=mean_c,
         pooled_c=pooled,
         models=tuple(models),
@@ -286,16 +301,20 @@ def rank_patterns(models: Sequence[CoxModel], matrix: BinaryDesignMatrix) -> Pat
     """Sum-of-ranks selection: rank columns per model by |coefficient|, sum ranks.
 
     Rank 1 is the largest absolute coefficient; ties inside a model and in
-    the final ordering break by canonical pattern key.
+    the final ordering break by canonical pattern key.  Identical columns
+    tie: each is ranked by its first twin's coefficient, since a fit tells
+    them apart only by rounding.
     """
     if not models:
         raise ConfigError("rank_patterns needs at least one model")
     keys = matrix.pattern_keys
+    _, first, twin = np.unique(matrix.cells, axis=1, return_index=True, return_inverse=True)
     sums = {key: 0 for key in keys}
     for model in models:
         coef = np.abs(np.asarray(model.coefficients, dtype=float))
         if coef.shape[0] != len(keys):
             raise ConfigError("model width does not match the matrix")
+        coef = coef[first][twin.ravel()]
         order = sorted(range(len(keys)), key=lambda j: (-coef[j], keys[j]))
         for rank, j in enumerate(order, start=1):
             sums[keys[j]] += rank

@@ -132,6 +132,19 @@ def test_stage_by_stage_matches_pipeline(tmp_path):
         "nodes", "candidates", "emitted", "duplicates", "undefined_risk"
     }
     assert run["metrics"]["mining"]["nodes"] > 0
+    # and both record each fold's chosen Cox fit
+    evaluated = json.loads((work / "report.json.manifest.json").read_text())
+    assert evaluated["metrics"]["evaluate"] == run["metrics"]["evaluate"]
+    report = json.loads((piped / "report.json").read_text())
+    folds = run["metrics"]["evaluate"]["folds"]
+    assert [f["lambda"] for f in folds] == report["cox"]["chosen_lambda"]
+    assert [f["converged"] for f in folds] == report["cox"]["converged"]
+    assert [f["test_c"] for f in folds] == report["cox"]["fold_c"]
+    for fold in folds:
+        assert set(fold) == {"lambda", "iterations", "converged", "train_c", "test_c",
+                             "objective_path_length"}
+        assert 0.0 <= fold["train_c"] <= 1.0
+        assert fold["objective_path_length"] >= 1
     assert "nodes" not in run["config"] and "candidates" not in mined["config"]
     # the pipeline records every stage's settings, as the stages record them
     stage_configs = {}
@@ -206,6 +219,21 @@ _BAD_INPUTS = [
     ("render-top-zero", None, "render --patterns {work}/patterns.json --top 0 --out {tmp}/p.svg"),
     ("synth-plant-without-fraction", {"planted": [_PLANT_WITHOUT_FRACTION]},
      "synth --out-dir {tmp}/synth --config {bad}"),
+    ("cutoff-entry-not-object",
+     [{"name": "F01", "kind": "categorical", "method": "cutoffs", "cutoffs": [1]}],
+     f"abstract {_COHORT} --features {{bad}} --out {{tmp}}/iv.json"),
+    ("percentile-entry-not-object",
+     [{"name": "F01", "kind": "categorical", "method": "custom_percentiles",
+       "percentiles": [{"pct": 50, "level": "L"}, "H"]}],
+     f"abstract {_COHORT} --features {{bad}} --out {{tmp}}/iv.json"),
+    ("cutoff-bound-not-number",
+     [{"name": "F01", "kind": "categorical", "method": "cutoffs",
+       "cutoffs": [{"upper": "x", "level": "L"}, {"level": "H"}]}],
+     f"abstract {_COHORT} --features {{bad}} --out {{tmp}}/iv.json"),
+    ("report-keys-not-strings", {"ranking": {"keys": [["x"]]}},
+     "render --patterns {work}/patterns.json --report {bad} --out {tmp}/p.svg"),
+    ("report-keys-not-list", {"ranking": {"keys": "P1"}},
+     "render --patterns {work}/patterns.json --report {bad} --out {tmp}/p.svg"),
 ]
 
 

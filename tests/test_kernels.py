@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavemine._kernels import backend_name, concordance_counts, cox_suffix_sums
+from wavemine._kernels import backend_name, concordance_counts
 
 
 def _pairwise_counts(scores, times, events):
@@ -47,21 +47,6 @@ def test_concordance_counts_match_pairwise_reference():
             scores, times, events = _random_case(rng, kind)
             expected = _pairwise_counts(scores, times, events)
             assert concordance_counts(scores, times, events) == expected, kind
-
-
-def test_cox_suffix_sums_match_reverse_loop():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        n, p = int(rng.integers(1, 50)), int(rng.integers(1, 6))
-        w = np.exp(rng.normal(size=n))
-        x = rng.normal(size=(n, p))
-        s0, s1 = cox_suffix_sums(w, x)
-        acc0, acc1 = 0.0, np.zeros(p)
-        for i in range(n - 1, -1, -1):
-            acc0 += w[i]
-            acc1 = acc1 + w[i] * x[i]
-            assert s0[i] == pytest.approx(acc0, rel=1e-12)
-            assert np.allclose(s1[i], acc1, rtol=1e-12, atol=1e-12)
 
 
 def test_backend_name_is_numpy():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -5,10 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wavemine import survival
+from wavemine.cli import main
+from wavemine.encoding import read_intervals_json
 from wavemine.errors import ConfigError, FoldError, UndefinedMetricError
-from wavemine.matrix import BinaryDesignMatrix
+from wavemine.matrix import BinaryDesignMatrix, build_matrix
+from wavemine.miner import MinerConfig, mine
 from wavemine.survival import (
     CoxModel,
+    _RiskSets,
     concordance_index,
     cox_objective,
     cross_validate,
@@ -258,6 +264,154 @@ def test_ridge_cox_validates_inputs():
 
 
 # ---------------------------------------------------------------------------
+# reference fit: the Breslow sums taken directly, as per-row suffix sums and
+# one Hessian pass per distinct event time; the oracle for the block fit
+
+
+def _ref_sorted_sums(X, times, events, beta):
+    order = np.argsort(times, kind="stable")
+    Xs, ts, es = X[order], times[order], events[order]
+    eta = Xs @ beta
+    w = np.exp(eta)
+    s0 = np.cumsum(w[::-1])[::-1]
+    s1 = np.cumsum((w[:, None] * Xs)[::-1], axis=0)[::-1]
+    return Xs, ts, es, eta, w, s0, s1
+
+
+def _ref_objective(X, times, events, beta, lam):
+    Xs, ts, es, eta, _, s0, s1 = _ref_sorted_sums(X, times, events, beta)
+    f = np.searchsorted(ts, ts, side="left")[es]
+    ll = float(np.sum(eta[es] - np.log(s0[f])) - 0.5 * lam * beta @ beta)
+    grad = Xs[es].sum(axis=0) - (s1[f] / s0[f, None]).sum(axis=0) - lam * beta
+    return ll, grad
+
+
+def _ref_hessian(X, times, events, beta, lam):
+    Xs, ts, es, _, w, s0, s1 = _ref_sorted_sums(X, times, events, beta)
+    hess = -lam * np.eye(X.shape[1])
+    for t in np.unique(ts[es]):
+        f = int(np.searchsorted(ts, t, side="left"))
+        d = int(np.sum(es & (ts == t)))
+        tail = Xs[f:]
+        S2 = tail.T @ (w[f:, None] * tail)
+        mean = s1[f] / s0[f]
+        hess -= d * (S2 / s0[f] - np.outer(mean, mean))
+    return hess
+
+
+def _ref_fit_cox(X, times, events, lam, tol, max_iter):
+    """The same Newton loop and line search over the reference sums."""
+    beta = np.zeros(X.shape[1])
+    ll, grad = _ref_objective(X, times, events, beta, lam)
+    path, converged, iterations = [ll], False, 0
+    for iterations in range(1, max_iter + 1):
+        if np.max(np.abs(grad)) < tol:
+            converged = True
+            iterations -= 1
+            break
+        delta = np.linalg.solve(-_ref_hessian(X, times, events, beta, lam), grad)
+        slack = 1e-12 * (1.0 + abs(ll))
+        step, moved = 1.0, False
+        for _ in range(30):
+            cand = beta + step * delta
+            cand_ll, cand_grad = _ref_objective(X, times, events, cand, lam)
+            if np.isfinite(cand_ll) and cand_ll >= ll - slack:
+                moved = not np.array_equal(cand, beta)
+                beta, ll, grad = cand, cand_ll, cand_grad
+                path.append(ll)
+                break
+            step *= 0.5
+        if not moved:
+            break
+    else:
+        iterations = max_iter
+    converged = converged or bool(np.max(np.abs(grad)) < tol)
+    return CoxModel(beta, lam, converged, iterations, tuple(path))
+
+
+def _block_case(rng, binary, n, p):
+    """Shuffled rows whose sorted time blocks cover every risk-set edge case."""
+    times = rng.integers(1, 7, size=n).astype(float)
+    events = rng.random(n) < 0.4
+    times[:3], events[:3] = 0.0, False  # first block: censoring only
+    times[3:6], events[3:6] = 7.0, True  # last block: events only
+    times[6:10], events[6:10] = 3.0, [True, True, False, False]  # tied events and censored
+    X = rng.integers(0, 2, size=(n, p)) if binary else rng.normal(size=(n, p))
+    perm = rng.permutation(n)
+    return X[perm].astype(float), times[perm], events[perm]
+
+
+def _close(actual, expected, rtol):
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
+def test_block_gradient_and_hessian_match_reference(binary):
+    rng = np.random.default_rng(21 if binary else 22)
+    for _ in range(30):
+        n, p = int(rng.integers(12, 80)), int(rng.integers(1, 9))
+        X, times, events = _block_case(rng, binary, n, p)
+        beta = rng.normal(scale=0.5, size=p)
+        lam = float(rng.choice([0.0, 0.1, 2.0]))
+        risk = _RiskSets(X, times, events)
+        ll, grad, sums = risk.objective(beta, lam)
+        ref_ll, ref_grad = _ref_objective(X, times, events, beta, lam)
+        assert ll == pytest.approx(ref_ll, rel=1e-12)
+        _close(grad, ref_grad, 1e-10)
+        _close(risk.hessian(*sums, lam), _ref_hessian(X, times, events, beta, lam), 1e-10)
+        public_ll, public_grad = cox_objective(X, times, events, beta, lam)
+        assert public_ll == ll and np.array_equal(public_grad, grad)
+
+
+def test_block_hessian_matches_finite_difference_of_gradient():
+    rng = np.random.default_rng(23)
+    h = 1e-5
+    for binary in (True, False):
+        X, times, events = _block_case(rng, binary, 60, 5)
+        beta, lam = rng.normal(scale=0.5, size=5), 0.3
+        risk = _RiskSets(X, times, events)
+        hess = risk.hessian(*risk.objective(beta, lam)[2], lam)
+        fd = np.column_stack([
+            (cox_objective(X, times, events, beta + h * e, lam)[1]
+             - cox_objective(X, times, events, beta - h * e, lam)[1]) / (2 * h)
+            for e in np.eye(5)
+        ])
+        _close(hess, fd, 1e-6)
+
+
+def test_block_fit_matches_reference_fit_on_synth_cohort(tmp_path, monkeypatch):
+    config = {"patients": 600, "waves": 6, "features": 10, "event_rate": 0.15,
+              "noise_rate": 0.08, "seed": 9}
+    (tmp_path / "synth.json").write_text(json.dumps(config), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--config", str(tmp_path / "synth.json")]) == 0
+    assert main(["abstract", "--cohort", str(data / "cohort.csv"),
+                 "--outcomes", str(data / "outcomes.csv"),
+                 "--features", str(data / "features.json"),
+                 "--out", str(tmp_path / "intervals.json")]) == 0
+    with open(tmp_path / "intervals.json", encoding="utf-8") as fh:
+        doc = read_intervals_json(fh)
+    sequences = doc.sequences()
+    results = mine(sequences, MinerConfig(minsup=0.01, risk_sup=0.5))
+    matrix = build_matrix(results, sequences, doc.outcomes())
+    assert matrix.cells.shape[1] >= 20
+    new = survival.cross_validate(matrix, k=5, seed=0)
+    monkeypatch.setattr(survival, "_fit_cox", _ref_fit_cox)
+    ref = survival.cross_validate(matrix, k=5, seed=0)
+    assert new.chosen_lambda == ref.chosen_lambda
+    assert [m.converged for m in new.models] == [m.converged for m in ref.models]
+    assert [m.iterations for m in new.models] == [m.iterations for m in ref.models]
+    assert rank_patterns(new.models, matrix).ordered_keys == rank_patterns(
+        ref.models, matrix
+    ).ordered_keys
+    for m_new, m_ref in zip(new.models, ref.models):
+        assert np.max(np.abs(m_new.coefficients - m_ref.coefficients)) <= 1e-8
+    for c_new, c_ref in zip(new.fold_c + new.train_c, ref.fold_c + ref.train_c):
+        assert abs(c_new - c_ref) <= 1e-12
+    assert abs(new.pooled_c - ref.pooled_c) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # rr_score
 
 
@@ -354,7 +508,8 @@ def test_cv_score_vector_uses_same_folds():
 
 
 def _ranking_matrix(keys):
-    return _matrix(np.zeros((4, len(keys)), dtype=np.int8), [1, 2, 3, 4], [1, 1, 0, 0], keys=keys)
+    # distinct columns: identical ones tie whatever their coefficients
+    return _matrix(np.eye(4, len(keys), dtype=np.int8), [1, 2, 3, 4], [1, 1, 0, 0], keys=keys)
 
 
 def _model(coefs):
@@ -380,6 +535,15 @@ def test_rank_patterns_all_zero_ties_break_by_key():
     matrix = _ranking_matrix(("b", "c", "a"))
     ranking = rank_patterns([_model([0.0, 0.0, 0.0])], matrix)
     assert ranking.ordered_keys == ("a", "b", "c")
+
+
+def test_rank_patterns_ties_identical_columns():
+    cells = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1], [0, 0, 0]], dtype=np.int8)
+    matrix = _matrix(cells, [1, 2, 3, 4], [1, 1, 0, 0], keys=("Y", "Z", "X"))
+    # Y and X are twins: rounding noise in their coefficients must not order them
+    for coefs in ([1.0 + 1e-15, 0.5, 1.0], [1.0, 0.5, 1.0 + 1e-15]):
+        ranking = rank_patterns([_model(coefs)], matrix)
+        assert ranking.ordered_keys == ("X", "Y", "Z")
 
 
 def test_rank_patterns_scale_invariant():
