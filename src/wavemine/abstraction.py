@@ -13,10 +13,13 @@ Consecutive waves with the same level are merged into one state interval.
 """
 from __future__ import annotations
 
+import gc
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +45,7 @@ class Level:
     severity: str = "other"
 
 
-@dataclass(frozen=True)
-class StateInterval:
+class StateInterval(NamedTuple):
     """One abstracted patient state holding over a contiguous wave span."""
 
     feature: str
@@ -121,6 +123,24 @@ class FeatureSpec:
         return "other"
 
 
+@contextmanager
+def acyclic_build():
+    """Pause the cyclic garbage collector while a block builds many acyclic objects.
+
+    Every full collection walks all live containers, so building a few
+    hundred thousand intervals or endpoint groups would walk the whole cohort
+    several times over.  Reference counting still frees everything; the
+    collector resumes, if it was running, when the block ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def fit_percentiles(values: Iterable[float], points: Sequence[float]) -> np.ndarray:
     """Fit percentile bin edges over the pooled values.
 
@@ -130,6 +150,8 @@ def fit_percentiles(values: Iterable[float], points: Sequence[float]) -> np.ndar
     vals = np.asarray(sorted(values), dtype=float)
     if vals.size == 0:
         raise FitError("cannot fit percentiles on an empty value set")
+    if not np.isfinite(vals).all():
+        raise FitError("cannot fit percentiles on non-finite values")
     if vals[0] == vals[-1]:
         raise DegenerateDistributionError("all values identical: zero spread")
     edges = np.percentile(vals, points, method="linear")
@@ -138,24 +160,123 @@ def fit_percentiles(values: Iterable[float], points: Sequence[float]) -> np.ndar
     return edges
 
 
-def abstract_value(value, spec: FeatureSpec, edges: np.ndarray | None = None) -> str:
-    """Assign the level name for one raw, non-missing value."""
+def _level_names(rule: AbstractionRule) -> tuple[str, ...]:
+    """The level names that ``_level_codes`` indexes, in code order."""
+    if rule.method == "categorical":
+        return tuple(dict.fromkeys(rule.categories.values()))
+    return rule.levels
+
+
+def _level_codes(spec: FeatureSpec, values: Sequence, edges: np.ndarray | None) -> np.ndarray:
+    """Level code of each raw, non-missing value; -1 for a category the rule does not list."""
     rule = spec.rule
     if rule.method == "categorical":
-        try:
-            return rule.categories[value]
-        except KeyError:
-            raise MappingError(
-                f"feature {spec.name!r}: category {value!r} not listed in the rule"
-            ) from None
+        names = _level_names(rule)
+        code_of = {category: names.index(level) for category, level in rule.categories.items()}
+        return np.fromiter(
+            map(code_of.get, values, repeat(-1)), dtype=np.intp, count=len(values)
+        )
     if rule.method == "cutoffs":
         bin_edges = rule.bounds
     else:
         if edges is None:
             raise ConfigError(f"feature {spec.name!r}: percentile rule used without fitted edges")
         bin_edges = edges
-    idx = int(np.searchsorted(bin_edges, float(value), side="right"))
-    return rule.levels[idx]
+    return np.searchsorted(bin_edges, np.asarray(values, dtype=float), side="right")
+
+
+def _unlisted(spec: FeatureSpec, value) -> MappingError:
+    return MappingError(f"feature {spec.name!r}: category {value!r} not listed in the rule")
+
+
+def abstract_value(value, spec: FeatureSpec, edges: np.ndarray | None = None) -> str:
+    """Assign the level name for one raw, non-missing value."""
+    code = int(_level_codes(spec, [value], edges)[0])
+    if code < 0:
+        raise _unlisted(spec, value)
+    return _level_names(spec.rule)[code]
+
+
+def _intervals_by_row(
+    rows: Sequence[Mapping[str, Mapping[int, object]]],
+    specs: Sequence[FeatureSpec],
+    edges_by_feature: Mapping[str, np.ndarray],
+) -> list[tuple[StateInterval, ...]]:
+    """Abstract each row's series into state intervals, one feature at a time.
+
+    Each feature's (row, wave, value) cells are gathered into arrays, coded
+    with one ``_level_codes`` call, and split into runs where the row or the
+    level changes or a wave is skipped.  Only one feature's cells are held at
+    a time.  A row's intervals come in ``specs`` order, each feature's by wave.
+    """
+    run_rows, run_labels, run_starts, run_ends = [], [], [], []
+    labels: list[tuple[str, str]] = []  # (feature, level) per label code
+    unlisted = []  # (row, spec index, value) of each feature's first unlisted category
+    for spec_index, spec in enumerate(specs):
+        name = spec.name
+        waves: list[int] = []
+        values: list = []
+        cell_rows: list[int] = []
+        counts: list[int] = []
+        for r, by_feature in enumerate(rows):
+            series = by_feature.get(name)
+            if series:
+                waves.extend(series)
+                values.extend(series.values())
+                cell_rows.append(r)
+                counts.append(len(series))
+        if not waves:
+            continue
+        row = np.repeat(np.asarray(cell_rows, dtype=np.intp), counts)
+        wave = np.asarray(waves, dtype=np.int64)
+        codes = _level_codes(spec, values, edges_by_feature.get(name))
+        if np.any((wave[1:] <= wave[:-1]) & (row[1:] == row[:-1])):
+            order = np.lexsort((wave, row))
+            row, wave, codes = row[order], wave[order], codes[order]
+        else:
+            order = None
+        bad = np.flatnonzero(codes < 0)
+        if bad.size:
+            first = int(bad[0])
+            value = values[first if order is None else order[first]]
+            unlisted.append((int(row[first]), spec_index, value))
+            continue
+        brk = np.ones(len(wave), dtype=bool)
+        brk[1:] = (row[1:] != row[:-1]) | (codes[1:] != codes[:-1]) | (wave[1:] != wave[:-1] + 1)
+        starts = np.flatnonzero(brk)
+        ends = np.append(starts[1:], len(wave)) - 1
+        run_rows.append(row[starts])
+        run_labels.append(codes[starts] + len(labels))
+        run_starts.append(wave[starts])
+        run_ends.append(wave[ends])
+        labels.extend((name, level) for level in _level_names(spec.rule))
+    if unlisted:
+        # the error a patient-by-patient pass would meet first
+        _row, spec_index, value = min(unlisted, key=lambda u: u[:2])
+        raise _unlisted(specs[spec_index], value)
+    if not run_rows:
+        return [() for _ in rows]
+    run_row = np.concatenate(run_rows)
+    order = np.argsort(run_row, kind="stable")
+    label = np.concatenate(run_labels)[order]
+    features = np.array([f for f, _ in labels], dtype=object)[label].tolist()
+    levels = np.array([lv for _, lv in labels], dtype=object)[label].tolist()
+    bounds = np.cumsum(np.bincount(run_row, minlength=len(rows))).tolist()
+    with acyclic_build():
+        # tuple.__new__ builds each StateInterval without the Python-level __new__
+        intervals = list(
+            map(
+                tuple.__new__,
+                repeat(StateInterval),
+                zip(
+                    features,
+                    levels,
+                    np.concatenate(run_starts)[order].tolist(),
+                    np.concatenate(run_ends)[order].tolist(),
+                ),
+            )
+        )
+        return [tuple(intervals[a:b]) for a, b in zip([0, *bounds], bounds)]
 
 
 def build_intervals(
@@ -168,26 +289,7 @@ def build_intervals(
     Maximal runs of the same level over consecutive waves become one interval;
     a gap in observation breaks the run even if the level matches.
     """
-    edges_by_feature = edges_by_feature or {}
-    out: list[StateInterval] = []
-    for spec in specs:
-        series = values.get(spec.name)
-        if not series:
-            continue
-        edges = edges_by_feature.get(spec.name)
-        run_level = None
-        run_start = run_end = 0
-        for wave in sorted(series):
-            level = abstract_value(series[wave], spec, edges)
-            if run_level is not None and level == run_level and wave == run_end + 1:
-                run_end = wave
-                continue
-            if run_level is not None:
-                out.append(StateInterval(spec.name, run_level, run_start, run_end))
-            run_level, run_start, run_end = level, wave, wave
-        if run_level is not None:
-            out.append(StateInterval(spec.name, run_level, run_start, run_end))
-    return out
+    return list(_intervals_by_row([values], specs, edges_by_feature or {})[0])
 
 
 def fit_cohort_edges(cohort, specs: Sequence[FeatureSpec]):
@@ -224,22 +326,21 @@ def abstract_cohort(cohort, specs: Sequence[FeatureSpec]):
     severities = {
         spec.name: {lv.name: lv.severity for lv in spec.levels} for spec in usable
     }
-    patients = []
-    for record in cohort.patients:
-        intervals = build_intervals(record.values, usable, edges)
-        patients.append(
-            PatientIntervals(
-                patient_id=record.patient_id,
-                time=record.outcome.time,
-                event=record.outcome.event,
-                intervals=tuple(intervals),
-            )
+    by_row = _intervals_by_row([record.values for record in cohort.patients], usable, edges)
+    patients = tuple(
+        PatientIntervals(
+            patient_id=record.patient_id,
+            time=record.outcome.time,
+            event=record.outcome.event,
+            intervals=intervals,
         )
+        for record, intervals in zip(cohort.patients, by_row)
+    )
     fitted = {name: [float(e) for e in arr] for name, arr in edges.items()}
     return CohortIntervals(
         wave_count=cohort.wave_count,
         levels=severities,
-        patients=tuple(patients),
+        patients=patients,
         edges=fitted,
     )
 

@@ -9,10 +9,14 @@ pattern semantics depend only on group membership.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
-from .abstraction import StateInterval
+from .abstraction import StateInterval, acyclic_build
 from .errors import MatrixFormatError, PairingError
 
 
@@ -29,12 +33,8 @@ class Endpoint(NamedTuple):
         return f"{self.feature}={self.level}{'-' if self.is_finish else '+'}"
 
 
-def start(feature: str, level: str) -> Endpoint:
-    return Endpoint(feature, level, False)
-
-
-def finish(feature: str, level: str) -> Endpoint:
-    return Endpoint(feature, level, True)
+# encoded sequences share one Endpoint per (feature, level, is_finish)
+_endpoint = lru_cache(maxsize=4096)(Endpoint)
 
 
 def group_order(ep: Endpoint):
@@ -42,8 +42,7 @@ def group_order(ep: Endpoint):
     return (ep.is_finish, ep.feature, ep.level)
 
 
-@dataclass(frozen=True)
-class EndpointGroup:
+class EndpointGroup(NamedTuple):
     time: int
     endpoints: tuple[Endpoint, ...]
 
@@ -66,16 +65,18 @@ def encode(
     Normal-severity levels are dropped (normal-pruning).  A single-wave
     interval places its Start and Finish in the same group.
     """
-    by_time: dict[int, set[Endpoint]] = {}
+    ends: set[tuple[int, bool, str, str]] = set()
     for iv in intervals:
-        if severity_of.get((iv.feature, iv.level), "other") == "normal":
+        feature, level = iv.feature, iv.level
+        if severity_of.get((feature, level), "other") == "normal":
             continue
-        by_time.setdefault(iv.start, set()).add(start(iv.feature, iv.level))
-        by_time.setdefault(iv.end, set()).add(finish(iv.feature, iv.level))
-    groups = tuple(
-        EndpointGroup(time=t, endpoints=tuple(sorted(by_time[t], key=group_order)))
-        for t in sorted(by_time)
-    )
+        ends.add((iv.start, False, feature, level))
+        ends.add((iv.end, True, feature, level))
+    # sorting (time, is_finish, feature, level) orders by time, then by group_order
+    groups = tuple([
+        EndpointGroup(time, tuple([_endpoint(f, lv, fin) for _, fin, f, lv in block]))
+        for time, block in groupby(sorted(ends), key=itemgetter(0))
+    ])
     seq = EndpointSequence(patient_id=patient_id, groups=groups, event=event)
     verify_pairing(seq)
     return seq
@@ -189,34 +190,67 @@ class CohortIntervals:
 
     def sequences(self) -> list[EndpointSequence]:
         sev = self.severity_of()
-        return [
-            encode(p.patient_id, p.intervals, sev, p.event) for p in self.patients
-        ]
+        with acyclic_build():
+            return [encode(p.patient_id, p.intervals, sev, p.event) for p in self.patients]
 
     def outcomes(self) -> dict[str, tuple[float, bool]]:
         return {p.patient_id: (p.time, p.event) for p in self.patients}
 
 
+def _number(x) -> str:
+    """``x`` as ``json`` writes it."""
+    if type(x) is int:
+        return int.__repr__(x)
+    if type(x) is float and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
+def _interval_text(iv: StateInterval) -> str:
+    return (
+        f'        {{\n          "feature": {json.dumps(iv.feature)},\n'
+        f'          "level": {json.dumps(iv.level)},\n'
+        f'          "start": {_number(iv.start)},\n          "end": {_number(iv.end)}\n'
+        "        }"
+    )
+
+
 def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
-    payload = {
-        "wave_count": doc.wave_count,
-        "levels": {f: dict(by) for f, by in sorted(doc.levels.items())},
-        "edges": {f: list(e) for f, e in sorted((doc.edges or {}).items())},
-        "patients": [
-            {
-                "patient_id": p.patient_id,
-                "time": p.time,
-                "event": int(p.event),
-                "intervals": [
-                    {"feature": iv.feature, "level": iv.level, "start": iv.start, "end": iv.end}
-                    for iv in p.intervals
-                ],
-            }
-            for p in doc.patients
-        ],
-    }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    """Write ``doc`` as ``json.dump(payload, stream, indent=2)`` plus a newline would.
+
+    The layout is fixed, so the header goes through ``json`` and each patient
+    and interval is written from a template, one patient at a time.  Strings
+    are escaped by ``json`` itself.
+    """
+    header = json.dumps(
+        {
+            "wave_count": doc.wave_count,
+            "levels": {f: dict(by) for f, by in sorted(doc.levels.items())},
+            "edges": {f: list(e) for f, e in sorted((doc.edges or {}).items())},
+        },
+        indent=2,
+    )
+    stream.write(header[:-2] + ',\n  "patients": [')
+    texts: dict[StateInterval, str] = {}  # interval with int waves -> its text
+    sep = "\n"
+    for p in doc.patients:
+        lines = []
+        for iv in p.intervals:
+            if type(iv.start) is int and type(iv.end) is int:
+                text = texts.get(iv)
+                if text is None:
+                    text = texts[iv] = _interval_text(iv)
+            else:  # 2.0 == 2, so a float wave must not share an int wave's text
+                text = _interval_text(iv)
+            lines.append(text)
+        intervals = "[\n" + ",\n".join(lines) + "\n      ]" if lines else "[]"
+        stream.write(
+            f'{sep}    {{\n      "patient_id": {json.dumps(p.patient_id)},\n'
+            f'      "time": {_number(p.time)},\n      "event": {int(p.event)},\n'
+            f'      "intervals": {intervals}\n    }}'
+        )
+        sep = ",\n"
+    stream.write("\n  ]\n}\n" if doc.patients else "]\n}\n")
 
 
 def read_intervals_json(stream: IO[str]) -> CohortIntervals:

@@ -91,6 +91,8 @@ def parse_cohort(
 
     Every patient appearing in the data or the outcome map becomes one
     PatientRecord; a data patient without an outcome is a validation error.
+    Features are ordered by name and each series by wave.  Numeric cells
+    must be finite.
     """
     by_name = {spec.name: spec for spec in features}
     reader = csv.reader(stream)
@@ -99,50 +101,80 @@ def parse_cohort(
         raise CohortParseError(
             f"cohort header must be exactly {','.join(COHORT_HEADER)}", line=1
         )
+    isfinite = math.isfinite
+    wave_of: dict[str, int] = {}  # wave cell -> validated wave index
+    feature_of: dict[str, tuple[str, bool]] = {}  # feature cell -> (name, is numeric)
     cells: dict[str, dict[str, dict[int, object]]] = {}
+    unordered: list[tuple[dict, str]] = []  # series that may have arrived out of wave order
+    last_series: dict | None = None
+    last_wave = 0
     max_wave = 0
     for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
         if len(row) != 4:
+            if not row:
+                continue
             raise CohortParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-        pid, wave_s, feature, value_s = row
-        pid = pid.strip()
-        feature = feature.strip()
-        if feature not in by_name:
-            raise CohortValidationError(
-                f"line {lineno}: feature {feature!r} is not defined in the config"
+        pid, wave_s, feature_s, value_s = row
+        known = feature_of.get(feature_s)
+        if known is None:
+            feature = feature_s.strip()
+            if feature not in by_name:
+                raise CohortValidationError(
+                    f"line {lineno}: feature {feature!r} is not defined in the config"
+                )
+            known = feature_of[feature_s] = (
+                feature, by_name[feature].kind in ("continuous", "discrete")
             )
-        try:
-            wave = int(wave_s)
-        except ValueError:
-            raise CohortParseError(f"bad wave index {wave_s!r}", line=lineno) from None
-        if wave < 1:
-            raise CohortParseError(f"wave index must be >= 1, got {wave}", line=lineno)
-        if wave_count is not None and wave > wave_count:
-            raise CohortValidationError(
-                f"line {lineno}: wave {wave} exceeds the cohort wave count {wave_count}"
-            )
+        feature, numeric = known
+        wave = wave_of.get(wave_s)
+        if wave is None:
+            try:
+                wave = int(wave_s)
+            except ValueError:
+                raise CohortParseError(f"bad wave index {wave_s!r}", line=lineno) from None
+            if wave < 1:
+                raise CohortParseError(f"wave index must be >= 1, got {wave}", line=lineno)
+            if wave_count is not None and wave > wave_count:
+                raise CohortValidationError(
+                    f"line {lineno}: wave {wave} exceeds the cohort wave count {wave_count}"
+                )
+            wave_of[wave_s] = wave
         if value_s == "":
             continue  # explicit missing cell
-        spec = by_name[feature]
-        if spec.kind in ("continuous", "discrete"):
+        if numeric:
             try:
                 value: object = float(value_s)
             except ValueError:
                 raise CohortParseError(
                     f"bad numeric value {value_s!r} for feature {feature!r}", line=lineno
                 ) from None
+            if not isfinite(value):
+                raise CohortParseError(
+                    f"non-finite numeric value {value_s!r} for feature {feature!r}", line=lineno
+                )
         else:
             value = value_s
-        per_feature = cells.setdefault(pid, {}).setdefault(feature, {})
-        if wave in per_feature:
+        pid = pid.strip()
+        by_feature = cells.get(pid)
+        if by_feature is None:
+            by_feature = cells[pid] = {}
+        series = by_feature.get(feature)
+        if series is None:
+            series = by_feature[feature] = {}
+        elif wave in series:
             raise CellConflictError(
                 f"line {lineno}: duplicate cell ({pid!r}, {feature!r}, wave {wave})"
             )
-        per_feature[wave] = value
-        max_wave = max(max_wave, wave)
+        elif series is not last_series or wave < last_wave:
+            unordered.append((by_feature, feature))
+        series[wave] = value
+        last_series, last_wave = series, wave
+        if wave > max_wave:
+            max_wave = wave
 
+    for by_feature, feature in unordered:
+        series = by_feature[feature]
+        by_feature[feature] = dict(sorted(series.items()))
     missing = sorted(set(cells) - set(outcomes))
     if missing:
         raise CohortValidationError(f"patients without an outcome: {missing}")
@@ -152,7 +184,7 @@ def parse_cohort(
     patients = tuple(
         PatientRecord(
             patient_id=pid,
-            values={f: dict(sorted(w.items())) for f, w in sorted(cells.get(pid, {}).items())},
+            values=dict(sorted(cells.get(pid, {}).items())),
             outcome=outcomes[pid],
         )
         for pid in sorted(outcomes)
@@ -166,7 +198,8 @@ def carry_forward(cohort: RawCohort, clip_to_outcome: bool = True) -> RawCohort:
     Filling runs from each feature's first observed wave to the patient's
     observation horizon: min(outcome wave, cohort wave count) by default,
     the full wave count with ``clip_to_outcome=False``.  Waves before the
-    first observation stay missing; observed values are never changed.
+    first observation stay missing; observed values are never changed.  A
+    series with nothing to fill is shared with the input cohort, not copied.
     """
     patients = []
     for record in cohort.patients:
@@ -177,16 +210,23 @@ def carry_forward(cohort: RawCohort, clip_to_outcome: bool = True) -> RawCohort:
         for feature, series in record.values.items():
             if not series:
                 continue
-            filled = dict(series)
-            first = min(series)
-            last_value = None
-            for wave in range(first, horizon + 1):
-                if wave in filled:
-                    last_value = filled[wave]
-                else:
-                    filled[wave] = last_value
-            values[feature] = dict(sorted(filled.items()))
-        patients.append(replace(record, values=values))
+            waves = list(series)
+            first, last = waves[0], waves[-1]
+            if last >= horizon and waves == list(range(first, last + 1)):
+                values[feature] = series  # no gap to fill
+                continue
+            filled: dict[int, object] = {}
+            last_value = prev = None
+            for wave in sorted(waves):
+                if prev is not None:
+                    for gap in range(prev + 1, min(wave, horizon + 1)):
+                        filled[gap] = last_value
+                filled[wave] = last_value = series[wave]
+                prev = wave
+            for gap in range(prev + 1, horizon + 1):
+                filled[gap] = last_value
+            values[feature] = filled
+        patients.append(PatientRecord(record.patient_id, values, record.outcome))
     return replace(cohort, patients=tuple(patients))
 
 

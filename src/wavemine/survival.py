@@ -84,7 +84,8 @@ class _RiskSets:
 
     def __init__(self, X: np.ndarray, times: np.ndarray, events: np.ndarray):
         order = np.argsort(times, kind="stable")
-        self.X, ts, es = X[order], times[order], events[order]
+        self.X, self.times, self.events = X[order], times[order], events[order]
+        ts, es = self.times, self.events
         if not es.any():
             raise CohortValidationError("Cox objective needs at least one event")
         starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
@@ -126,12 +127,11 @@ def cox_objective(
     return _RiskSets(X, times, events).objective(beta, lam)[:2]
 
 
-def _fit_cox(X, times, events, lam, tol, max_iter):
-    p = X.shape[1]
+def _fit_cox(risk: _RiskSets, lam, tol, max_iter):
+    p = risk.X.shape[1]
     beta = np.zeros(p)
     if p == 0:
         return CoxModel(beta, lam, True, 0, ())
-    risk = _RiskSets(X, times, events)
     ll, grad, sums = risk.objective(beta, lam)
     path = [ll]
     converged = False
@@ -183,9 +183,8 @@ def fit_ridge_cox(
         raise ConfigError("ridge penalty must be non-negative")
     if not matrix.events.any():
         raise CohortValidationError("Cox fit needs at least one event")
-    return _fit_cox(
-        matrix.cells.astype(float), matrix.times.astype(float), matrix.events, lam, tol, max_iter
-    )
+    risk = _RiskSets(matrix.cells.astype(float), matrix.times.astype(float), matrix.events)
+    return _fit_cox(risk, lam, tol, max_iter)
 
 
 def rr_score(matrix: BinaryDesignMatrix, rr_by_key: Mapping[str, float]) -> np.ndarray:
@@ -262,10 +261,9 @@ def cross_validate(
         test = folds == f
         train = ~test
         best: tuple[float, float, CoxModel] | None = None
+        risk = _RiskSets(X[train], matrix.times[train], matrix.events[train])
         for lam in lam_grid:
-            model = _fit_cox(
-                X[train], matrix.times[train], matrix.events[train], lam, 1e-8, 50
-            )
+            model = _fit_cox(risk, lam, 1e-8, 50)
             c_train = concordance_index(
                 X[train] @ model.coefficients, matrix.times[train], matrix.events[train]
             )

@@ -205,3 +205,161 @@ def test_feature_config_custom_percentiles():
     assert spec.rule.levels == ("poor", "good")
     assert spec.severity_of("good") == "normal"
     assert load_feature_config(feature_config_payload([spec])) == [spec]
+
+
+# --- reference: the per-value abstraction, one value and one wave at a time
+
+
+def _reference_level(value, spec, edges):
+    rule = spec.rule
+    if rule.method == "categorical":
+        return rule.categories[value]
+    bin_edges = rule.bounds if rule.method == "cutoffs" else edges
+    return rule.levels[int(np.searchsorted(bin_edges, float(value), side="right"))]
+
+
+def _reference_intervals(values, specs, edges_by_feature):
+    out = []
+    for spec in specs:
+        series = values.get(spec.name)
+        if not series:
+            continue
+        edges = edges_by_feature.get(spec.name)
+        run_level = None
+        run_start = run_end = 0
+        for wave in sorted(series):
+            level = _reference_level(series[wave], spec, edges)
+            if run_level is not None and level == run_level and wave == run_end + 1:
+                run_end = wave
+                continue
+            if run_level is not None:
+                out.append(StateInterval(spec.name, run_level, run_start, run_end))
+            run_level, run_start, run_end = level, wave, wave
+        if run_level is not None:
+            out.append(StateInterval(spec.name, run_level, run_start, run_end))
+    return out
+
+
+SMOKER = FeatureSpec(
+    name="smoker",
+    kind="categorical",
+    rule=AbstractionRule(
+        method="categorical", categories={"never": "no", "former": "no", "daily": "yes", "weekly": "yes"}
+    ),
+    levels=(Level("no", "normal"), Level("yes", "high")),
+    normal_level="no",
+)
+SCORE = FeatureSpec(
+    name="score",
+    kind="discrete",
+    rule=AbstractionRule(method="custom_percentiles", bounds=(30.0, 60.0), levels=("lo", "mid", "hi")),
+    levels=(Level("lo", "low"), Level("mid", "normal"), Level("hi", "high")),
+)
+RANDOM_SPECS = (BMI, PCT, SMOKER, SCORE)
+
+
+def _random_cohort(rng, patients, waves):
+    from wavemine.ingest import PatientRecord, RawCohort, SurvivalOutcome
+
+    draws = {
+        "bmi": lambda: rng.choice([18.5, 25.0, 30.0, 17.0, 24.9, 29.99]) if rng.random() < 0.5
+        else round(rng.uniform(15, 40), 1),
+        "gait": lambda: float(rng.randint(0, 12)),  # ties put values on the fitted edges
+        "smoker": lambda: rng.choice(list(SMOKER.rule.categories)),
+        "score": lambda: float(rng.randint(0, 9)),
+    }
+    records = []
+    for i in range(patients):
+        values = {}
+        for name, draw in draws.items():
+            if rng.random() < 0.2:
+                continue  # feature missing for this patient
+            # gaps, single-wave runs, and now and then waves out of order
+            kept = [w for w in range(1, waves + 1) if rng.random() < 0.75]
+            if rng.random() < 0.2:
+                rng.shuffle(kept)
+            level_value = draw()
+            series = {}
+            for w in kept:
+                if rng.random() < 0.4:
+                    level_value = draw()
+                series[w] = level_value
+            values[name] = series
+        records.append(PatientRecord(f"p{i:03d}", values, SurvivalOutcome(float(waves), i % 3 == 0)))
+    return RawCohort(waves, RANDOM_SPECS, tuple(records))
+
+
+def test_abstract_cohort_matches_per_value_reference():
+    from wavemine.abstraction import abstract_cohort, fit_cohort_edges
+
+    rng = random.Random(2024)
+    on_edge = 0
+    for trial in range(40):
+        cohort = _random_cohort(rng, patients=rng.randint(1, 60), waves=rng.randint(1, 8))
+        edges, usable = fit_cohort_edges(cohort, RANDOM_SPECS)
+        doc = abstract_cohort(cohort, RANDOM_SPECS)
+        assert list(doc.levels) == [spec.name for spec in usable]
+        assert doc.edges == {name: list(arr) for name, arr in edges.items()}
+        for record, patient in zip(cohort.patients, doc.patients):
+            expected = _reference_intervals(record.values, usable, edges)
+            assert list(patient.intervals) == expected
+            assert build_intervals(record.values, usable, edges) == expected
+            assert all(type(iv.start) is int and type(iv.end) is int for iv in expected)
+            for name, series in record.values.items():
+                on_edge += sum(v in set(edges.get(name, ())) for v in series.values())
+    assert on_edge > 0
+
+
+def test_abstract_cohort_reports_first_unlisted_category():
+    """The error names the first patient's unlisted category, as a per-patient pass would."""
+    from wavemine.abstraction import abstract_cohort
+    from wavemine.ingest import PatientRecord, RawCohort, SurvivalOutcome
+
+    diet = FeatureSpec(
+        name="diet",
+        kind="categorical",
+        rule=AbstractionRule(method="categorical", categories={"mixed": "ok", "fried": "poor"}),
+        levels=(Level("ok", "normal"), Level("poor", "high")),
+    )
+    outcome = SurvivalOutcome(3.0, True)
+    cohort = RawCohort(3, (SMOKER, diet), (
+        PatientRecord("p1", {"smoker": {1: "never"}, "diet": {1: "mixed"}}, outcome),
+        PatientRecord("p2", {"smoker": {1: "never", 2: "sometimes"}, "diet": {1: "vegan"}}, outcome),
+        PatientRecord("p3", {"smoker": {1: "rarely"}, "diet": {2: "raw"}}, outcome),
+    ))
+    with pytest.raises(MappingError, match="feature 'smoker': category 'sometimes' not listed"):
+        abstract_cohort(cohort, [SMOKER, diet])
+    with pytest.raises(MappingError, match="feature 'diet': category 'vegan' not listed"):
+        abstract_cohort(cohort, [diet, SMOKER])
+    # an earlier patient wins over an earlier feature
+    p2 = PatientRecord("p2", {"smoker": {1: "never", 2: "sometimes"}, "diet": {1: "fried"}}, outcome)
+    cohort = RawCohort(3, (SMOKER, diet), (cohort.patients[0], p2, cohort.patients[2]))
+    with pytest.raises(MappingError, match="feature 'smoker': category 'sometimes' not listed"):
+        abstract_cohort(cohort, [diet, SMOKER])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_are_fit_error(bad):
+    with pytest.raises(FitError, match="non-finite"):
+        fit_percentiles([1.0, 2.0, bad, 3.0, 4.0], PCT.rule.bounds)
+
+
+def test_acyclic_build_restores_the_collector_state():
+    import gc
+
+    from wavemine.abstraction import acyclic_build
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        with pytest.raises(KeyError):
+            with acyclic_build():
+                assert not gc.isenabled()
+                raise KeyError("boom")
+        assert gc.isenabled()
+        gc.disable()
+        with acyclic_build():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

@@ -216,3 +216,101 @@ def test_intervals_json_round_trip():
         read_intervals_json(io.StringIO("not json"))
     with pytest.raises(MatrixFormatError):
         read_intervals_json(io.StringIO('{"wave_count": 3}'))
+
+
+def _reference_intervals_json(doc) -> str:
+    """``intervals.json`` as ``json.dump(payload, indent=2)`` writes it: the fixed layout."""
+    import json
+
+    payload = {
+        "wave_count": doc.wave_count,
+        "levels": {f: dict(by) for f, by in sorted(doc.levels.items())},
+        "edges": {f: list(e) for f, e in sorted((doc.edges or {}).items())},
+        "patients": [
+            {
+                "patient_id": p.patient_id,
+                "time": p.time,
+                "event": int(p.event),
+                "intervals": [
+                    {"feature": iv.feature, "level": iv.level, "start": iv.start, "end": iv.end}
+                    for iv in p.intervals
+                ],
+            }
+            for p in doc.patients
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+_ODD_NAMES = ["plain", "naïve", "日本", "quo\"te", "back\\slash", "tab\there", "nl\nx", "\x00\x1f",
+              "emoji\U0001f600", "del\x7f", " sep", ""]
+
+
+def _writer_cases():
+    from wavemine.encoding import CohortIntervals, PatientIntervals
+
+    rng = random.Random(17)
+    odd = CohortIntervals(
+        wave_count=7,
+        levels={name: {lvl: "high" for lvl in _ODD_NAMES[:4]} for name in _ODD_NAMES},
+        patients=tuple(
+            PatientIntervals(
+                pid,
+                time,
+                i % 2 == 0,
+                tuple(
+                    StateInterval(rng.choice(_ODD_NAMES), rng.choice(_ODD_NAMES), w, w + 2)
+                    for w in range(rng.randint(0, 4))
+                ),
+            )
+            for i, (pid, time) in enumerate(
+                zip(_ODD_NAMES, [3, 4.0, 2.5, 1e16, 7, 0.1, 3.0000000000000004, 5, 6, 1, 2.0, 3])
+            )
+        ),
+        edges={"é\"": [0.1 + 0.2, 1e-300, 123456789.12345678], "b": [1, 2.0]},
+    )
+    return {
+        "odd strings, int and float times": odd,
+        "patient without intervals": CohortIntervals(
+            3, {"A": {"x": "high"}}, (PatientIntervals("p1", 2.0, False, ()),), {}
+        ),
+        "float and bool waves": CohortIntervals(
+            4,
+            {"A": {"x": "high"}},
+            (PatientIntervals("p1", 3.0, True, (
+                StateInterval("A", "x", 1, 2),
+                StateInterval("A", "x", 1.0, 2.0),
+                StateInterval("A", "x", True, 2),
+                StateInterval("A", "x", 1, 2),
+            )),),
+            {},
+        ),
+        "nan time": CohortIntervals(2, {}, (PatientIntervals("p1", float("nan"), False, ()),)),
+        "no patients": CohortIntervals(3, {"A": {"x": "high"}}, (), {"A": [1.5]}),
+        "no levels, no edges": CohortIntervals(
+            2, {}, (PatientIntervals("p1", 1.0, True, (StateInterval("A", "x", 1, 1),)),), None
+        ),
+        "long float edges": CohortIntervals(
+            4,
+            {"A": {"x": "normal"}},
+            (
+                PatientIntervals("p1", 4.0, True, (StateInterval("A", "x", 1, 4),)),
+                PatientIntervals("p2", 1.0, False, ()),
+                PatientIntervals("p3", 2, True, (StateInterval("A", "x", 1, 1),
+                                                 StateInterval("A", "x", 2, 2))),
+            ),
+            {"A": [rng.uniform(-1e6, 1e6) for _ in range(5)] + [2.0 / 3.0, -0.0, 5e-324]},
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_writer_cases()))
+def test_intervals_json_writer_matches_json_dump(name):
+    import io
+
+    from wavemine.encoding import write_intervals_json
+
+    doc = _writer_cases()[name]
+    buf = io.StringIO()
+    write_intervals_json(doc, buf)
+    assert buf.getvalue() == _reference_intervals_json(doc)

@@ -1,0 +1,93 @@
+"""Byte-identity of the pipeline's artifacts on a small seeded cohort.
+
+The digests were recorded from a run of the same inputs before the columnar
+front end (numpy abstraction, template-written ``intervals.json``) replaced
+the per-value one, so any change to an artifact's bytes fails here.
+``report.json`` is left to the tolerance tests: its coefficients depend on
+floating-point summation order, which BLAS may change across machines.
+"""
+import hashlib
+import json
+import random
+
+from wavemine.cli import main
+
+BMI = {
+    "name": "BMI",
+    "kind": "continuous",
+    "method": "cutoffs",
+    "cutoffs": [
+        {"upper": 18.5, "level": "Underweight"},
+        {"upper": 25.0, "level": "Normal weight"},
+        {"upper": 30.0, "level": "Overweight"},
+        {"level": "Obese"},
+    ],
+    "levels": [
+        {"name": "Underweight", "severity": "low"},
+        {"name": "Normal weight", "severity": "normal"},
+        {"name": "Overweight", "severity": "high"},
+        {"name": "Obese", "severity": "very_high"},
+    ],
+    "normal_level": "Normal weight",
+}
+
+GOLDEN = {
+    "intervals.json": "70dc45b11606af4844e8ff248d1b20c5565e4c23467211636915946a1c29bcef",
+    "patterns.json": "3d6f96f87ec0c66c6ddff0c8ca2749f0659b643b621a5bb3fd5cfbbb2bb991f1",
+    "matrix.csv": "9c9ee4916ae99ac696418a3d601f1f422ee5f0691dce02810e7da21b29dc2e38",
+    "matrix.csv.cols.json": "23df1ff8e98a525c25e362c755423267d2ec36aa82eea82ea1e42ab33907b04b",
+}
+
+
+def _cohort(tmp_path):
+    """A 400-patient synth cohort plus a BMI cutoff feature with blank cells."""
+    config = {
+        "patients": 400,
+        "waves": 5,
+        "features": 4,
+        "event_rate": 0.2,
+        "noise_rate": 0.08,
+        "seed": 21,
+        "planted": [{
+            "groups": [
+                [{"feature": "F01", "level": "H", "kind": "start"}],
+                [{"feature": "F01", "level": "H", "kind": "finish"}],
+            ],
+            "frac_events": 0.5,
+            "frac_nonevents": 0.1,
+        }],
+    }
+    (tmp_path / "synth.json").write_text(json.dumps(config), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--config", str(tmp_path / "synth.json")]) == 0
+    rng = random.Random(21)
+    rows = []
+    for line in (data / "outcomes.csv").read_text(encoding="utf-8").splitlines()[1:]:
+        pid, time, _event = line.split(",")
+        base = rng.uniform(17.0, 34.0)
+        for wave in range(1, int(float(time)) + 1):
+            # blank cells leave gaps for carry-forward to fill
+            cell = "" if rng.random() < 0.15 else f"{base + rng.uniform(-2.5, 2.5):.1f}"
+            rows.append(f"{pid},{wave},BMI,{cell}\n")
+    with open(data / "cohort.csv", "a", encoding="utf-8") as fh:
+        fh.writelines(rows)
+    features = json.loads((data / "features.json").read_text(encoding="utf-8"))
+    (data / "features.json").write_text(json.dumps(features + [BMI]), encoding="utf-8")
+    return data
+
+
+def test_pipeline_artifacts_match_golden_digests(tmp_path):
+    data = _cohort(tmp_path)
+    out = tmp_path / "run"
+    assert main([
+        "pipeline",
+        "--cohort", str(data / "cohort.csv"),
+        "--outcomes", str(data / "outcomes.csv"),
+        "--features", str(data / "features.json"),
+        "--out-dir", str(out),
+        "--minsup", "0.02", "--risk-threshold", "0.8", "--workers", "1", "--seed", "0",
+    ]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN
+    }
+    assert digests == GOLDEN

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 
@@ -166,3 +167,72 @@ def test_parse_serialize_parse_round_trip():
     )
     assert reparsed == cohort
     assert cohort.censoring_rate == 0.5
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "+Infinity"])
+@pytest.mark.parametrize("feature", ["bmi", "gait"])
+def test_non_finite_numeric_cell_is_parse_error(feature, cell):
+    from wavemine.abstraction import percentile_feature
+
+    specs = [bmi_feature(), percentile_feature("gait")]
+    data = (
+        "patient_id,wave,feature,value\n"
+        "p1,1,bmi,22\n"
+        "p1,1,gait,40\n"
+        f"p1,2,{feature},{cell}\n"
+    )
+    outcomes = parse_outcomes(io.StringIO("patient_id,time,event\np1,2,0\n"))
+    with pytest.raises(CohortParseError, match=re.escape(f"line 4: non-finite numeric value '{cell}'")):
+        parse_cohort(io.StringIO(data), specs, outcomes)
+
+
+def test_rows_in_any_order_give_sorted_series():
+    rows = [
+        "p2,3,bmi,30.5", "p1,2,bmi,22.0", "p2,1,bmi,21.0", "p1,1,bmi,20.0",
+        "p2,2,bmi,", "p1,4,bmi,24.0", "p2,2,bmi,25.0", "p1,3,bmi,23.0",
+    ]
+    cohort = _parse(
+        "patient_id,wave,feature,value\n" + "\n".join(rows) + "\n",
+        "patient_id,time,event\np1,4,1\np2,3,0\n",
+    )
+    series = {p.patient_id: p.values["bmi"] for p in cohort.patients}
+    assert list(series["p1"].items()) == [(1, 20.0), (2, 22.0), (3, 23.0), (4, 24.0)]
+    assert list(series["p2"].items()) == [(1, 21.0), (2, 25.0), (3, 30.5)]
+
+
+def _reference_locf(values, horizon):
+    """The per-wave fill: from each first observed wave to the horizon, sorted."""
+    out = {}
+    for feature, series in values.items():
+        if not series:
+            continue
+        filled = dict(series)
+        last_value = None
+        for wave in range(min(series), horizon + 1):
+            if wave in filled:
+                last_value = filled[wave]
+            else:
+                filled[wave] = last_value
+        out[feature] = dict(sorted(filled.items()))
+    return out
+
+
+def test_carry_forward_matches_reference_fill():
+    rng = random.Random(7)
+    for _ in range(400):
+        waves = rng.randint(1, 8)
+        observed = [w for w in range(1, waves + 1) if rng.random() < 0.6]
+        if rng.random() < 0.3:
+            rng.shuffle(observed)  # a hand-built cohort need not be in wave order
+        values = {"bmi": {w: rng.choice([20.0, 26.0, 31.0]) for w in observed}}
+        time = float(rng.randint(1, waves))
+        record = PatientRecord("p1", values, SurvivalOutcome(time, rng.random() < 0.5))
+        cohort = RawCohort(waves, tuple(SPECS), (record,))
+        for clip in (True, False):
+            horizon = min(waves, int(time)) if clip else waves
+            got = carry_forward(cohort, clip_to_outcome=clip).patients[0].values
+            expected = _reference_locf(values, horizon)
+            assert got == expected
+            assert [list(s.items()) for s in got.values()] == [
+                list(s.items()) for s in expected.values()
+            ]

@@ -396,7 +396,13 @@ def test_block_fit_matches_reference_fit_on_synth_cohort(tmp_path, monkeypatch):
     matrix = build_matrix(results, sequences, doc.outcomes())
     assert matrix.cells.shape[1] >= 20
     new = survival.cross_validate(matrix, k=5, seed=0)
-    monkeypatch.setattr(survival, "_fit_cox", _ref_fit_cox)
+    monkeypatch.setattr(
+        survival,
+        "_fit_cox",
+        lambda risk, lam, tol, max_iter: _ref_fit_cox(
+            risk.X, risk.times, risk.events, lam, tol, max_iter
+        ),
+    )
     ref = survival.cross_validate(matrix, k=5, seed=0)
     assert new.chosen_lambda == ref.chosen_lambda
     assert [m.converged for m in new.models] == [m.converged for m in ref.models]
@@ -467,6 +473,22 @@ def test_cross_validate_stratifies_events():
     cv = cross_validate(matrix, k=5, seed=0)
     for f in range(5):
         assert matrix.events[cv.folds == f].any()
+
+
+def test_cross_validate_sorts_each_training_fold_once(monkeypatch):
+    built = []
+
+    class Counted(_RiskSets):
+        def __init__(self, *args):
+            built.append(len(args[1]))
+            super().__init__(*args)
+
+    matrix = _cv_matrix()
+    expected = cross_validate(matrix, k=5, seed=0, lam_grid=(0.1, 1.0, 10.0))
+    monkeypatch.setattr(survival, "_RiskSets", Counted)
+    cv = cross_validate(matrix, k=5, seed=0, lam_grid=(0.1, 1.0, 10.0))
+    assert built == [int((cv.folds != f).sum()) for f in range(5)]
+    assert cv.fold_c == expected.fold_c and cv.chosen_lambda == expected.chosen_lambda
 
 
 def test_cross_validate_rejects_zero_columns():
