@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--wave-count", type=int, default=None)
     p.add_argument("--carry-past-outcome", action="store_true",
-                   help="carry values past the outcome wave (default: clip)")
+                   help="keep and carry values past the outcome wave (default: drop)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_abstract)
 

@@ -197,9 +197,11 @@ def carry_forward(cohort: RawCohort, clip_to_outcome: bool = True) -> RawCohort:
 
     Filling runs from each feature's first observed wave to the patient's
     observation horizon: min(outcome wave, cohort wave count) by default,
-    the full wave count with ``clip_to_outcome=False``.  Waves before the
-    first observation stay missing; observed values are never changed.  A
-    series with nothing to fill is shared with the input cohort, not copied.
+    the full wave count with ``clip_to_outcome=False``.  Observations after
+    the horizon are dropped, and so is a series with none at or before it.
+    Waves before the first observation stay missing; observed values up to
+    the horizon are never changed.  A series with nothing to fill or drop
+    is shared with the input cohort, not copied.
     """
     patients = []
     for record in cohort.patients:
@@ -211,18 +213,21 @@ def carry_forward(cohort: RawCohort, clip_to_outcome: bool = True) -> RawCohort:
             if not series:
                 continue
             waves = list(series)
-            first, last = waves[0], waves[-1]
-            if last >= horizon and waves == list(range(first, last + 1)):
-                values[feature] = series  # no gap to fill
+            if waves[-1] == horizon and waves == list(range(waves[0], horizon + 1)):
+                values[feature] = series  # nothing to fill or drop
                 continue
             filled: dict[int, object] = {}
             last_value = prev = None
             for wave in sorted(waves):
+                if wave > horizon:
+                    break
                 if prev is not None:
-                    for gap in range(prev + 1, min(wave, horizon + 1)):
+                    for gap in range(prev + 1, wave):
                         filled[gap] = last_value
                 filled[wave] = last_value = series[wave]
                 prev = wave
+            if prev is None:
+                continue  # nothing observed by the horizon
             for gap in range(prev + 1, horizon + 1):
                 filled[gap] = last_value
             values[feature] = filled

@@ -25,7 +25,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent import futures
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .encoding import (
     Endpoint,
@@ -42,10 +42,6 @@ from .errors import (
     PairingError,
     UndefinedRiskError,
 )
-
-SIMULTANEOUS = "simultaneous"
-LATER = "later"
-_SITES = (SIMULTANEOUS, LATER)
 
 # Brute-force oracle guard.
 _GUARD_MAX_PATIENTS = 25
@@ -393,14 +389,6 @@ def _sweep_open(groups) -> frozenset | None:
         return None
 
 
-def point_prune(
-    candidates: Iterable[Endpoint], open_starts: Iterable[tuple[str, str]]
-) -> list[Endpoint]:
-    """Keep Starts; keep a Finish only if its (feature, level) is open."""
-    open_set = set(open_starts)
-    return [ep for ep in candidates if not ep.is_finish or (ep.feature, ep.level) in open_set]
-
-
 # ---------------------------------------------------------------------------
 # Growth
 
@@ -571,128 +559,6 @@ def mine_with_stats(
 def mine(db: Sequence[EndpointSequence], config: MinerConfig) -> list[PatternResult]:
     """All closed patterns reachable under the growth rules (see mine_with_stats)."""
     return mine_with_stats(db, config)[0]
-
-
-# ---------------------------------------------------------------------------
-# Public projection/count operations (exposed for inspection and testing)
-
-
-@dataclass(frozen=True)
-class ProjectionState:
-    """Marker into a patient sequence: the suffix starts mid-group here."""
-
-    group_index: int
-    open_finish: tuple[tuple[tuple[str, str], int], ...]
-
-
-@dataclass(frozen=True)
-class ProjectedDatabase:
-    prefix: tuple[tuple[Endpoint, ...], ...]
-    open_starts: frozenset
-    suffixes: Mapping[str, tuple[ProjectionState, ...]]
-
-
-def _pattern_tokens(store: _Store, groups) -> list[tuple[int, int]] | None:
-    """Growth order (token, site) steps reproducing the pattern, or None."""
-    steps: list[tuple[int, int]] = []
-    for g in groups:
-        for ei, ep in enumerate(sorted(g, key=group_order)):
-            tok = store.token(ep)
-            if tok is None:
-                return None
-            steps.append((tok, 0 if ei > 0 else 1))
-    return steps
-
-
-def _pdb_for_pattern(store: _Store, groups):
-    """Build the full projected database for an arbitrary well-formed prefix."""
-    canon = canonical_form(groups)
-    if _sweep_open(canon) is None:
-        raise ConfigError(f"ill-formed pattern groups: {canon}")
-    steps = _pattern_tokens(store, canon)
-    if steps is None:
-        return {}, canon
-    pdb = None
-    last_set: frozenset = frozenset()
-    for tok, site in steps:
-        if pdb is None:
-            pdb = _initial_pdb(store, tok) if not tok & 1 else {}
-            if tok & 1:
-                return {}, canon  # a leading finish can never match
-            last_set = frozenset((tok,))
-            continue
-        pids = sorted(pdb)
-        pdb = _project(store, pdb, last_set, tok, site, pids)
-        last_set = last_set | {tok} if site == 0 else frozenset((tok,))
-        if not pdb:
-            return {}, canon
-    return pdb if pdb is not None else {}, canon
-
-
-def count_support(
-    db: Sequence[EndpointSequence], prefix: Iterable[Iterable[Endpoint]]
-) -> dict[Endpoint, tuple[int, int]]:
-    """Candidate extension counts for a prefix: endpoint -> (population, events).
-
-    Each patient suffix is scanned from its marker up to (and including) the
-    first Finish whose interval the prefix holds open; each distinct endpoint
-    counts once per patient across both extension sites.
-    """
-    store = _Store(db)
-    pdb, canon = _pdb_for_pattern(store, prefix)
-    if not pdb:
-        return {}
-    last_set = frozenset(store.token(ep) for ep in canon[-1])
-    cands = _scan_states(store, pdb, last_set)
-    merged: dict[int, set[int]] = {}
-    for (tok, _site), pids in cands.items():
-        merged.setdefault(tok, set()).update(pids)
-    out = {}
-    for tok in sorted(merged, key=_token_sort_key):
-        pids = merged[tok]
-        a = sum(1 for p in pids if store.patients[p].event)
-        out[store.endpoint(tok)] = (len(pids), a)
-    return out
-
-
-def construct_projection(
-    db: Sequence[EndpointSequence],
-    prefix: Iterable[Iterable[Endpoint]],
-    endpoint: Endpoint,
-    site: str = LATER,
-) -> ProjectedDatabase:
-    """Project the database for the prefix extended by one endpoint."""
-    if site not in _SITES:
-        raise ConfigError(f"unknown extension site {site!r}")
-    store = _Store(db)
-    pdb, canon = _pdb_for_pattern(store, prefix)
-    tok = store.token(endpoint)
-    new_groups = (
-        canon[:-1] + (tuple(sorted((*canon[-1], endpoint), key=group_order)),)
-        if site == SIMULTANEOUS
-        else canon + ((endpoint,),)
-    )
-    new_canon = canonical_form(new_groups)
-    open_after = _sweep_open(new_canon)
-    if open_after is None:
-        raise ConfigError(f"extension produces an ill-formed pattern: {new_canon}")
-    suffixes: dict[str, tuple[ProjectionState, ...]] = {}
-    if pdb and tok is not None:
-        last_set = frozenset(store.token(ep) for ep in canon[-1])
-        new_pdb = _project(store, pdb, last_set, tok, 0 if site == SIMULTANEOUS else 1, sorted(pdb))
-        for pidx in sorted(new_pdb):
-            pat = store.patients[pidx]
-            states = tuple(
-                ProjectionState(
-                    group_index=g,
-                    open_finish=tuple(
-                        (store.fl_pairs[fl], fin) for fl, fin in open_
-                    ),
-                )
-                for g, open_ in new_pdb[pidx]
-            )
-            suffixes[pat.patient_id] = states
-    return ProjectedDatabase(prefix=new_canon, open_starts=open_after, suffixes=suffixes)
 
 
 # ---------------------------------------------------------------------------

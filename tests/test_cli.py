@@ -1,8 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wavemine
 from wavemine.cli import main
 
 PLANT = {
@@ -364,3 +369,19 @@ def test_workers_flag_does_not_change_output(tmp_path):
     one = _run_pipeline(tmp_path, data, "w1", workers=1)
     two = _run_pipeline(tmp_path, data, "w2", workers=2)
     assert (one / "patterns.json").read_bytes() == (two / "patterns.json").read_bytes()
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert [re.split(r"[\s\[<>=!~;]", d, maxsplit=1)[0] for d in deps] == ["numpy"]
+    # scipy and orjson may be installed without being dependencies; importing
+    # the CLI in a fresh interpreter must not pull them (or numba) in
+    probe = "import sys, wavemine.cli; print(sorted({'scipy', 'orjson', 'numba'} & set(sys.modules)))"
+    src = str(Path(wavemine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -5,6 +5,8 @@ front end (numpy abstraction, template-written ``intervals.json``) replaced
 the per-value one, so any change to an artifact's bytes fails here.
 ``report.json`` is left to the tolerance tests: its coefficients depend on
 floating-point summation order, which BLAS may change across machines.
+The miner's five search counters are pinned too, so a change that keeps
+the patterns but alters how much of the search runs also fails here.
 """
 import hashlib
 import json
@@ -37,6 +39,8 @@ GOLDEN = {
     "matrix.csv": "9c9ee4916ae99ac696418a3d601f1f422ee5f0691dce02810e7da21b29dc2e38",
     "matrix.csv.cols.json": "23df1ff8e98a525c25e362c755423267d2ec36aa82eea82ea1e42ab33907b04b",
 }
+
+MINING = {"nodes": 42, "candidates": 306, "emitted": 5, "duplicates": 0, "undefined_risk": 0}
 
 
 def _cohort(tmp_path):
@@ -91,3 +95,5 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN
     }
     assert digests == GOLDEN
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["metrics"]["mining"] == MINING

@@ -128,6 +128,18 @@ def test_carry_forward_clips_at_outcome_wave():
     assert full.patients[0].values["bmi"] == {1: 26.1, 2: 26.1, 3: 26.1, 4: 26.1}
 
 
+def test_carry_forward_drops_observations_after_outcome_wave():
+    gapped = _cohort_one({1: 26.1, 4: 31.0}, time=2.0, event=True, wave_count=4)
+    assert carry_forward(gapped).patients[0].values["bmi"] == {1: 26.1, 2: 26.1}
+    full = {1: 26.1, 2: 27.0, 3: 28.2, 4: 31.0}
+    observed = _cohort_one(dict(full), time=2.0, event=True, wave_count=4)
+    assert carry_forward(observed).patients[0].values["bmi"] == {1: 26.1, 2: 27.0}
+    late = _cohort_one({3: 28.2, 4: 31.0}, time=2.0, event=True, wave_count=4)
+    assert carry_forward(late).patients[0].values == {}
+    kept = carry_forward(observed, clip_to_outcome=False)
+    assert kept.patients[0].values["bmi"] == full
+
+
 def test_carry_forward_idempotent_and_preserves_observed():
     rng = random.Random(42)
     for _ in range(300):
@@ -144,7 +156,8 @@ def test_carry_forward_idempotent_and_preserves_observed():
         assert once == twice
         filled = once.patients[0].values.get("bmi", {})
         for w, v in observed.items():
-            assert filled[w] == v
+            if w <= time:
+                assert filled[w] == v
 
 
 def test_parse_serialize_parse_round_trip():
@@ -204,6 +217,7 @@ def _reference_locf(values, horizon):
     """The per-wave fill: from each first observed wave to the horizon, sorted."""
     out = {}
     for feature, series in values.items():
+        series = {w: v for w, v in series.items() if w <= horizon}
         if not series:
             continue
         filled = dict(series)

@@ -13,20 +13,19 @@ from wavemine.errors import (
     UndefinedRiskError,
 )
 from wavemine.miner import (
-    LATER,
-    SIMULTANEOUS,
     MinerConfig,
     TemporalPattern,
+    _initial_pdb,
+    _project,
+    _scan_states,
+    _Store,
     brute_force_mine,
-    construct_projection,
     contains,
-    count_support,
     counts_stats,
     make_pattern,
     mine,
     mine_with_stats,
     odds_ratio,
-    point_prune,
     relative_risk,
 )
 
@@ -184,11 +183,29 @@ def test_contains_matches_naive_enumeration():
 # projection operations
 
 
-def test_point_prune_examples():
-    a_minus, b_plus, b_minus = ep("A", "x", "-"), ep("B", "x", "+"), ep("B", "x", "-")
-    assert point_prune([a_minus, b_plus], [("A", "x")]) == [a_minus, b_plus]
-    assert point_prune([b_minus], [("A", "x")]) == []
-    assert point_prune([], [("A", "x")]) == []
+def _walk(db, start, steps=()):
+    """Grow the Start ``start`` by ``(endpoint, site)`` steps with the miner's
+    own helpers (site 0: the last group, site 1: a later group).
+
+    Returns ``(store, pdb, last_set)``; patient index i in ``pdb`` is ``db[i]``.
+    """
+    store = _Store(db)
+    tok = store.token(start)
+    pdb, last_set = _initial_pdb(store, tok), frozenset((tok,))
+    for endpoint, site in steps:
+        tok = store.token(endpoint)
+        pdb = _project(store, pdb, last_set, tok, site, sorted(pdb))
+        last_set = last_set | {tok} if site == 0 else frozenset((tok,))
+    return store, pdb, last_set
+
+
+def _support(db, start, steps=()):
+    """Candidate extensions: endpoint -> (population, events) over both sites."""
+    store, pdb, last_set = _walk(db, start, steps)
+    merged = {}
+    for (tok, _site), pids in _scan_states(store, pdb, last_set).items():
+        merged.setdefault(store.endpoint(tok), set()).update(pids)
+    return {e: (len(p), sum(db[i].event for i in p)) for e, p in merged.items()}
 
 
 def _scan_db():
@@ -202,7 +219,7 @@ def _scan_db():
 
 
 def test_count_support_scan_stops_at_open_finish():
-    counts = count_support(_scan_db(), [[ep("A", "x", "+")]])
+    counts = _support(_scan_db(), ep("A", "x", "+"))
     assert counts == {
         ep("B", "x", "+"): (1, 1),
         ep("A", "x", "-"): (1, 1),
@@ -214,7 +231,7 @@ def test_count_support_empty_open_scans_whole_suffix():
         seq_from_intervals("p1", [("A", "x", 1, 1), ("C", "x", 3, 3)], True),
         seq_from_intervals("p2", [], False),
     ]
-    counts = count_support(db, [[ep("A", "x", "+"), ep("A", "x", "-")]])
+    counts = _support(db, ep("A", "x", "+"), [(ep("A", "x", "-"), 0)])
     # C- is postfix-masked (no C open in the prefix); C+ is visible to the end
     assert counts == {ep("C", "x", "+"): (1, 1)}
 
@@ -224,7 +241,7 @@ def test_count_support_empty_suffix_contributes_nothing():
         seq_from_intervals("p1", [("A", "x", 5, 5)], True),
         seq_from_intervals("p2", [], False),
     ]
-    counts = count_support(db, [[ep("A", "x", "+"), ep("A", "x", "-")]])
+    counts = _support(db, ep("A", "x", "+"), [(ep("A", "x", "-"), 0)])
     assert counts == {}
 
 
@@ -234,7 +251,7 @@ def test_count_support_masks_unopened_finishes():
         seq_from_intervals("p1", [("A", "x", 1, 4), ("B", "x", 2, 3)], True),
         seq_from_intervals("p2", [], False),
     ]
-    counts = count_support(db, [[ep("A", "x", "+")]])
+    counts = _support(db, ep("A", "x", "+"))
     assert ep("B", "x", "-") not in counts
     assert set(counts) == {ep("B", "x", "+"), ep("A", "x", "-")}
 
@@ -244,11 +261,9 @@ def test_construct_projection_advances_past_match():
         seq_from_intervals("p1", [("A", "x", 1, 3), ("B", "x", 2, 2)], True),
         seq_from_intervals("p2", [], False),
     ]
-    proj = construct_projection(db, [[ep("A", "x", "+")]], ep("A", "x", "-"), LATER)
-    assert proj.open_starts == frozenset()
-    (state,) = proj.suffixes["p1"]
-    assert state.group_index == 2  # the group holding A- at t3
-    assert state.open_finish == ()
+    _, pdb, _ = _walk(db, ep("A", "x", "+"), [(ep("A", "x", "-"), 1)])
+    # one marker for p1, at the group holding A- at t3, with nothing left open
+    assert pdb == {0: [(2, ())]}
 
 
 def test_construct_projection_simultaneous_requires_same_group():
@@ -256,10 +271,10 @@ def test_construct_projection_simultaneous_requires_same_group():
         seq_from_intervals("q1", [("A", "x", 1, 2), ("B", "x", 1, 2)], True),
         seq_from_intervals("q2", [("A", "x", 1, 2), ("B", "x", 2, 3)], False),
     ]
-    proj = construct_projection(db, [[ep("A", "x", "+")]], ep("B", "x", "+"), SIMULTANEOUS)
-    assert set(proj.suffixes) == {"q1"}
-    proj_later = construct_projection(db, [[ep("A", "x", "+")]], ep("B", "x", "+"), LATER)
-    assert set(proj_later.suffixes) == {"q2"}
+    _, pdb, _ = _walk(db, ep("A", "x", "+"), [(ep("B", "x", "+"), 0)])
+    assert set(pdb) == {0}  # q1
+    _, pdb_later, _ = _walk(db, ep("A", "x", "+"), [(ep("B", "x", "+"), 1)])
+    assert set(pdb_later) == {1}  # q2
 
 
 def test_projection_keeps_every_viable_instance_marker():
@@ -268,12 +283,10 @@ def test_projection_keeps_every_viable_instance_marker():
         seq_from_intervals("p1", [("A", "x", 1, 1), ("A", "x", 3, 4), ("B", "x", 3, 3)], True),
         seq_from_intervals("p2", [], False),
     ]
-    proj = construct_projection(db, [[ep("A", "x", "+")]], ep("A", "x", "-"), LATER)
+    _, pdb, _ = _walk(db, ep("A", "x", "+"), [(ep("A", "x", "-"), 1)])
     # only the multi-wave instance (waves 3-4, data groups 1-2) closes strictly later
-    (state,) = proj.suffixes["p1"]
-    assert state.group_index == 2
-    assert state.open_finish == ()
-    counts = count_support(db, [[ep("A", "x", "+")]])
+    assert pdb == {0: [(2, ())]}
+    counts = _support(db, ep("A", "x", "+"))
     # B+ reachable only through the second instance's marker
     assert ep("B", "x", "+") in counts
 
