@@ -491,6 +491,15 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_abstract_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cohort", required=True)
+    p.add_argument("--outcomes", required=True)
+    p.add_argument("--features", required=True)
+    p.add_argument("--wave-count", type=int, default=None)
+    p.add_argument("--carry-past-outcome", action="store_true",
+                   help="keep and carry values past the outcome wave (default: drop)")
+
+
 def _add_mine_flags(p: argparse.ArgumentParser) -> None:
     # defaults of None let a --config file fill unset flags (see MINE_DEFAULTS)
     p.add_argument("--minsup", type=float, default=None, help="minimum support fraction")
@@ -499,6 +508,7 @@ def _add_mine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--measure", choices=("rr", "or"), default=None)
     p.add_argument("--max-length", type=int, default=None)
     p.add_argument("--config", default=None, help="JSON file with default parameter values")
+    p.add_argument("--workers", type=int, default=None)
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -526,12 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("abstract", help="parse, carry forward, and abstract a cohort")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--outcomes", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--wave-count", type=int, default=None)
-    p.add_argument("--carry-past-outcome", action="store_true",
-                   help="keep and carry values past the outcome wave (default: drop)")
+    _add_abstract_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_abstract)
 
@@ -539,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intervals", required=True)
     p.add_argument("--out", required=True)
     _add_mine_flags(p)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("matrix", help="build the patients x patterns design matrix")
@@ -565,14 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("pipeline", help="run abstract -> mine -> matrix -> evaluate -> render")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--outcomes", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--wave-count", type=int, default=None)
-    p.add_argument("--carry-past-outcome", action="store_true")
+    _add_abstract_flags(p)
     p.add_argument("--out-dir", required=True)
     _add_mine_flags(p)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     _add_eval_flags(p)
     p.add_argument("--top", type=int, default=None)

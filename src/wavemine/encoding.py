@@ -271,9 +271,14 @@ def read_intervals_json(stream: IO[str]) -> CohortIntervals:
             )
             for p in payload["patients"]
         )
+        levels = payload["levels"]
+        if not isinstance(levels, dict) or not all(isinstance(by, dict) for by in levels.values()):
+            raise MatrixFormatError(
+                "bad intervals JSON structure: levels must map each feature to an object"
+            )
         return CohortIntervals(
             wave_count=int(payload["wave_count"]),
-            levels=payload["levels"],
+            levels=levels,
             patients=patients,
             edges=payload.get("edges") or None,
         )

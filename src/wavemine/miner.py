@@ -14,11 +14,15 @@ risk over its parent.  Pruning strategies:
 * risk-pruning     -- threshold plus strict-increase gate,
 * duplicate-pruning-- canonical-form seen set cuts permuted regrowth.
 
-Projected databases are pseudo-projections: per patient, a set of markers
-(last matched group, open-interval finish positions) into the shared store.
-A patient keeps every distinct marker its embeddings produce, which makes
-projections independent of growth order and keeps support counts equal to
-true containment counts.
+A projected database maps each patient carrying the pattern to its states
+``(g, open)``: an embedding's last matched group and the finish group of each
+interval it holds open.  A patient keeps every distinct state, which makes
+projections independent of growth order and support counts equal to true
+containment counts.  A scan of the states returns each candidate
+``(endpoint, site)``'s hits, the ``(patient, open map, group)`` at which the
+endpoint extends a state in its last matched group (site 0) or a later one
+(site 1).  Support counts the hits' distinct patients; projecting applies the
+hits and tests nothing again.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from .encoding import (
     group_order,
     pair_endpoints,
     pattern_key,
+    verify_pairing,
 )
 from .errors import (
     CohortValidationError,
@@ -193,7 +198,7 @@ def _embeds(pat: _PatientSeq, pgroups, closable: bool = False) -> bool:
     split = [
         ([tok for tok in g if not tok & 1], [tok for tok in g if tok & 1]) for g in pgroups
     ]
-    n = pat.n_groups
+    n = len(pat.groups)
 
     def rec(pi, min_g, open_map):
         if pi == len(split):
@@ -239,19 +244,20 @@ def contains(sequence: EndpointSequence, pattern) -> bool:
 
 
 class _PatientSeq:
-    __slots__ = ("patient_id", "event", "groups", "group_list", "partner", "n_groups")
+    __slots__ = ("patient_id", "event", "groups", "partner")
 
-    def __init__(self, patient_id, event, group_list, partner):
+    def __init__(self, patient_id, event, groups, partner):
         self.patient_id = patient_id
         self.event = event
-        self.groups = [frozenset(g) for g in group_list]
-        self.group_list = group_list  # list[tuple[int, ...]] sorted
-        self.partner = partner        # (group_idx, start_token) -> finish group_idx
-        self.n_groups = len(group_list)
+        self.groups = groups    # list[tuple[int, ...]], each sorted
+        self.partner = partner  # (group_idx, start_token) -> finish group_idx
 
 
 class _Store:
-    """Token-indexed view of the database: token = fl_id * 2 + is_finish."""
+    """Token-indexed view of the database: token = fl_id * 2 + is_finish.
+
+    Integer token order is the endpoint order: (feature, level), Start first.
+    """
 
     def __init__(self, db: Sequence[EndpointSequence]):
         pairs = sorted({(ep.feature, ep.level) for s in db for g in s.groups for ep in g.endpoints})
@@ -259,12 +265,12 @@ class _Store:
         self.fl_index = {p: i for i, p in enumerate(pairs)}
         self.patients: list[_PatientSeq] = []
         for seq in db:
-            closed, _ = pair_endpoints(g.endpoints for g in seq.groups)
             partner = {
-                (gs, self.fl_index[(feature, level)] * 2): ge for feature, level, gs, ge in closed
+                (gs, self.fl_index[(feature, level)] * 2): ge
+                for feature, level, gs, ge in verify_pairing(seq)
             }
-            group_list = [tuple(sorted(map(self.token, g.endpoints))) for g in seq.groups]
-            self.patients.append(_PatientSeq(seq.patient_id, seq.event, group_list, partner))
+            groups = [tuple(sorted(map(self.token, g.endpoints))) for g in seq.groups]
+            self.patients.append(_PatientSeq(seq.patient_id, seq.event, groups, partner))
         self.n = len(self.patients)
         self.n_events = sum(1 for p in self.patients if p.event)
 
@@ -279,106 +285,57 @@ class _Store:
         return fl * 2 + int(ep.is_finish)
 
 
-def _token_sort_key(tok: int):
-    # Endpoint total order: (feature, level) lexicographic, Start < Finish.
-    return (tok >> 1, tok & 1)
-
-
 def _group_key(tokens: Iterable[int]) -> tuple[int, ...]:
     # Canonical intra-group order: Start block then Finish block.
     return tuple(sorted(tokens, key=lambda t: (t & 1, t >> 1)))
 
 
 # A projection state is (last_matched_group, open) where open is a tuple of
-# (fl_id, finish_group) pairs sorted by fl_id.
-
-
-def _initial_pdb(store: _Store, tok: int) -> dict[int, list]:
-    fl = tok >> 1
-    pdb: dict[int, list] = {}
-    for pidx, pat in enumerate(store.patients):
-        states = [
-            (g, ((fl, pat.partner[(g, tok)]),))
-            for g in range(pat.n_groups)
-            if tok in pat.groups[g]
-        ]
-        if states:
-            pdb[pidx] = states
-    return pdb
+# (fl_id, finish_group) pairs sorted by fl_id.  A hit is (patient index,
+# open map of the state it extends, group of the extending endpoint).
 
 
 def _scan_states(store, pdb, last_set):
-    """Per-patient candidate endpoints with their extension sites.
+    """Hits of every candidate ``(token, site)`` that extends a state of ``pdb``.
 
-    Scan-pruning bounds every scan at the earliest open finish; Finish
-    tokens only qualify at exactly their open instance's finish position
-    (point- and postfix-pruning fall out of the pairing structure).
+    This is the growth rule, and the only place it is tested.  A token extends
+    the state ``(g, open)`` in group ``g`` (site 0) unless the pattern's last
+    group already holds it, or in a later group (site 1) up to the earliest
+    open finish (scan-pruning).  A Start qualifies only while its interval is
+    closed, a Finish only at exactly its open instance's finish group (point-
+    and postfix-pruning fall out of the pairing structure).
     """
-    out: dict[tuple[int, int], list[int]] = {}
+    out: dict[tuple[int, int], list] = {}
     for pidx in sorted(pdb):
         pat = store.patients[pidx]
-        found = set()
         for g, open_ in pdb[pidx]:
             open_map = dict(open_)
-            e_min = min((fin for _, fin in open_), default=pat.n_groups - 1)
-            for tok in pat.group_list[g]:
-                if tok in last_set:
-                    continue
-                if tok & 1:
-                    if open_map.get(tok >> 1) == g:
-                        found.add((tok, 0))
-                elif (tok >> 1) not in open_map:
-                    found.add((tok, 0))
-            for h in range(g + 1, e_min + 1):
-                for tok in pat.group_list[h]:
+            e_min = min(open_map.values(), default=len(pat.groups) - 1)
+            for h in range(g, e_min + 1):
+                for tok in pat.groups[h]:
                     if tok & 1:
-                        if open_map.get(tok >> 1) == h:
-                            found.add((tok, 1))
-                    elif (tok >> 1) not in open_map:
-                        found.add((tok, 1))
-        for key in found:
-            out.setdefault(key, []).append(pidx)
+                        if open_map.get(tok >> 1) != h:
+                            continue
+                    elif (tok >> 1) in open_map:
+                        continue
+                    site = int(h > g)
+                    if site or tok not in last_set:
+                        out.setdefault((tok, site), []).append((pidx, open_map, h))
     return out
 
 
-def _project(store, pdb, last_set, tok, site_later: int, pids):
-    """Advance the per-patient markers for one accepted extension."""
+def _project(store, hits, tok):
+    """The projected database after extending every hit's state by ``tok``."""
     fl = tok >> 1
-    new_pdb: dict[int, list] = {}
-    for pidx in pids:
-        pat = store.patients[pidx]
-        states = set()
-        for g, open_ in pdb[pidx]:
-            open_map = dict(open_)
-            if not site_later:
-                if tok not in pat.groups[g] or tok in last_set:
-                    continue
-                if tok & 1:
-                    if open_map.get(fl) != g:
-                        continue
-                    del open_map[fl]
-                else:
-                    if fl in open_map:
-                        continue
-                    open_map[fl] = pat.partner[(g, tok)]
-                states.add((g, tuple(sorted(open_map.items()))))
-            else:
-                e_min = min((fin for _, fin in open_), default=pat.n_groups - 1)
-                if tok & 1:
-                    h = open_map.get(fl)
-                    if h is None or not g < h <= e_min:
-                        continue
-                    del open_map[fl]
-                    states.add((h, tuple(sorted(open_map.items()))))
-                else:
-                    for h in range(g + 1, e_min + 1):
-                        if tok in pat.groups[h] and fl not in open_map:
-                            opened = dict(open_map)
-                            opened[fl] = pat.partner[(h, tok)]
-                            states.add((h, tuple(sorted(opened.items()))))
-        if states:
-            new_pdb[pidx] = sorted(states)
-    return new_pdb
+    new_pdb: dict[int, set] = {}
+    for pidx, open_map, h in hits:
+        opened = dict(open_map)
+        if tok & 1:
+            del opened[fl]
+        else:
+            opened[fl] = store.patients[pidx].partner[(h, tok)]
+        new_pdb.setdefault(pidx, set()).add((h, tuple(sorted(opened.items()))))
+    return {pidx: sorted(states) for pidx, states in new_pdb.items()}
 
 
 def _sweep_open(groups) -> frozenset | None:
@@ -418,27 +375,29 @@ def _gate(store: _Store, config: MinerConfig, pids, parent_risk: float, stats: M
     return (a, b, c, d), risk
 
 
-def _roots(store: _Store, config: MinerConfig, stats: MiningStats) -> list[tuple[int, float]]:
-    """Frequent high-risk Start endpoints: the branch roots, with their risks."""
+def _roots(store: _Store, config: MinerConfig, stats: MiningStats) -> list[tuple]:
+    """Frequent high-risk Start endpoints: the branch roots, with their risks and hits."""
     carriers: dict[int, list[int]] = {}
     for pidx, pat in enumerate(store.patients):
         for tok in set().union(*pat.groups):
             carriers.setdefault(tok, []).append(pidx)
     roots = []
-    for tok in sorted(carriers, key=_token_sort_key):
+    for tok in sorted(carriers):
         if tok & 1:
             continue  # only starting endpoints seed growth
         gated = _gate(store, config, carriers[tok], 0.0, stats)
         if gated is not None:
-            roots.append((tok, gated[1]))
+            hits = [(pidx, {}, g) for pidx in carriers[tok]
+                    for g, tokens in enumerate(store.patients[pidx].groups) if tok in tokens]
+            roots.append((tok, gated[1], hits))
     return roots
 
 
-def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float):
+def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float, hits):
     """Mine every pattern whose growth starts at the given Start endpoint.
 
-    Returns the branch's ``(groups, counts, pids, risk)`` emissions and its
-    search counters.
+    ``hits`` are the root's hits, one per group that holds it.  Returns the
+    branch's ``(groups, counts, pids, risk)`` emissions and its search counters.
     """
     seen: set = set()
     emitted: list = []
@@ -449,13 +408,10 @@ def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float
         if config.max_length is not None and n_tokens >= config.max_length:
             return
         cands = _scan_states(store, pdb, last_set)
-        for tok, site in sorted(cands, key=lambda ts: (_token_sort_key(ts[0]), ts[1])):
-            # point-pruning (the scan only produces qualifying finishes; keep the
-            # explicit gate so the growth rule does not depend on that detail)
-            if tok & 1 and (tok >> 1) not in open_fls:
-                continue
+        for tok, site in sorted(cands):
             stats.candidates += 1
-            pids = cands[(tok, site)]
+            hits = cands[(tok, site)]
+            pids = sorted({pidx for pidx, _, _ in hits})
             gated = _gate(store, config, pids, risk, stats)
             if gated is None:
                 continue
@@ -476,11 +432,10 @@ def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float
                 groups = tuple(tuple(store.endpoint(t) for t in g) for g in new_key)
                 emitted.append((groups, counts, tuple(pids), new_risk))
                 stats.emitted += 1
-            new_pdb = _project(store, pdb, last_set, tok, site, pids)
-            grow(new_key, new_last, new_open, new_pdb, new_risk, n_tokens + 1)
+            grow(new_key, new_last, new_open, _project(store, hits, tok), new_risk, n_tokens + 1)
 
     grow(
-        ((root,),), frozenset((root,)), frozenset((root >> 1,)), _initial_pdb(store, root),
+        ((root,),), frozenset((root,)), frozenset((root >> 1,)), _project(store, hits, root),
         root_risk, 1,
     )
     return emitted, stats

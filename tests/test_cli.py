@@ -204,6 +204,16 @@ def mined(tmp_path_factory):
 _COHORT = "--cohort {data}/cohort.csv --outcomes {data}/outcomes.csv"
 _PLANT_WITHOUT_FRACTION = {"groups": PLANT["groups"], "frac_nonevents": 0.1}
 
+
+def _intervals_with_levels(levels):
+    """An intervals document, well-formed except perhaps for its ``levels``."""
+    interval = {"feature": "F01", "level": "H", "start": 1, "end": 2}
+    return {"wave_count": 3, "levels": levels, "patients": [
+        {"patient_id": "p1", "time": 3.0, "event": 1, "intervals": [interval]},
+        {"patient_id": "p2", "time": 3.0, "event": 0, "intervals": []},
+    ]}
+
+
 # (id, JSON written to {bad} or None, command line)
 _BAD_INPUTS = [
     ("missing-file", None, "mine --intervals {tmp}/nope.json --out {tmp}/out.json"),
@@ -239,6 +249,14 @@ _BAD_INPUTS = [
      "render --patterns {work}/patterns.json --report {bad} --out {tmp}/p.svg"),
     ("report-keys-not-list", {"ranking": {"keys": "P1"}},
      "render --patterns {work}/patterns.json --report {bad} --out {tmp}/p.svg"),
+    ("mine-intervals-levels-list", _intervals_with_levels([]),
+     "mine --intervals {bad} --out {tmp}/p.json"),
+    ("mine-intervals-level-entry-list", _intervals_with_levels({"F01": ["H"]}),
+     "mine --intervals {bad} --out {tmp}/p.json"),
+    ("matrix-intervals-levels-list", _intervals_with_levels([]),
+     "matrix --intervals {bad} --patterns {work}/patterns.json --out {tmp}/m.csv"),
+    ("matrix-intervals-level-entry-list", _intervals_with_levels({"F01": ["H"]}),
+     "matrix --intervals {bad} --patterns {work}/patterns.json --out {tmp}/m.csv"),
 ]
 
 
@@ -369,6 +387,12 @@ def test_workers_flag_does_not_change_output(tmp_path):
     one = _run_pipeline(tmp_path, data, "w1", workers=1)
     two = _run_pipeline(tmp_path, data, "w2", workers=2)
     assert (one / "patterns.json").read_bytes() == (two / "patterns.json").read_bytes()
+    # the search counters too, although each root's hits travel to a worker
+    counters = [
+        json.loads((out / "run_manifest.json").read_text())["metrics"]["mining"]
+        for out in (one, two)
+    ]
+    assert counters[0] == counters[1]
 
 
 def test_numpy_is_the_only_runtime_dependency():

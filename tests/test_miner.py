@@ -5,17 +5,17 @@ import random
 
 import pytest
 
-from wavemine.encoding import canonical_form, pattern_key
+from wavemine.encoding import EndpointGroup, EndpointSequence, canonical_form, pattern_key
 from wavemine.errors import (
     CohortValidationError,
     ConfigError,
     GuardError,
+    PairingError,
     UndefinedRiskError,
 )
 from wavemine.miner import (
     MinerConfig,
     TemporalPattern,
-    _initial_pdb,
     _project,
     _scan_states,
     _Store,
@@ -187,14 +187,20 @@ def _walk(db, start, steps=()):
     """Grow the Start ``start`` by ``(endpoint, site)`` steps with the miner's
     own helpers (site 0: the last group, site 1: a later group).
 
-    Returns ``(store, pdb, last_set)``; patient index i in ``pdb`` is ``db[i]``.
+    The root's hits are every group holding ``start``; each step projects the
+    hits that ``_scan_states`` returns for it.  Returns ``(store, pdb,
+    last_set)``; patient index i in ``pdb`` is ``db[i]``.
     """
     store = _Store(db)
     tok = store.token(start)
-    pdb, last_set = _initial_pdb(store, tok), frozenset((tok,))
+    hits = [
+        (i, {}, g) for i, pat in enumerate(store.patients)
+        for g, tokens in enumerate(pat.groups) if tok in tokens
+    ]
+    pdb, last_set = _project(store, hits, tok), frozenset((tok,))
     for endpoint, site in steps:
         tok = store.token(endpoint)
-        pdb = _project(store, pdb, last_set, tok, site, sorted(pdb))
+        pdb = _project(store, _scan_states(store, pdb, last_set).get((tok, site), []), tok)
         last_set = last_set | {tok} if site == 0 else frozenset((tok,))
     return store, pdb, last_set
 
@@ -203,8 +209,8 @@ def _support(db, start, steps=()):
     """Candidate extensions: endpoint -> (population, events) over both sites."""
     store, pdb, last_set = _walk(db, start, steps)
     merged = {}
-    for (tok, _site), pids in _scan_states(store, pdb, last_set).items():
-        merged.setdefault(store.endpoint(tok), set()).update(pids)
+    for (tok, _site), hits in _scan_states(store, pdb, last_set).items():
+        merged.setdefault(store.endpoint(tok), set()).update(pidx for pidx, _, _ in hits)
     return {e: (len(p), sum(db[i].event for i in p)) for e, p in merged.items()}
 
 
@@ -373,6 +379,20 @@ def test_mine_rejects_degenerate_db():
             ],
             cfg,
         )
+
+
+def test_unclosed_start_raises_pairing_error_naming_the_patient():
+    # hand-built: p-open's A+ at wave 1 never finishes
+    unclosed = EndpointSequence(
+        "p-open", (EndpointGroup(1, (ep("A", "hi", "+"),)),), True
+    )
+    db = [unclosed, seq_from_intervals("p-closed", [("A", "hi", 1, 2)], False)]
+    cfg = MinerConfig()
+    for run in (mine, mine_with_stats, brute_force_mine):
+        with pytest.raises(PairingError, match="p-open"):
+            run(db, cfg)
+    with pytest.raises(PairingError, match="p-open"):
+        contains(unclosed, [[ep("A", "hi", "+")]])
 
 
 def test_miner_config_validation():
