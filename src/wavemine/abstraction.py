@@ -13,10 +13,8 @@ Consecutive waves with the same level are merged into one state interval.
 """
 from __future__ import annotations
 
-import gc
 import json
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -121,24 +119,6 @@ class FeatureSpec:
             if lv.name == level_name:
                 return lv.severity
         return "other"
-
-
-@contextmanager
-def acyclic_build():
-    """Pause the cyclic garbage collector while a block builds many acyclic objects.
-
-    Every full collection walks all live containers, so building a few
-    hundred thousand intervals or endpoint groups would walk the whole cohort
-    several times over.  Reference counting still frees everything; the
-    collector resumes, if it was running, when the block ends.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def fit_percentiles(values: Iterable[float], points: Sequence[float]) -> np.ndarray:
@@ -262,21 +242,20 @@ def _intervals_by_row(
     features = np.array([f for f, _ in labels], dtype=object)[label].tolist()
     levels = np.array([lv for _, lv in labels], dtype=object)[label].tolist()
     bounds = np.cumsum(np.bincount(run_row, minlength=len(rows))).tolist()
-    with acyclic_build():
-        # tuple.__new__ builds each StateInterval without the Python-level __new__
-        intervals = list(
-            map(
-                tuple.__new__,
-                repeat(StateInterval),
-                zip(
-                    features,
-                    levels,
-                    np.concatenate(run_starts)[order].tolist(),
-                    np.concatenate(run_ends)[order].tolist(),
-                ),
-            )
+    # tuple.__new__ builds each StateInterval without the Python-level __new__
+    intervals = list(
+        map(
+            tuple.__new__,
+            repeat(StateInterval),
+            zip(
+                features,
+                levels,
+                np.concatenate(run_starts)[order].tolist(),
+                np.concatenate(run_ends)[order].tolist(),
+            ),
         )
-        return [tuple(intervals[a:b]) for a, b in zip([0, *bounds], bounds)]
+    )
+    return [tuple(intervals[a:b]) for a, b in zip([0, *bounds], bounds)]
 
 
 def build_intervals(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -41,13 +42,7 @@ from .matrix import (
     write_sidecar_json,
 )
 from .miner import MinerConfig, MiningStats, PatternResult, RiskStats, TemporalPattern, mine_with_stats, odds_ratio, relative_risk
-from .survival import (
-    DEFAULT_LAMBDA_GRID,
-    cross_validate,
-    cv_score_vector,
-    rank_patterns,
-    rr_score,
-)
+from .survival import DEFAULT_LAMBDA_GRID, _heldout_c, cross_validate, rank_patterns, rr_score
 from .synth import SynthConfig, generate, parse_synth_config
 from .viz import RenderPattern, RenderSpec, render_svg
 
@@ -360,7 +355,7 @@ def _evaluate_stage(matrix, sidecar: dict, settings: dict, out: Path) -> tuple[d
     ranking = rank_patterns(cv.models, matrix)
     rr_by_key = {c["key"]: c["rr"] for c in sidecar["columns"] if "rr" in c}
     scores = rr_score(matrix, rr_by_key)
-    rr_fold_c = cv_score_vector(matrix, scores, cv.folds)
+    rr_fold_c, rr_mean_c = _heldout_c(matrix, scores, cv.folds)
     report = {
         **settings,
         "cox": {
@@ -372,7 +367,7 @@ def _evaluate_stage(matrix, sidecar: dict, settings: dict, out: Path) -> tuple[d
         },
         "rr_score": {
             "fold_c": list(rr_fold_c),
-            "mean_c": sum(rr_fold_c) / len(rr_fold_c),
+            "mean_c": rr_mean_c,
         },
         "ranking": {
             "keys": list(ranking.ordered_keys),
@@ -580,14 +575,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    Reference counting frees everything a command builds, so full collections
+    would only walk it again; forked miner workers inherit the pause.
+    """
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (WaveMineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

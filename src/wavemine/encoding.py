@@ -16,7 +16,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
-from .abstraction import StateInterval, acyclic_build
+from .abstraction import StateInterval
 from .errors import MatrixFormatError, PairingError
 
 
@@ -190,8 +190,7 @@ class CohortIntervals:
 
     def sequences(self) -> list[EndpointSequence]:
         sev = self.severity_of()
-        with acyclic_build():
-            return [encode(p.patient_id, p.intervals, sev, p.event) for p in self.patients]
+        return [encode(p.patient_id, p.intervals, sev, p.event) for p in self.patients]
 
     def outcomes(self) -> dict[str, tuple[float, bool]]:
         return {p.patient_id: (p.time, p.event) for p in self.patients}

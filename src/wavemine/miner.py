@@ -438,6 +438,7 @@ def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float
         ((root,),), frozenset((root,)), frozenset((root >> 1,)), _project(store, hits, root),
         root_risk, 1,
     )
+    del grow  # the closure refers to itself: without this the cycle would keep the store alive
     return emitted, stats
 
 

@@ -128,6 +128,8 @@ def cox_objective(
 
 
 def _fit_cox(risk: _RiskSets, lam, tol, max_iter):
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"ridge penalty must be finite and non-negative, got {lam!r}")
     p = risk.X.shape[1]
     beta = np.zeros(p)
     if p == 0:
@@ -179,8 +181,6 @@ def fit_ridge_cox(
     Newton iterations with step halving; converged when the gradient
     max-norm drops below ``tol``.  A non-converged model is still returned.
     """
-    if lam < 0:
-        raise ConfigError("ridge penalty must be non-negative")
     if not matrix.events.any():
         raise CohortValidationError("Cox fit needs at least one event")
     risk = _RiskSets(matrix.cells.astype(float), matrix.times.astype(float), matrix.events)
@@ -225,14 +225,30 @@ def make_folds(events: np.ndarray, k: int, seed: int) -> np.ndarray:
 def cv_score_vector(
     matrix: BinaryDesignMatrix, scores: np.ndarray, folds: np.ndarray
 ) -> tuple[float, ...]:
-    """Per-fold test C-index of a fixed score vector."""
+    """Per-fold test C-index of a fixed score vector; NaN for a fold without a comparable pair."""
     out = []
     for f in range(int(folds.max()) + 1):
         test = folds == f
-        out.append(
-            concordance_index(scores[test], matrix.times[test], matrix.events[test])
-        )
+        try:
+            out.append(concordance_index(scores[test], matrix.times[test], matrix.events[test]))
+        except UndefinedMetricError:
+            out.append(float("nan"))
     return tuple(out)
+
+
+def _heldout_c(
+    matrix: BinaryDesignMatrix, scores: np.ndarray, folds: np.ndarray
+) -> tuple[tuple[float, ...], float]:
+    """Per-fold test C-index of held-out scores, and their mean.
+
+    The mean skips NaN folds; when no fold is defined it is the C of the
+    pooled scores (keeps leave-one-out defined).
+    """
+    fold_c = cv_score_vector(matrix, scores, folds)
+    defined = [c for c in fold_c if not np.isnan(c)]
+    if defined:
+        return fold_c, float(np.mean(defined))
+    return fold_c, concordance_index(scores, matrix.times, matrix.events)
 
 
 def cross_validate(
@@ -245,15 +261,17 @@ def cross_validate(
 
     The penalty is chosen per fold on the training side only (best train
     C-index; ties go to the smaller penalty).  A test fold too small to hold
-    a comparable pair contributes NaN; the mean then falls back to the C of
-    the pooled held-out scores (keeps leave-one-out defined).
+    a comparable pair contributes NaN, as in ``cv_score_vector``; the mean
+    skips it, or is the C of the pooled held-out scores when no fold is
+    defined (keeps leave-one-out defined).
     """
     if len(matrix.pattern_keys) == 0:
         raise UndefinedMetricError("matrix has no pattern columns to evaluate")
+    if len(lam_grid) == 0:
+        raise ConfigError("the ridge penalty grid is empty")
     folds = make_folds(matrix.events, k, seed)
     X = matrix.cells.astype(float)
     heldout = np.zeros(X.shape[0])
-    fold_c: list[float] = []
     train_c: list[float] = []
     models: list[CoxModel] = []
     chosen: list[float] = []
@@ -270,24 +288,16 @@ def cross_validate(
             if best is None or c_train > best[0]:
                 best = (c_train, lam, model)
         c_train, lam, model = best
-        scores = X[test] @ model.coefficients
-        heldout[test] = scores
-        try:
-            c_test = concordance_index(scores, matrix.times[test], matrix.events[test])
-        except UndefinedMetricError:
-            c_test = float("nan")
-        fold_c.append(c_test)
+        heldout[test] = X[test] @ model.coefficients
         train_c.append(c_train)
         models.append(model)
         chosen.append(lam)
-    pooled = concordance_index(heldout, matrix.times, matrix.events)
-    defined = [c for c in fold_c if not np.isnan(c)]
-    mean_c = float(np.mean(defined)) if defined else pooled
+    fold_c, mean_c = _heldout_c(matrix, heldout, folds)
     return CVResult(
-        fold_c=tuple(fold_c),
+        fold_c=fold_c,
         train_c=tuple(train_c),
         mean_c=mean_c,
-        pooled_c=pooled,
+        pooled_c=concordance_index(heldout, matrix.times, matrix.events),
         models=tuple(models),
         chosen_lambda=tuple(chosen),
         seed=seed,

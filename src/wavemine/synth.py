@@ -239,8 +239,9 @@ def _manifest(config, cohort, specs, carrier_ids, ids):
         ab = len(matched)
         b, c = ab - a, n_events - a
         d = n - ab - c
+        stats = counts_stats(a, b, c, d)
         try:
-            rr = relative_risk(counts_stats(a, b, c, d))
+            rr = relative_risk(stats)
         except UndefinedRiskError:
             rr = None
         entries.append(
@@ -254,8 +255,8 @@ def _manifest(config, cohort, specs, carrier_ids, ids):
                 "c": c,
                 "d": d,
                 "rr": rr,
-                "support_pop": ab / n,
-                "support_event": a / n_events if n_events else 0.0,
+                "support_pop": stats.support_pop,
+                "support_event": stats.support_event,
                 "planted_carrier_ids": [ids[i] for i in planted_carriers],
                 "matched_ids": sorted(matched),
             }

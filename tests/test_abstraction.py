@@ -343,23 +343,3 @@ def test_non_finite_values_are_fit_error(bad):
     with pytest.raises(FitError, match="non-finite"):
         fit_percentiles([1.0, 2.0, bad, 3.0, 4.0], PCT.rule.bounds)
 
-
-def test_acyclic_build_restores_the_collector_state():
-    import gc
-
-    from wavemine.abstraction import acyclic_build
-
-    was_enabled = gc.isenabled()
-    try:
-        gc.enable()
-        with pytest.raises(KeyError):
-            with acyclic_build():
-                assert not gc.isenabled()
-                raise KeyError("boom")
-        assert gc.isenabled()
-        gc.disable()
-        with acyclic_build():
-            assert not gc.isenabled()
-        assert not gc.isenabled()
-    finally:
-        (gc.enable if was_enabled else gc.disable)()

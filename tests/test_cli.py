@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import wavemine
+from wavemine import cli
 from wavemine.cli import main
+from wavemine.errors import ConfigError
 
 PLANT = {
     "groups": [
@@ -187,7 +190,7 @@ def test_evaluate_zero_columns_fails_cleanly(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def mined(tmp_path_factory):
-    """A synth cohort with its intervals and patterns, read by the bad-input cases."""
+    """A synth cohort with its intervals, patterns and matrix, read by the bad-input cases."""
     tmp = tmp_path_factory.mktemp("mined")
     data = _make_cohort(tmp)
     assert main([
@@ -198,6 +201,11 @@ def mined(tmp_path_factory):
         "mine", "--intervals", str(tmp / "intervals.json"), "--out", str(tmp / "patterns.json"),
         "--minsup", "0.1", "--risk-threshold", "1.3",
     ]) == 0
+    assert main([
+        "matrix", "--intervals", str(tmp / "intervals.json"), "--patterns", str(tmp / "patterns.json"),
+        "--out", str(tmp / "matrix.csv"),
+    ]) == 0
+    assert main(["evaluate", "--matrix", str(tmp / "matrix.csv"), "--out", str(tmp / "report.json")]) == 0
     return data, tmp
 
 
@@ -229,6 +237,14 @@ _BAD_INPUTS = [
      "mine --intervals {work}/intervals.json --out {tmp}/p.json --config {bad}"),
     ("lambda-grid-not-numbers", None,
      f"pipeline {_COHORT} --features {{data}}/features.json --out-dir {{tmp}}/run --lambda-grid a,b"),
+    ("evaluate-lambda-negative", None,
+     "evaluate --matrix {work}/matrix.csv --out {tmp}/r.json --lambda-grid=-1"),
+    ("evaluate-lambda-nan", None,
+     "evaluate --matrix {work}/matrix.csv --out {tmp}/r.json --lambda-grid=0.1,nan"),
+    ("pipeline-lambda-negative", None,
+     f"pipeline {_COHORT} --features {{data}}/features.json --out-dir {{tmp}}/run --lambda-grid=-1"),
+    ("pipeline-lambda-nan", None,
+     f"pipeline {_COHORT} --features {{data}}/features.json --out-dir {{tmp}}/run --lambda-grid=nan"),
     ("report-without-ranking", {"cox": {}},
      "render --patterns {work}/patterns.json --report {bad} --out {tmp}/p.svg"),
     ("render-top-zero", None, "render --patterns {work}/patterns.json --top 0 --out {tmp}/p.svg"),
@@ -409,3 +425,40 @@ def test_numpy_is_the_only_runtime_dependency():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("outcome", ["returns", "fails", "raises"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys, outcome, enabled):
+    seen = []
+
+    def command(_args):
+        seen.append(gc.isenabled())
+        if outcome == "fails":
+            raise ConfigError("boom")
+        if outcome == "raises":
+            raise KeyError("boom")
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_synth", command)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "raises":
+            with pytest.raises(KeyError):
+                main(["synth", "--out-dir", "unused"])
+        else:
+            assert main(["synth", "--out-dir", "unused"]) == (1 if outcome == "fails" else 0)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_only_the_cli_sets_the_collector_policy():
+    src = Path(wavemine.__file__).resolve().parent
+    importers = sorted(
+        path.name for path in src.glob("*.py")
+        if re.search(r"^\s*(import gc\b|from gc import)", path.read_text(encoding="utf-8"), re.M)
+    )
+    assert importers == ["cli.py"]

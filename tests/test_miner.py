@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import itertools
 import json
 import random
 
 import pytest
 
+from wavemine import miner
 from wavemine.encoding import EndpointGroup, EndpointSequence, canonical_form, pattern_key
 from wavemine.errors import (
     CohortValidationError,
@@ -537,3 +539,20 @@ def test_results_are_json_stable():
     one = json.dumps(result_fingerprint(mine(db, cfg)))
     two = json.dumps(result_fingerprint(mine(db, cfg)))
     assert one == two
+
+
+def test_mining_frees_its_store_by_reference_counting():
+    # commands run with the cyclic collector paused, so nothing the search
+    # builds may sit in a reference cycle
+    db = random_db(random.Random(3), n_pat=12, waves=5)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        results, stats = mine_with_stats(db, MinerConfig(minsup=0.1, risk_sup=0.1))
+        assert stats.nodes > 0
+        del results, stats
+        assert not [o for o in gc.get_objects() if isinstance(o, miner._PatientSeq)]
+    finally:
+        if was_enabled:
+            gc.enable()

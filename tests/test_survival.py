@@ -254,8 +254,14 @@ def test_ridge_cox_multicolumn_optimum():
 
 
 def test_ridge_cox_validates_inputs():
+    # both public paths reject a penalty that is negative or not finite
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="ridge penalty"):
+            fit_ridge_cox(_toy_cox_matrix(), lam)
+        with pytest.raises(ConfigError, match="ridge penalty"):
+            cross_validate(_cv_matrix(), k=3, seed=0, lam_grid=(0.1, lam))
     with pytest.raises(ConfigError):
-        fit_ridge_cox(_toy_cox_matrix(), -1.0)
+        cross_validate(_cv_matrix(), k=3, seed=0, lam_grid=())
     no_events = _matrix([1, 0], [1, 2], [0, 0])
     from wavemine.errors import CohortValidationError
 
@@ -515,6 +521,20 @@ def test_leave_one_out_no_censoring_defined():
     assert all(math.isnan(c) for c in cv.fold_c)  # one-patient test folds
     assert 0.0 <= cv.mean_c <= 1.0  # falls back to the pooled held-out C
     assert cv.mean_c == cv.pooled_c
+
+
+def test_both_scorers_share_the_tiny_fold_rule():
+    rng = np.random.default_rng(0)
+    events, times = rng.random(10) < 0.5, rng.integers(1, 6, 10)
+    matrix = _matrix(rng.integers(0, 2, (10, 2)), times, events)
+    # the second test fold holds no comparable pair
+    cv = cross_validate(matrix, k=3, seed=0)
+    assert math.isnan(cv.fold_c[1]) and not math.isnan(cv.fold_c[0] + cv.fold_c[2])
+    assert cv.mean_c == np.mean([cv.fold_c[0], cv.fold_c[2]])
+    scores = rr_score(matrix, {"K0": 2.0, "K1": 0.5})
+    fold_c = cv_score_vector(matrix, scores, cv.folds)
+    assert math.isnan(fold_c[1]) and not math.isnan(fold_c[0] + fold_c[2])
+    assert survival._heldout_c(matrix, scores, cv.folds)[1] == np.mean([fold_c[0], fold_c[2]])
 
 
 def test_cv_score_vector_uses_same_folds():
