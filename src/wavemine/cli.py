@@ -42,7 +42,7 @@ from .matrix import (
     write_sidecar_json,
 )
 from .miner import MinerConfig, MiningStats, PatternResult, RiskStats, TemporalPattern, mine_with_stats, odds_ratio, relative_risk
-from .survival import DEFAULT_LAMBDA_GRID, _heldout_c, cross_validate, rank_patterns, rr_score
+from .survival import DEFAULT_LAMBDA_GRID, _check_folds, _check_penalty, _heldout_c, cross_validate, rank_patterns, rr_score
 from .synth import SynthConfig, generate, parse_synth_config
 from .viz import RenderPattern, RenderSpec, render_svg
 
@@ -135,7 +135,7 @@ def _read_patterns(path: Path):
     try:
         results = [
             PatternResult(
-                pattern=TemporalPattern(groups=groups_from_payload(entry["groups"]), closed=True),
+                pattern=TemporalPattern(groups_from_payload(entry["groups"])),
                 stats=RiskStats(**{f.name: entry[f.name] for f in dataclasses.fields(RiskStats)}),
                 matched=tuple(entry["matched_patient_ids"]),
             )
@@ -183,10 +183,13 @@ def _effective(args, defaults: dict) -> dict:
 
 
 def _typed(convert, name: str, value):
-    """``convert(value)``, or a ConfigError naming the setting."""
+    """``convert(value)``, or a ConfigError naming the setting; an int takes no fraction."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        out = convert(value)
+        if convert is int and isinstance(value, float) and out != value:
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}: cannot read {value!r} as {convert.__name__}") from None
 
 
@@ -214,13 +217,15 @@ def _abstract_config(args) -> dict:
 
 
 def _eval_config(eff: dict) -> dict:
-    lam_grid = [_typed(float, "lambda_grid", x) for x in str(eff["lambda_grid"]).split(",")]
-    return {"k": _typed(int, "k", eff["k"]), "seed": _typed(int, "seed", eff["seed"]),
-            "lambda_grid": lam_grid}
+    lam_grid = [_check_penalty(_typed(float, "lambda_grid", x))
+                for x in str(eff["lambda_grid"]).split(",")]
+    k, seed = _typed(int, "k", eff["k"]), _typed(int, "seed", eff["seed"])
+    _check_folds(k, seed)
+    return {"k": k, "seed": seed, "lambda_grid": lam_grid}
 
 
 def _render_config(eff: dict) -> dict:
-    return {"top": _typed(int, "top", eff["top"])}
+    return {"top": RenderSpec(max_patterns=_typed(int, "top", eff["top"])).max_patterns}
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +443,10 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    # every setting is checked before the first stage writes anything
+    eff = _effective(args, {**MINE_DEFAULTS, **EVAL_DEFAULTS, **RENDER_DEFAULTS})
+    config = _miner_config(eff)
+    eval_settings, render_settings = _eval_config(eff), _render_config(eff)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
@@ -447,9 +456,6 @@ def _cmd_pipeline(args) -> int:
     sequences = doc.sequences()
     timings["abstract"] = time.perf_counter() - t0
 
-    eff = _effective(args, {**MINE_DEFAULTS, **EVAL_DEFAULTS, **RENDER_DEFAULTS})
-    config = _miner_config(eff)
-    eval_settings, render_settings = _eval_config(eff), _render_config(eff)
     t1 = time.perf_counter()
     results, stats = _mine_stage(doc, sequences, config, out_dir / "patterns.json")
     timings["mining"] = time.perf_counter() - t1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
@@ -33,8 +33,10 @@ class Endpoint(NamedTuple):
         return f"{self.feature}={self.level}{'-' if self.is_finish else '+'}"
 
 
-# encoded sequences share one Endpoint per (feature, level, is_finish)
+# encoded sequences share one Endpoint per (feature, level, is_finish), and
+# one pair per (feature, level, start group, finish group)
 _endpoint = lru_cache(maxsize=4096)(Endpoint)
+_pair = lru_cache(maxsize=4096)(tuple)
 
 
 def group_order(ep: Endpoint):
@@ -49,9 +51,21 @@ class EndpointGroup(NamedTuple):
 
 @dataclass(frozen=True)
 class EndpointSequence:
+    """Endpoint groups, paired when built: ``pairs`` holds (feature, level, start, end group)."""
+
     patient_id: str
     groups: tuple[EndpointGroup, ...]
     event: bool
+    pairs: tuple[tuple[str, str, int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            closed, left_open = pair_endpoints(g.endpoints for g in self.groups)
+        except PairingError as exc:
+            raise PairingError(f"{self.patient_id}: {exc}") from None
+        if left_open:
+            raise PairingError(f"{self.patient_id}: intervals never finished: {sorted(left_open)}")
+        object.__setattr__(self, "pairs", tuple(map(_pair, closed)))
 
 
 def encode(
@@ -77,9 +91,7 @@ def encode(
         EndpointGroup(time, tuple([_endpoint(f, lv, fin) for _, fin, f, lv in block]))
         for time, block in groupby(sorted(ends), key=itemgetter(0))
     ])
-    seq = EndpointSequence(patient_id=patient_id, groups=groups, event=event)
-    verify_pairing(seq)
-    return seq
+    return EndpointSequence(patient_id=patient_id, groups=groups, event=event)
 
 
 def pair_endpoints(
@@ -110,26 +122,12 @@ def pair_endpoints(
     return closed, pending
 
 
-def verify_pairing(seq: EndpointSequence) -> list[tuple[str, str, int, int]]:
-    """Check the pairing invariant: every Finish closes a previously opened Start.
-
-    Returns the closed intervals as ``pair_endpoints`` does (group indices).
-    """
-    try:
-        closed, left_open = pair_endpoints(g.endpoints for g in seq.groups)
-    except PairingError as exc:
-        raise PairingError(f"{seq.patient_id}: {exc}") from None
-    if left_open:
-        raise PairingError(f"{seq.patient_id}: intervals never finished: {sorted(left_open)}")
-    return closed
-
-
 def decode_intervals(seq: EndpointSequence) -> list[StateInterval]:
     """Invert ``encode``: rebuild the non-normal intervals from the endpoints."""
     times = [g.time for g in seq.groups]
     out = [
         StateInterval(feature, level, times[gs], times[ge])
-        for feature, level, gs, ge in verify_pairing(seq)
+        for feature, level, gs, ge in seq.pairs
     ]
     out.sort(key=lambda iv: (iv.feature, iv.level, iv.start))
     return out

@@ -68,7 +68,7 @@ def parse_outcomes(stream: IO[str]) -> dict[str, SurvivalOutcome]:
             raise CohortParseError(f"expected 3 fields, got {len(row)}", line=lineno)
         pid, time_s, event_s = (f.strip() for f in row)
         if pid in out:
-            raise CellConflictError(f"duplicate outcome for patient {pid!r}")
+            raise CellConflictError(f"line {lineno}: duplicate outcome for patient {pid!r}")
         try:
             time = float(time_s)
         except ValueError:

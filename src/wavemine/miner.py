@@ -26,9 +26,10 @@ hits and tests nothing again.
 """
 from __future__ import annotations
 
+import math
 import multiprocessing
 from concurrent import futures
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 from .encoding import (
@@ -38,7 +39,6 @@ from .encoding import (
     group_order,
     pair_endpoints,
     pattern_key,
-    verify_pairing,
 )
 from .errors import (
     CohortValidationError,
@@ -56,10 +56,18 @@ _GUARD_MAX_ENDPOINTS = 12
 
 @dataclass(frozen=True)
 class TemporalPattern:
-    """Ordered endpoint groups holding relative positions only."""
+    """Canonical endpoint groups, relative positions only; ill-formed ones raise ConfigError."""
 
     groups: tuple[tuple[Endpoint, ...], ...]
-    closed: bool
+    closed: bool = field(init=False)
+
+    def __post_init__(self):
+        canon = canonical_form(self.groups)
+        open_fls = _sweep_open(canon)
+        if open_fls is None:
+            raise ConfigError(f"ill-formed pattern groups: {canon}")
+        object.__setattr__(self, "groups", canon)
+        object.__setattr__(self, "closed", not open_fls)
 
     @property
     def length(self) -> int:
@@ -67,15 +75,6 @@ class TemporalPattern:
 
     def key(self) -> str:
         return pattern_key(self.groups)
-
-
-def make_pattern(groups: Iterable[Iterable[Endpoint]]) -> TemporalPattern:
-    """Canonicalize and validate endpoint groups into a TemporalPattern."""
-    canon = canonical_form(groups)
-    open_fls = _sweep_open(canon)
-    if open_fls is None:
-        raise ConfigError(f"ill-formed pattern groups: {canon}")
-    return TemporalPattern(groups=canon, closed=not open_fls)
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ class MinerConfig:
             raise ConfigError(f"minsup must lie in (0, 1], got {self.minsup}")
         if self.minsup_scope not in ("event_group", "population"):
             raise ConfigError(f"unknown minsup_scope {self.minsup_scope!r}")
-        if self.risk_sup <= 0:
-            raise ConfigError(f"risk_sup must be positive, got {self.risk_sup}")
+        if not (math.isfinite(self.risk_sup) and self.risk_sup > 0):
+            raise ConfigError(f"risk_sup must be finite and positive, got {self.risk_sup}")
         if self.measure not in ("relative_risk", "odds_ratio"):
             raise ConfigError(f"unknown measure {self.measure!r}")
         if self.max_length is not None and self.max_length < 1:
@@ -226,7 +225,9 @@ def _embeds(pat: _PatientSeq, pgroups, closable: bool = False) -> bool:
                 return True
         return False
 
-    return rec(0, 0, {})
+    found = rec(0, 0, {})
+    del rec  # the closure refers to itself: without this the cycle would keep ``pat`` alive
+    return found
 
 
 def contains(sequence: EndpointSequence, pattern) -> bool:
@@ -260,16 +261,18 @@ class _Store:
     """
 
     def __init__(self, db: Sequence[EndpointSequence]):
-        pairs = sorted({(ep.feature, ep.level) for s in db for g in s.groups for ep in g.endpoints})
-        self.fl_pairs = pairs
-        self.fl_index = {p: i for i, p in enumerate(pairs)}
+        self.fl_pairs = sorted({(f, lv) for s in db for f, lv, _, _ in s.pairs})
+        self.fl_index = fl_index = {p: i for i, p in enumerate(self.fl_pairs)}
         self.patients: list[_PatientSeq] = []
         for seq in db:
-            partner = {
-                (gs, self.fl_index[(feature, level)] * 2): ge
-                for feature, level, gs, ge in verify_pairing(seq)
-            }
-            groups = [tuple(sorted(map(self.token, g.endpoints))) for g in seq.groups]
+            groups = [[] for _ in range(len(seq.groups))]
+            partner = {}
+            for feature, level, gs, ge in seq.pairs:
+                tok = fl_index[feature, level] * 2
+                groups[gs].append(tok)
+                groups[ge].append(tok + 1)
+                partner[gs, tok] = ge
+            groups = [tuple(sorted(g)) for g in groups]
             self.patients.append(_PatientSeq(seq.patient_id, seq.event, groups, partner))
         self.n = len(self.patients)
         self.n_events = sum(1 for p in self.patients if p.event)
@@ -463,7 +466,7 @@ def _results(store: _Store, emitted) -> list[PatternResult]:
             raise AssertionError(f"duplicate pattern with conflicting stats: {groups}")
     results = [
         PatternResult(
-            pattern=TemporalPattern(groups=groups, closed=True),
+            pattern=TemporalPattern(groups),
             stats=counts_stats(*counts, risk),
             matched=tuple(sorted(store.patients[p].patient_id for p in pids)),
         )
@@ -590,4 +593,5 @@ def brute_force_mine(
         res = gate(base, 0.0)
         if res is not None:
             grow(base, res[2], 1)
+    del grow  # as in _grow_branch: the closure refers to itself
     return _results(store, emitted)

@@ -127,9 +127,23 @@ def cox_objective(
     return _RiskSets(X, times, events).objective(beta, lam)[:2]
 
 
-def _fit_cox(risk: _RiskSets, lam, tol, max_iter):
+def _check_penalty(lam):
+    """``lam``, if it is a finite, non-negative ridge penalty."""
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigError(f"ridge penalty must be finite and non-negative, got {lam!r}")
+    return lam
+
+
+def _check_folds(k: int, seed: int) -> None:
+    """Reject fold settings that no cohort accepts."""
+    if k < 2:
+        raise ConfigError(f"k must be >= 2, got {k}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
+def _fit_cox(risk: _RiskSets, lam, tol, max_iter):
+    _check_penalty(lam)
     p = risk.X.shape[1]
     beta = np.zeros(p)
     if p == 0:
@@ -200,9 +214,10 @@ def rr_score(matrix: BinaryDesignMatrix, rr_by_key: Mapping[str, float]) -> np.n
 
 def make_folds(events: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Event-stratified fold assignment, reshuffled if a fold lacks an event."""
+    _check_folds(k, seed)
     events = np.asarray(events, dtype=bool)
     n = events.shape[0]
-    if k < 2 or k > n:
+    if k > n:
         raise ConfigError(f"k must lie in [2, {n}], got {k}")
     n_events = int(events.sum())
     if k > n_events:

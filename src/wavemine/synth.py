@@ -81,6 +81,8 @@ class SynthConfig:
             raise ConfigError("patients, waves and features must all be >= 1")
         if not 0.0 <= self.event_rate <= 1.0 or not 0.0 <= self.noise_rate <= 1.0:
             raise ConfigError("rates must lie in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         names = [name for name, _ in self.levels]
         if self.normal_level not in names:
             raise ConfigError(f"normal level {self.normal_level!r} not in the level alphabet")

@@ -9,8 +9,8 @@ arrow spans the top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from html import escape
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from .encoding import Endpoint, pair_endpoints
 from .errors import ConfigError
@@ -79,7 +79,7 @@ def render_svg(
         )
         body.append(
             f'<text x="12" y="{label_y + 14:.1f}" class="risk">'
-            f"{escape(spec.risk_label)} {pat.risk:.2f}</text>"
+            f"{escape(spec.risk_label, quote=False)} {pat.risk:.2f}</text>"
         )
         for lane, (feature, level, gs, ge) in enumerate(bars):
             x = MARGIN_LEFT + gs * GROUP_WIDTH + BAR_PAD
@@ -93,7 +93,7 @@ def render_svg(
             )
             body.append(
                 f'<text x="{x + w / 2:.1f}" y="{by + bh - 6:.1f}" class="bar">'
-                f"{escape(feature)} - {escape(level)}</text>"
+                f"{escape(feature, quote=False)} - {escape(level, quote=False)}</text>"
             )
         body.append(
             f'<line x1="{MARGIN_LEFT - 8}" y1="{y + row_h + ROW_GAP / 2:.1f}" '

@@ -213,6 +213,16 @@ _COHORT = "--cohort {data}/cohort.csv --outcomes {data}/outcomes.csv"
 _PLANT_WITHOUT_FRACTION = {"groups": PLANT["groups"], "frac_nonevents": 0.1}
 
 
+_F01_H_FINISH = {"feature": "F01", "level": "H", "kind": "finish"}
+
+
+def _patterns_with_groups(groups):
+    """One pattern, carried by S0001; well-formed except perhaps for its groups."""
+    stats = {"a": 1, "b": 0, "c": 49, "d": 150, "support_pop": 0.005, "support_event": 0.02,
+             "risk": 4.0, "matched_patient_ids": ["S0001"]}
+    return {"patterns": [{"key": "k", "groups": groups, **stats}]}
+
+
 def _intervals_with_levels(levels):
     """An intervals document, well-formed except perhaps for its ``levels``."""
     interval = {"feature": "F01", "level": "H", "start": 1, "end": 2}
@@ -273,6 +283,26 @@ _BAD_INPUTS = [
      "matrix --intervals {bad} --patterns {work}/patterns.json --out {tmp}/m.csv"),
     ("matrix-intervals-level-entry-list", _intervals_with_levels({"F01": ["H"]}),
      "matrix --intervals {bad} --patterns {work}/patterns.json --out {tmp}/m.csv"),
+    ("matrix-patterns-lone-finish", _patterns_with_groups([[_F01_H_FINISH]]),
+     "matrix --intervals {work}/intervals.json --patterns {bad} --out {tmp}/m.csv"),
+    ("synth-seed-negative", None, "synth --out-dir {tmp}/synth --seed -1"),
+    ("evaluate-seed-negative", None, "evaluate --matrix {work}/matrix.csv --out {tmp}/r.json --seed -1"),
+    ("pipeline-seed-negative", None,
+     f"pipeline {_COHORT} --features {{data}}/features.json --out-dir {{tmp}}/run --seed -1"),
+    ("pipeline-k-one", None,
+     f"pipeline {_COHORT} --features {{data}}/features.json --out-dir {{tmp}}/run --k 1"),
+    ("pipeline-top-zero", None,
+     f"pipeline {_COHORT} --features {{data}}/features.json --out-dir {{tmp}}/run --top 0"),
+    ("mine-risk-threshold-nan", None,
+     "mine --intervals {work}/intervals.json --out {tmp}/p.json --risk-threshold nan"),
+    ("mine-risk-threshold-inf", None,
+     "mine --intervals {work}/intervals.json --out {tmp}/p.json --risk-threshold inf"),
+    ("config-k-fraction", {"k": 2.7},
+     "evaluate --matrix {work}/matrix.csv --out {tmp}/r.json --config {bad}"),
+    ("pipeline-config-k-fraction", {"k": 2.7},
+     f"pipeline {_COHORT} --features {{data}}/features.json --out-dir {{tmp}}/run --config {{bad}}"),
+    ("config-max-length-fraction", {"max_length": 1.5},
+     "mine --intervals {work}/intervals.json --out {tmp}/p.json --config {bad}"),
 ]
 
 
@@ -287,6 +317,8 @@ def test_missing_file_fails_cleanly(mined, tmp_path, capsys, content, command):
     argv = [arg.format(data=data, work=work, tmp=tmp_path, bad=bad) for arg in command.split()]
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+    # a bad setting stops the pipeline before its first stage writes anything
+    assert argv[0] != "pipeline" or not list((tmp_path / "run").glob("*"))
     # unknown flags exit with argparse's usage error
     with pytest.raises(SystemExit):
         main(["mine", "--intervals", "x", "--out", "y", "--bogus"])
@@ -416,9 +448,14 @@ def test_numpy_is_the_only_runtime_dependency():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
     assert [re.split(r"[\s\[<>=!~;]", d, maxsplit=1)[0] for d in deps] == ["numpy"]
+
+
+def test_importing_the_cli_loads_no_optional_or_network_module():
     # scipy and orjson may be installed without being dependencies; importing
-    # the CLI in a fresh interpreter must not pull them (or numba) in
-    probe = "import sys, wavemine.cli; print(sorted({'scipy', 'orjson', 'numba'} & set(sys.modules)))"
+    # the CLI in a fresh interpreter must not pull them (or numba) in, nor the
+    # network and mail modules that xml.sax.saxutils loads
+    unwanted = {"scipy", "orjson", "numba", "urllib.request", "http.client", "ssl", "email"}
+    probe = f"import sys, wavemine.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     src = str(Path(wavemine.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(

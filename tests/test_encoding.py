@@ -11,7 +11,6 @@ from wavemine.encoding import (
     groups_from_payload,
     groups_to_payload,
     pattern_key,
-    verify_pairing,
 )
 from wavemine.errors import PairingError
 
@@ -137,15 +136,17 @@ def test_pairing_sweep(groups, closed, left_open):
     """One Start/Finish sweep; each caller keeps its own result and error type."""
     from wavemine.encoding import EndpointGroup, EndpointSequence, pair_endpoints
     from wavemine.errors import ConfigError
-    from wavemine.miner import _sweep_open, contains, make_pattern
+    from wavemine.miner import TemporalPattern, _sweep_open, contains
     from wavemine.synth import PlantedPattern
     from wavemine.viz import RenderPattern, render_svg
 
-    seq = EndpointSequence(
-        patient_id="p",
-        groups=tuple(EndpointGroup(t + 1, tuple(g)) for t, g in enumerate(groups)),
-        event=False,
-    )
+    def sequence():
+        return EndpointSequence(
+            patient_id="p",
+            groups=tuple(EndpointGroup(t + 1, tuple(g)) for t, g in enumerate(groups)),
+            event=False,
+        )
+
     planted = PlantedPattern(groups=groups, frac_events=0.5, frac_nonevents=0.1)
     render = lambda: render_svg(["k"], {"k": RenderPattern(groups=groups, risk=2.0)})  # noqa: E731
     if closed is None:
@@ -153,18 +154,17 @@ def test_pairing_sweep(groups, closed, left_open):
             pair_endpoints(groups)
         assert _sweep_open(groups) is None
         with pytest.raises(ConfigError):
-            make_pattern(groups)
-        with pytest.raises(PairingError):
-            contains(seq, [[A_PLUS]])  # the token store pairs the sequence
+            TemporalPattern(groups)
         with pytest.raises(PairingError):
             render()
     else:
         assert pair_endpoints(groups) == (closed, left_open)
         assert _sweep_open(groups) == frozenset(left_open)
-        assert make_pattern(groups).closed == (not left_open)
+        assert TemporalPattern(groups).closed == (not left_open)
         assert render().count("<rect") == len(closed)
     if closed is not None and not left_open:
-        assert verify_pairing(seq) == closed
+        seq = sequence()
+        assert seq.pairs == tuple(closed)
         assert decode_intervals(seq) == sorted(
             (StateInterval(f, lvl, s + 1, e + 1) for f, lvl, s, e in closed),
             key=lambda iv: (iv.feature, iv.level, iv.start),
@@ -172,10 +172,9 @@ def test_pairing_sweep(groups, closed, left_open):
         assert sorted(planted.intervals()) == sorted(closed)
         assert contains(seq, groups)
     else:
-        with pytest.raises(PairingError):
-            verify_pairing(seq)
-        with pytest.raises(PairingError):
-            decode_intervals(seq)
+        # an ill-formed sequence cannot be built, so neither decode nor a store sees one
+        with pytest.raises(PairingError, match="^p: "):
+            sequence()
         with pytest.raises(ConfigError):
             planted.intervals()
 

@@ -84,6 +84,26 @@ def test_bad_header_rejected():
         parse_outcomes(io.StringIO("patient,time,event\n"))
 
 
+@pytest.mark.parametrize(
+    "row,error",
+    [
+        pytest.param("p2,3", CohortParseError, id="two-fields"),
+        pytest.param("p2,3,0,x", CohortParseError, id="four-fields"),
+        pytest.param("p1,3,0", CellConflictError, id="duplicate-patient"),
+        pytest.param("p2,abc,0", CohortParseError, id="time-not-numeric"),
+        pytest.param("p2,0.5,0", CohortParseError, id="time-below-1"),
+        pytest.param("p2,inf,0", CohortParseError, id="time-infinite"),
+        pytest.param("p2,nan,1", CohortParseError, id="time-nan"),
+        pytest.param("p2,3,2", CohortParseError, id="event-not-0-or-1"),
+        pytest.param("p2,3,yes", CohortParseError, id="event-word"),
+    ],
+)
+def test_outcome_row_rejected_with_its_line(row, error):
+    text = f"patient_id,time,event\np1,2,1\n\n{row}\n"  # the blank line still counts
+    with pytest.raises(error, match="^line 4: "):
+        parse_outcomes(io.StringIO(text))
+
+
 def test_outcome_patient_without_rows_is_kept():
     cohort = _parse("patient_id,wave,feature,value\n", "patient_id,time,event\np9,4,0\n")
     assert [p.patient_id for p in cohort.patients] == ["p9"]

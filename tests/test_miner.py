@@ -24,7 +24,6 @@ from wavemine.miner import (
     brute_force_mine,
     contains,
     counts_stats,
-    make_pattern,
     mine,
     mine_with_stats,
     odds_ratio,
@@ -169,7 +168,7 @@ def test_contains_matches_naive_enumeration():
             ]
             probe = [g for g in picked if g]
             try:
-                probes.append(make_pattern(probe).groups)
+                probes.append(TemporalPattern(probe).groups)
             except ConfigError:
                 pass
         probes.append(canonical_form([[ep("A", "hi", "+")], [ep("A", "hi", "-")]]))
@@ -384,17 +383,29 @@ def test_mine_rejects_degenerate_db():
 
 
 def test_unclosed_start_raises_pairing_error_naming_the_patient():
-    # hand-built: p-open's A+ at wave 1 never finishes
-    unclosed = EndpointSequence(
-        "p-open", (EndpointGroup(1, (ep("A", "hi", "+"),)),), True
-    )
-    db = [unclosed, seq_from_intervals("p-closed", [("A", "hi", 1, 2)], False)]
-    cfg = MinerConfig()
-    for run in (mine, mine_with_stats, brute_force_mine):
-        with pytest.raises(PairingError, match="p-open"):
-            run(db, cfg)
-    with pytest.raises(PairingError, match="p-open"):
-        contains(unclosed, [[ep("A", "hi", "+")]])
+    # hand-built: p-open's A+ at wave 1 never finishes, so no miner can be handed it
+    with pytest.raises(PairingError, match="p-open: intervals never finished"):
+        EndpointSequence("p-open", (EndpointGroup(1, (ep("A", "hi", "+"),)),), True)
+    with pytest.raises(PairingError, match="p-early: finish without open start"):
+        EndpointSequence("p-early", (EndpointGroup(1, (ep("A", "hi", "-"),)),), True)
+
+
+def test_each_sequence_is_paired_once(monkeypatch):
+    # the store reads the pairs the sequence found when it was built
+    from wavemine import encoding
+
+    calls = []
+    pair_endpoints = encoding.pair_endpoints
+
+    def counted(groups):
+        calls.append(1)
+        return pair_endpoints(groups)
+
+    monkeypatch.setattr(encoding, "pair_endpoints", counted)
+    db = random_db(random.Random(5), n_pat=12, waves=5)
+    results, stats = mine_with_stats(db, MinerConfig(minsup=0.1, risk_sup=0.1))
+    assert results and stats.nodes > 0
+    assert len(calls) == len(db)
 
 
 def test_miner_config_validation():
@@ -404,6 +415,9 @@ def test_miner_config_validation():
         MinerConfig(minsup=1.5)
     with pytest.raises(ConfigError):
         MinerConfig(risk_sup=0.0)
+    for risk_sup in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            MinerConfig(risk_sup=risk_sup)
     with pytest.raises(ConfigError):
         MinerConfig(measure="hazard")
     with pytest.raises(ConfigError):
@@ -522,14 +536,14 @@ def test_brute_force_guard():
         brute_force_mine(long_waves, MinerConfig(minsup=0.5, risk_sup=1.5))
 
 
-def test_make_pattern_validates():
+def test_temporal_pattern_validates():
     with pytest.raises(ConfigError):
-        make_pattern([[ep("A", "x", "-")]])
+        TemporalPattern([[ep("A", "x", "-")]])
     with pytest.raises(ConfigError):
-        make_pattern([[ep("A", "x", "+")], [ep("A", "x", "+")]])
-    open_pattern = make_pattern([[ep("A", "x", "+")]])
+        TemporalPattern([[ep("A", "x", "+")], [ep("A", "x", "+")]])
+    open_pattern = TemporalPattern([[ep("A", "x", "+")]])
     assert not open_pattern.closed
-    closed = make_pattern([[ep("A", "x", "+")], [ep("A", "x", "-")]])
+    closed = TemporalPattern([[ep("A", "x", "+")], [ep("A", "x", "-")]])
     assert closed.closed and closed.length == 2
 
 
@@ -545,13 +559,17 @@ def test_mining_frees_its_store_by_reference_counting():
     # commands run with the cyclic collector paused, so nothing the search
     # builds may sit in a reference cycle
     db = random_db(random.Random(3), n_pat=12, waves=5)
+    cfg = MinerConfig(minsup=0.1, risk_sup=0.1)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        results, stats = mine_with_stats(db, MinerConfig(minsup=0.1, risk_sup=0.1))
+        results, stats = mine_with_stats(db, cfg)
         assert stats.nodes > 0
         del results, stats
+        assert not [o for o in gc.get_objects() if isinstance(o, miner._PatientSeq)]
+        # the oracle grows by a recursive closure too
+        assert brute_force_mine(db, cfg)
         assert not [o for o in gc.get_objects() if isinstance(o, miner._PatientSeq)]
     finally:
         if was_enabled:
