@@ -127,7 +127,10 @@ def fit_percentiles(values: Iterable[float], points: Sequence[float]) -> np.ndar
     Uses linear interpolation between order statistics: the p-th percentile
     sits at rank 1 + (n - 1) * p / 100.
     """
-    vals = np.asarray(sorted(values), dtype=float)
+    if isinstance(values, np.ndarray):
+        vals = np.sort(values.astype(float))
+    else:
+        vals = np.asarray(sorted(values), dtype=float)
     if vals.size == 0:
         raise FitError("cannot fit percentiles on an empty value set")
     if not np.isfinite(vals).all():
@@ -153,6 +156,8 @@ def _level_codes(spec: FeatureSpec, values: Sequence, edges: np.ndarray | None) 
     if rule.method == "categorical":
         names = _level_names(rule)
         code_of = {category: names.index(level) for category, level in rule.categories.items()}
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
         return np.fromiter(
             map(code_of.get, values, repeat(-1)), dtype=np.intp, count=len(values)
         )
@@ -178,48 +183,37 @@ def abstract_value(value, spec: FeatureSpec, edges: np.ndarray | None = None) ->
 
 
 def _intervals_by_row(
-    rows: Sequence[Mapping[str, Mapping[int, object]]],
+    columns: Mapping,
+    n_rows: int,
     specs: Sequence[FeatureSpec],
     edges_by_feature: Mapping[str, np.ndarray],
 ) -> list[tuple[StateInterval, ...]]:
     """Abstract each row's series into state intervals, one feature at a time.
 
-    Each feature's (row, wave, value) cells are gathered into arrays, coded
-    with one ``_level_codes`` call, and split into runs where the row or the
-    level changes or a wave is skipped.  Only one feature's cells are held at
-    a time.  A row's intervals come in ``specs`` order, each feature's by wave.
+    ``columns`` maps feature names to ``ingest.Column``s.  Each feature's
+    column is coded with one ``_level_codes`` call (over its distinct values
+    when it has a category table) and split into runs where the row or the
+    level changes or a wave is skipped.  A row's intervals come in ``specs``
+    order, each feature's by wave.
     """
     run_rows, run_labels, run_starts, run_ends = [], [], [], []
     labels: list[tuple[str, str]] = []  # (feature, level) per label code
     unlisted = []  # (row, spec index, value) of each feature's first unlisted category
     for spec_index, spec in enumerate(specs):
         name = spec.name
-        waves: list[int] = []
-        values: list = []
-        cell_rows: list[int] = []
-        counts: list[int] = []
-        for r, by_feature in enumerate(rows):
-            series = by_feature.get(name)
-            if series:
-                waves.extend(series)
-                values.extend(series.values())
-                cell_rows.append(r)
-                counts.append(len(series))
-        if not waves:
+        column = columns.get(name)
+        if column is None:
             continue
-        row = np.repeat(np.asarray(cell_rows, dtype=np.intp), counts)
-        wave = np.asarray(waves, dtype=np.int64)
-        codes = _level_codes(spec, values, edges_by_feature.get(name))
-        if np.any((wave[1:] <= wave[:-1]) & (row[1:] == row[:-1])):
-            order = np.lexsort((wave, row))
-            row, wave, codes = row[order], wave[order], codes[order]
+        row, wave = column.row, column.wave
+        edges = edges_by_feature.get(name)
+        if column.categories is None:
+            codes = _level_codes(spec, column.values, edges)
         else:
-            order = None
+            codes = _level_codes(spec, column.categories, edges)[column.values]
         bad = np.flatnonzero(codes < 0)
         if bad.size:
             first = int(bad[0])
-            value = values[first if order is None else order[first]]
-            unlisted.append((int(row[first]), spec_index, value))
+            unlisted.append((int(row[first]), spec_index, column.value(first)))
             continue
         brk = np.ones(len(wave), dtype=bool)
         brk[1:] = (row[1:] != row[:-1]) | (codes[1:] != codes[:-1]) | (wave[1:] != wave[:-1] + 1)
@@ -235,13 +229,13 @@ def _intervals_by_row(
         _row, spec_index, value = min(unlisted, key=lambda u: u[:2])
         raise _unlisted(specs[spec_index], value)
     if not run_rows:
-        return [() for _ in rows]
+        return [() for _ in range(n_rows)]
     run_row = np.concatenate(run_rows)
     order = np.argsort(run_row, kind="stable")
     label = np.concatenate(run_labels)[order]
     features = np.array([f for f, _ in labels], dtype=object)[label].tolist()
     levels = np.array([lv for _, lv in labels], dtype=object)[label].tolist()
-    bounds = np.cumsum(np.bincount(run_row, minlength=len(rows))).tolist()
+    bounds = np.cumsum(np.bincount(run_row, minlength=n_rows)).tolist()
     # tuple.__new__ builds each StateInterval without the Python-level __new__
     intervals = list(
         map(
@@ -268,7 +262,10 @@ def build_intervals(
     Maximal runs of the same level over consecutive waves become one interval;
     a gap in observation breaks the run even if the level matches.
     """
-    return list(_intervals_by_row([values], specs, edges_by_feature or {})[0])
+    from .ingest import series_columns
+
+    columns = series_columns([values], specs)
+    return list(_intervals_by_row(columns, 1, specs, edges_by_feature or {})[0])
 
 
 def fit_cohort_edges(cohort, specs: Sequence[FeatureSpec]):
@@ -283,11 +280,11 @@ def fit_cohort_edges(cohort, specs: Sequence[FeatureSpec]):
         if not spec.rule.needs_fit:
             usable.append(spec)
             continue
-        pooled = [
-            v
-            for patient in cohort.patients
-            for v in patient.values.get(spec.name, {}).values()
-        ]
+        column = cohort.columns.get(spec.name)
+        if column is None:
+            pooled = []
+        else:
+            pooled = column.values if column.categories is None else column.raw()
         try:
             edges[spec.name] = fit_percentiles(pooled, spec.rule.bounds)
         except FitError as exc:
@@ -305,15 +302,17 @@ def abstract_cohort(cohort, specs: Sequence[FeatureSpec]):
     severities = {
         spec.name: {lv.name: lv.severity for lv in spec.levels} for spec in usable
     }
-    by_row = _intervals_by_row([record.values for record in cohort.patients], usable, edges)
+    by_row = _intervals_by_row(cohort.columns, len(cohort.patient_ids), usable, edges)
     patients = tuple(
         PatientIntervals(
-            patient_id=record.patient_id,
-            time=record.outcome.time,
-            event=record.outcome.event,
+            patient_id=patient_id,
+            time=outcome.time,
+            event=outcome.event,
             intervals=intervals,
         )
-        for record, intervals in zip(cohort.patients, by_row)
+        for patient_id, outcome, intervals in zip(
+            cohort.patient_ids, cohort.patient_outcomes, by_row
+        )
     )
     fitted = {name: [float(e) for e in arr] for name, arr in edges.items()}
     return CohortIntervals(

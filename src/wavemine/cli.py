@@ -32,7 +32,7 @@ from .encoding import (
     read_intervals_json,
     write_intervals_json,
 )
-from .errors import ConfigError, MatrixFormatError, WaveMineError
+from .errors import ConfigError, MatrixFormatError, WaveMineError, typed_setting
 from .ingest import carry_forward, parse_cohort, parse_outcomes, write_cohort_csv, write_outcomes_csv
 from .matrix import (
     build_matrix,
@@ -104,15 +104,15 @@ def _mine_config_payload(config: MinerConfig) -> dict:
             "max_length": config.max_length, "workers": config.workers}
 
 
-def _patterns_payload(results, config: MinerConfig, doc: CohortIntervals, sequences):
+def _patterns_payload(results, config: MinerConfig, doc: CohortIntervals):
     # deliberately excludes runtime knobs (workers): the artifact is identical
     # for any degree of parallelism
     config_payload = _mine_config_payload(config)
     del config_payload["workers"]
     return {
         "config": config_payload,
-        "total_patients": len(sequences),
-        "total_events": sum(1 for s in sequences if s.event),
+        "total_patients": len(doc.patients),
+        "total_events": sum(1 for p in doc.patients if p.event),
         "levels": {f: dict(by) for f, by in sorted(doc.levels.items())},
         "patterns": [
             {
@@ -182,29 +182,18 @@ def _effective(args, defaults: dict) -> dict:
     return out
 
 
-def _typed(convert, name: str, value):
-    """``convert(value)``, or a ConfigError naming the setting; an int takes no fraction."""
-    try:
-        out = convert(value)
-        if convert is int and isinstance(value, float) and out != value:
-            raise ValueError
-        return out
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name}: cannot read {value!r} as {convert.__name__}") from None
-
-
 def _miner_config(eff: dict) -> MinerConfig:
     measure = eff["measure"]
     if measure not in ("rr", "or"):
         raise ConfigError(f"measure must be rr or or, got {measure!r}")
     max_length = eff["max_length"]
     return MinerConfig(
-        minsup=_typed(float, "minsup", eff["minsup"]),
+        minsup=typed_setting(float, "minsup", eff["minsup"]),
         minsup_scope=eff["minsup_scope"],
-        risk_sup=_typed(float, "risk_threshold", eff["risk_threshold"]),
+        risk_sup=typed_setting(float, "risk_threshold", eff["risk_threshold"]),
         measure={"rr": "relative_risk", "or": "odds_ratio"}[measure],
-        max_length=None if max_length is None else _typed(int, "max_length", max_length),
-        workers=_typed(int, "workers", eff["workers"]),
+        max_length=None if max_length is None else typed_setting(int, "max_length", max_length),
+        workers=typed_setting(int, "workers", eff["workers"]),
     )
 
 
@@ -217,15 +206,15 @@ def _abstract_config(args) -> dict:
 
 
 def _eval_config(eff: dict) -> dict:
-    lam_grid = [_check_penalty(_typed(float, "lambda_grid", x))
+    lam_grid = [_check_penalty(typed_setting(float, "lambda_grid", x))
                 for x in str(eff["lambda_grid"]).split(",")]
-    k, seed = _typed(int, "k", eff["k"]), _typed(int, "seed", eff["seed"])
+    k, seed = typed_setting(int, "k", eff["k"]), typed_setting(int, "seed", eff["seed"])
     _check_folds(k, seed)
     return {"k": k, "seed": seed, "lambda_grid": lam_grid}
 
 
 def _render_config(eff: dict) -> dict:
-    return {"top": RenderSpec(max_patterns=_typed(int, "top", eff["top"])).max_patterns}
+    return {"top": RenderSpec(max_patterns=typed_setting(int, "top", eff["top"])).max_patterns}
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +288,19 @@ def _cmd_abstract(args) -> int:
     return 0
 
 
-def _mine_stage(doc: CohortIntervals, sequences, config: MinerConfig, out: Path):
-    results, stats = mine_with_stats(sequences, config)
-    _write_json(out, _patterns_payload(results, config, doc, sequences))
+def _mine_stage(doc: CohortIntervals, config: MinerConfig, out: Path):
+    results, stats = mine_with_stats(doc, config)
+    _write_json(out, _patterns_payload(results, config, doc))
     return results, stats
 
 
 def _cmd_mine(args) -> int:
     t0 = time.perf_counter()
     doc = _load_intervals(Path(args.intervals))
-    sequences = doc.sequences()
     config = _miner_config(_effective(args, MINE_DEFAULTS))
     load_time = time.perf_counter() - t0
     t1 = time.perf_counter()
-    results, stats = _mine_stage(doc, sequences, config, Path(args.out))
+    results, stats = _mine_stage(doc, config, Path(args.out))
     mine_time = time.perf_counter() - t1
     _run_manifest(
         Path(args.out + ".manifest.json"),
@@ -326,8 +314,8 @@ def _cmd_mine(args) -> int:
     return 0
 
 
-def _matrix_stage(results, sequences, outcomes, out: Path):
-    matrix = build_matrix(results, sequences, outcomes)
+def _matrix_stage(results, doc: CohortIntervals, out: Path):
+    matrix = build_matrix(results, doc.patients, doc.outcomes())
     with open(out, "w", encoding="utf-8", newline="") as fh:
         write_matrix_csv(matrix, fh)
     sidecar = sidecar_payload(matrix, results)
@@ -340,7 +328,7 @@ def _cmd_matrix(args) -> int:
     t0 = time.perf_counter()
     doc = _load_intervals(Path(args.intervals))
     results = _read_patterns(Path(args.patterns))[0]
-    matrix, _ = _matrix_stage(results, doc.sequences(), doc.outcomes(), Path(args.out))
+    matrix, _ = _matrix_stage(results, doc, Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "matrix",
@@ -453,15 +441,14 @@ def _cmd_pipeline(args) -> int:
 
     t0 = time.perf_counter()
     doc = _abstract_stage(args, out_dir / "intervals.json")
-    sequences = doc.sequences()
     timings["abstract"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    results, stats = _mine_stage(doc, sequences, config, out_dir / "patterns.json")
+    results, stats = _mine_stage(doc, config, out_dir / "patterns.json")
     timings["mining"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    matrix, sidecar = _matrix_stage(results, sequences, doc.outcomes(), out_dir / "matrix.csv")
+    matrix, sidecar = _matrix_stage(results, doc, out_dir / "matrix.csv")
     timings["matrix"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()

@@ -27,6 +27,22 @@ class ConfigError(WaveMineError):
     """Invalid feature or miner configuration."""
 
 
+def typed_setting(convert, name: str, value):
+    """``convert(value)``, or a ConfigError naming the setting.
+
+    A bool is not a number, and an int takes no fraction.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        out = convert(value)
+        if convert is int and isinstance(value, float) and out != value:
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: cannot read {value!r} as {convert.__name__}") from None
+
+
 class FitError(WaveMineError):
     """Percentile edges cannot be fitted (e.g. no values)."""
 

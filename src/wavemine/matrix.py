@@ -49,8 +49,9 @@ def build_matrix(
 
     The carriers are the miner's ``PatternResult.matched`` ids, so no pattern
     is searched for again; an id that names no sequence or repeats is
-    rejected.  Rows follow ``sequences``; column order follows the miner's
-    deterministic result order.  Column sums are checked against each
+    rejected.  Rows follow ``sequences``, of which only each ``patient_id`` is
+    read, so ``CohortIntervals.patients`` serve as well.  Column order follows
+    the miner's deterministic result order.  Column sums are checked against each
     pattern's reported a+b at build time.
     """
     missing = [s.patient_id for s in sequences if s.patient_id not in outcomes]

@@ -30,12 +30,17 @@ import math
 import multiprocessing
 from concurrent import futures
 from dataclasses import dataclass, field, fields
+from itertools import count
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .encoding import (
+    CohortIntervals,
     Endpoint,
     EndpointSequence,
     canonical_form,
+    encode,
     group_order,
     pair_endpoints,
     pattern_key,
@@ -258,22 +263,70 @@ class _Store:
     """Token-indexed view of the database: token = fl_id * 2 + is_finish.
 
     Integer token order is the endpoint order: (feature, level), Start first.
+    ``_Store(sequences)`` tokenises each sequence's pairs;
+    ``_Store.from_intervals(doc)`` builds the same store from the intervals.
     """
 
     def __init__(self, db: Sequence[EndpointSequence]):
-        self.fl_pairs = sorted({(f, lv) for s in db for f, lv, _, _ in s.pairs})
-        self.fl_index = fl_index = {p: i for i, p in enumerate(self.fl_pairs)}
-        self.patients: list[_PatientSeq] = []
-        for seq in db:
-            groups = [[] for _ in range(len(seq.groups))]
-            partner = {}
-            for feature, level, gs, ge in seq.pairs:
-                tok = fl_index[feature, level] * 2
-                groups[gs].append(tok)
-                groups[ge].append(tok + 1)
-                partner[gs, tok] = ge
-            groups = [tuple(sorted(g)) for g in groups]
-            self.patients.append(_PatientSeq(seq.patient_id, seq.event, groups, partner))
+        self._index({(f, lv) for s in db for f, lv, _, _ in s.pairs})
+        self.patients = [self._tokenised(seq) for seq in db]
+        self._count()
+
+    @classmethod
+    def from_intervals(cls, doc: CohortIntervals) -> "_Store":
+        """The store of ``doc``'s sequences, built from its intervals with no pairing sweep.
+
+        Normal levels are dropped and identical intervals collapse, as in
+        ``encode``.  Where each (feature, level)'s intervals have start <= end
+        and each starts after the previous one ends, every interval is a
+        Start token at its start wave and a Finish token at its end wave, and
+        the Start's partner is its own interval's end.  A patient with any
+        other intervals is encoded, so it pairs, or raises PairingError, as
+        its ``EndpointSequence`` does.
+        """
+        records = doc.patients
+        severity = doc.severity_of()
+        keys, row, kid, start, end = _shown_intervals(records, severity)
+        crossed = start > end  # or starting where the key's previous interval is still open
+        crossed[1:] |= (row[1:] == row[:-1]) & (kid[1:] == kid[:-1]) & (start[1:] <= end[:-1])
+        odd = sorted(set(row[crossed].tolist()))
+        encoded = {
+            r: encode(records[r].patient_id, records[r].intervals, severity, records[r].event)
+            for r in odd
+        }
+        plain = ~np.isin(row, odd)
+        row, kid, start, end = row[plain], kid[plain], start[plain], end[plain]
+
+        store = cls.__new__(cls)
+        store._index(
+            {keys[k] for k in np.flatnonzero(np.bincount(kid, minlength=len(keys))).tolist()}
+            | {(f, lv) for seq in encoded.values() for f, lv, _, _ in seq.pairs}
+        )
+        token = np.array([2 * store.fl_index.get(key, -1) for key in keys], dtype=np.intp)
+        groups, partners = _groups_and_partners(len(records), row, token[kid], start, end)
+        store.patients = [
+            store._tokenised(encoded[r]) if r in encoded
+            else _PatientSeq(p.patient_id, p.event, groups[r], partners[r])
+            for r, p in enumerate(records)
+        ]
+        store._count()
+        return store
+
+    def _index(self, fl_pairs) -> None:
+        self.fl_pairs = sorted(fl_pairs)
+        self.fl_index = {p: i for i, p in enumerate(self.fl_pairs)}
+
+    def _tokenised(self, seq: EndpointSequence) -> _PatientSeq:
+        groups = [[] for _ in range(len(seq.groups))]
+        partner = {}
+        for feature, level, gs, ge in seq.pairs:
+            tok = self.fl_index[feature, level] * 2
+            groups[gs].append(tok)
+            groups[ge].append(tok + 1)
+            partner[gs, tok] = ge
+        return _PatientSeq(seq.patient_id, seq.event, [tuple(sorted(g)) for g in groups], partner)
+
+    def _count(self) -> None:
         self.n = len(self.patients)
         self.n_events = sum(1 for p in self.patients if p.event)
 
@@ -286,6 +339,73 @@ class _Store:
         if fl is None:
             return None
         return fl * 2 + int(ep.is_finish)
+
+
+def _shown_intervals(records, severity):
+    """Each patient's distinct non-normal intervals, sorted by (row, feature, level, start, end).
+
+    Returns the sorted (feature, level) keys and, per interval, its row, its
+    key's index, and its start and end as ranks among the distinct waves:
+    order and equality are all the store needs of a wave.
+    """
+    flat = [iv for p in records for iv in p.intervals]
+    first_at: dict = {}  # interval -> position of its first copy
+    first = np.fromiter(map(first_at.setdefault, flat, count()), np.intp, len(flat))
+    distinct = sorted(first_at)
+    rank_at = np.empty(len(flat), dtype=np.intp)  # at a first copy: the interval's rank
+    rank_at[[first_at[iv] for iv in distinct]] = np.arange(len(distinct))
+    features, levels, starts, ends = zip(*distinct) if distinct else ((), (), (), ())
+    keys = sorted(set(zip(features, levels)))
+    key_id = {key: i for i, key in enumerate(keys)}
+    kid = np.array([key_id[key] for key in zip(features, levels)], dtype=np.intp)
+    shown = np.array(
+        [severity.get(key, "other") != "normal" for key in zip(features, levels)], dtype=bool
+    )
+    # one number per (row, distinct interval): sorted, each kept once
+    n = max(len(distinct), 1)
+    coded = np.repeat(np.arange(len(records)) * n, [len(p.intervals) for p in records])
+    coded = np.sort(coded + rank_at[first])
+    coded = coded[shown[coded % n] & np.append(True, coded[1:] != coded[:-1])]
+    rank = coded % n
+    waves = np.unique(np.asarray(starts + ends))
+    start = np.searchsorted(waves, np.asarray(starts))[rank]
+    end = np.searchsorted(waves, np.asarray(ends))[rank]
+    return keys, coded // n, kid[rank], start, end
+
+
+def _groups_and_partners(n_rows: int, row, start_token, start, end):
+    """Each row's token groups and partner map, from intervals sorted by row.
+
+    An interval puts ``start_token`` in the group of its start wave and the
+    Finish token after it in the group of its end wave (waves as non-negative
+    ranks); a row's groups are its distinct waves in order, each group's
+    tokens sorted.  A partner map takes (start group, Start token) to the
+    finish group.
+    """
+    m = row.size
+    n_waves = int(max(start.max(), end.max())) + 1 if m else 1
+    n_tokens = int(start_token.max()) + 2 if m else 2
+    # one number per endpoint, ordering endpoints by (row, wave, token)
+    ep_group = np.concatenate([row, row]) * n_waves + np.concatenate([start, end])
+    ep_key = ep_group * n_tokens + np.concatenate([start_token, start_token + 1])
+    order = np.argsort(ep_key)
+    ep_group = ep_group[order]
+    opens = np.ones(2 * m, dtype=bool)  # the endpoint opens a group
+    opens[1:] = ep_group[1:] != ep_group[:-1]
+    row_cuts = np.searchsorted(ep_group[opens] // n_waves, np.arange(n_rows + 1))
+    group_at = np.empty(2 * m, dtype=np.intp)  # each endpoint's group within its row
+    group_at[order] = np.cumsum(opens) - 1 - row_cuts[ep_group // n_waves]
+
+    tokens = tuple((ep_key[order] % n_tokens).tolist())
+    cuts = [*np.flatnonzero(opens).tolist(), 2 * m]
+    all_groups = [tokens[a:b] for a, b in zip(cuts, cuts[1:])]
+    row_cuts = row_cuts.tolist()
+    groups = [all_groups[a:b] for a, b in zip(row_cuts, row_cuts[1:])]
+    keys = list(zip(group_at[:m].tolist(), start_token.tolist()))
+    finish = group_at[m:].tolist()
+    cuts = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
+    partners = [dict(zip(keys[a:b], finish[a:b])) for a, b in zip(cuts, cuts[1:])]
+    return groups, partners
 
 
 def _group_key(tokens: Iterable[int]) -> tuple[int, ...]:
@@ -445,7 +565,11 @@ def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float
     return emitted, stats
 
 
-def _check_db(db: Sequence[EndpointSequence]) -> None:
+def _check_db(db) -> None:
+    """Reject an empty database, one without both outcomes, or one that repeats a patient id.
+
+    ``db`` holds anything with a ``patient_id`` and an ``event``.
+    """
     if not db:
         raise CohortValidationError("mining needs a non-empty database")
     events = sum(1 for s in db if s.event)
@@ -489,11 +613,18 @@ def _worker_branch(root):
 
 
 def mine_with_stats(
-    db: Sequence[EndpointSequence], config: MinerConfig
+    db: Sequence[EndpointSequence] | CohortIntervals, config: MinerConfig
 ) -> tuple[list[PatternResult], MiningStats]:
-    """Mine with ``config.workers`` processes and report the search counters."""
-    _check_db(db)
-    store = _Store(db)
+    """Mine with ``config.workers`` processes and report the search counters.
+
+    ``db`` is either the endpoint sequences or the intervals they encode; a
+    ``CohortIntervals`` gives the same results without building sequences.
+    """
+    if isinstance(db, CohortIntervals):
+        store = _Store.from_intervals(db)
+    else:
+        store = _Store(db)
+    _check_db(store.patients)
     stats = MiningStats()
     roots = _roots(store, config, stats)
     if config.workers == 1 or len(roots) <= 1:
@@ -515,7 +646,9 @@ def mine_with_stats(
     return _results(store, emitted), stats
 
 
-def mine(db: Sequence[EndpointSequence], config: MinerConfig) -> list[PatternResult]:
+def mine(
+    db: Sequence[EndpointSequence] | CohortIntervals, config: MinerConfig
+) -> list[PatternResult]:
     """All closed patterns reachable under the growth rules (see mine_with_stats)."""
     return mine_with_stats(db, config)[0]
 

@@ -22,8 +22,8 @@ from .encoding import (
     pair_endpoints,
     pattern_key,
 )
-from .errors import ConfigError, PairingError, UndefinedRiskError
-from .ingest import PatientRecord, RawCohort, SurvivalOutcome
+from .errors import ConfigError, PairingError, UndefinedRiskError, typed_setting
+from .ingest import Column, RawCohort, SurvivalOutcome
 from .miner import contains, counts_stats, relative_risk
 
 log = logging.getLogger(__name__)
@@ -179,23 +179,19 @@ def generate(config: SynthConfig):
         carrier_ids.append(carriers)
 
     ids = [f"S{idx + 1:04d}" for idx in range(n)]
-    fidx = {name: i for i, name in enumerate(feature_names)}
-    patients = []
-    for pidx in range(n):
-        horizon = int(times[pidx])
-        values = {
-            name: {wave: grid[fidx[name], pidx, wave - 1] for wave in range(1, horizon + 1)}
-            for name in feature_names
-        }
-        patients.append(
-            PatientRecord(
-                patient_id=ids[pidx],
-                values=values,
-                outcome=SurvivalOutcome(time=float(times[pidx]), event=bool(events[pidx])),
-            )
-        )
+    # each patient's cells run from wave 1 to its outcome wave, in every feature
+    row = np.repeat(np.arange(n), times)
+    wave = np.arange(row.size) - np.repeat(np.cumsum(times) - times, times) + 1
+    names = tuple(name for name, _ in config.levels)
+    code_of = {name: code for code, name in enumerate(names)}
+    columns = {}
+    for f, name in enumerate(feature_names):
+        levels = grid[f, row, wave - 1].tolist()
+        codes = np.fromiter(map(code_of.__getitem__, levels), np.intp, row.size)
+        columns[name] = Column(row, wave, codes, names)
+    outcomes = [SurvivalOutcome(time=float(t), event=bool(e)) for t, e in zip(times, events)]
     specs = _feature_specs(config)
-    cohort = RawCohort(wave_count=w, features=tuple(specs), patients=tuple(patients))
+    cohort = RawCohort.from_columns(w, specs, ids, outcomes, columns)
     manifest = _manifest(config, cohort, specs, carrier_ids, ids)
     return cohort, specs, manifest
 
@@ -288,10 +284,13 @@ def parse_synth_config(doc: dict) -> SynthConfig:
             for p in doc.get("planted", [])
         )
         kwargs = {
-            key: doc[key]
-            for key in ("patients", "waves", "features", "event_rate", "noise_rate", "seed", "normal_level")
-            if key in doc
+            key: doc[key] for key in ("event_rate", "noise_rate", "normal_level") if key in doc
         }
+        kwargs.update(
+            (key, typed_setting(int, key, doc[key]))
+            for key in ("patients", "waves", "features", "seed")
+            if key in doc
+        )
         if "levels" in doc:
             kwargs["levels"] = tuple((lv["name"], lv["severity"]) for lv in doc["levels"])
         return SynthConfig(planted=planted, **kwargs)

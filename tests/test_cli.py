@@ -303,6 +303,14 @@ _BAD_INPUTS = [
      f"pipeline {_COHORT} --features {{data}}/features.json --out-dir {{tmp}}/run --config {{bad}}"),
     ("config-max-length-fraction", {"max_length": 1.5},
      "mine --intervals {work}/intervals.json --out {tmp}/p.json --config {bad}"),
+    ("synth-config-seed-fraction", {"patients": 50, "seed": 2.7},
+     "synth --out-dir {tmp}/synth --config {bad}"),
+    ("synth-config-patients-fraction", {"patients": 50.5},
+     "synth --out-dir {tmp}/synth --config {bad}"),
+    ("synth-config-patients-bool", {"patients": True},
+     "synth --out-dir {tmp}/synth --config {bad}"),
+    ("config-workers-bool", {"workers": True},
+     "mine --intervals {work}/intervals.json --out {tmp}/p.json --config {bad}"),
 ]
 
 

@@ -4,7 +4,10 @@ import re
 
 import pytest
 
-from wavemine.abstraction import bmi_feature
+import reference_ingest as reference
+from wavemine.abstraction import (
+    AbstractionRule, FeatureSpec, Level, bmi_feature, percentile_feature,
+)
 from wavemine.errors import (
     CellConflictError,
     CohortParseError,
@@ -270,3 +273,146 @@ def test_carry_forward_matches_reference_fill():
             assert [list(s.items()) for s in got.values()] == [
                 list(s.items()) for s in expected.values()
             ]
+
+
+# --- the columnar ingest against the dict-based one it replaced
+
+SMOKER = FeatureSpec(
+    name="smoker",
+    kind="categorical",
+    rule=AbstractionRule(method="categorical", categories={"never": "no", "daily": "yes"}),
+    levels=(Level("no", "normal"), Level("yes", "high")),
+)
+MIXED = [bmi_feature(), percentile_feature("gait", kind="discrete"), SMOKER]
+
+
+def _random_csv(rng, patients, waves):
+    """Cohort and outcome CSV text: rows in any order, gaps, blank and padded cells,
+    series past the outcome wave, and patients with no rows."""
+    draws = {
+        "bmi": lambda: str(round(rng.uniform(15, 40), 1)),
+        "gait": lambda: rng.choice(["3", "7.5", "1e1", " 4 "]),
+        "smoker": lambda: rng.choice(["never", "daily", "weekly"]),
+    }
+    rows, outcome_rows = [], []
+    for i in range(patients):
+        pid = f"p{i:03d}"
+        outcome_rows.append(f"{pid},{rng.randint(1, waves)},{int(rng.random() < 0.4)}")
+        for feature, draw in draws.items():
+            if rng.random() < 0.25:
+                continue
+            for wave in range(1, waves + 1):
+                if rng.random() < 0.3:
+                    continue  # a gap
+                value = "" if rng.random() < 0.1 else draw()
+                pid_cell = f" {pid}" if rng.random() < 0.1 else pid
+                feature_cell = f"{feature} " if rng.random() < 0.1 else feature
+                rows.append(f"{pid_cell},{wave},{feature_cell},{value}")
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    else:  # mostly sorted, a few rows moved
+        for _ in range(rng.randint(0, 3)):
+            if rows:
+                rows.insert(rng.randrange(len(rows) + 1), rows.pop(rng.randrange(len(rows))))
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows)), "")  # a blank line still counts
+    cohort = "patient_id,wave,feature,value\n" + "".join(r + "\n" for r in rows)
+    return cohort, "patient_id,time,event\n" + "".join(r + "\n" for r in outcome_rows)
+
+
+def _in_order(records):
+    """Records with every feature and series as an ordered list, so order is compared too."""
+    return [
+        (r.patient_id, r.outcome, [(f, list(s.items())) for f, s in r.values.items()])
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_columnar_ingest_matches_dict_reference(seed):
+    rng = random.Random(seed)
+    waves = rng.randint(1, 7)
+    data, outcome_text = _random_csv(rng, rng.randint(0, 30), waves)
+    outcomes = parse_outcomes(io.StringIO(outcome_text))
+    wave_count = rng.choice([None, waves, waves + 2])
+    cohort = parse_cohort(io.StringIO(data), MIXED, outcomes, wave_count=wave_count)
+    ref_count, ref = reference.parse_cohort(io.StringIO(data), MIXED, outcomes, wave_count)
+    assert cohort.wave_count == ref_count
+    assert _in_order(cohort.patients) == _in_order(ref)
+    for clip in (True, False):
+        filled = carry_forward(cohort, clip_to_outcome=clip)
+        expected = reference.carry_forward(ref_count, ref, clip)
+        assert _in_order(filled.patients) == _in_order(expected)
+        assert filled == carry_forward(filled, clip_to_outcome=clip)
+
+
+def _first_fault(parse, data, outcomes, wave_count):
+    try:
+        parse(io.StringIO(data), MIXED, outcomes, wave_count)
+    except (CellConflictError, CohortParseError, CohortValidationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_columnar_ingest_reports_the_reference_fault(seed):
+    rng = random.Random(1000 + seed)
+    waves = rng.randint(2, 6)
+    data, outcome_text = _random_csv(rng, rng.randint(2, 12), waves)
+    outcomes = parse_outcomes(io.StringIO(outcome_text))
+    lines = data.splitlines()
+    faults = [
+        "p000,x,bmi,20", "p000,0,bmi,20", f"p000,{waves + 1},bmi,20", "p000,1,height,20",
+        "p000,1,bmi,abc", "p000,1,gait,nan", "p000,1,bmi", "p000,1,smoker,never,x",
+        "q9,1,smoker,daily",
+    ]
+    for _ in range(rng.randint(1, 3)):
+        if len(lines) > 1 and rng.random() < 0.4:
+            fault = rng.choice(lines[1:])  # a cell again, perhaps with another value
+            if fault and rng.random() < 0.5:
+                fault = fault.rsplit(",", 1)[0] + ",daily"
+        else:
+            fault = rng.choice(faults)
+        lines.insert(rng.randint(1, len(lines)), fault)
+    data = "\n".join(lines) + "\n"
+    wave_count = rng.choice([None, waves])
+    expected = _first_fault(reference.parse_cohort, data, outcomes, wave_count)
+    assert _first_fault(parse_cohort, data, outcomes, wave_count) == expected
+
+
+def test_earlier_duplicate_wins_over_later_bad_number():
+    head = "patient_id,wave,feature,value\np1,1,bmi,22\np1,2,bmi,23\n"
+    outcome = "patient_id,time,event\np1,2,0\n"
+    repeated = r"^line 4: duplicate cell \('p1', 'bmi', wave 1\)$"
+    with pytest.raises(CellConflictError, match=repeated):
+        _parse(head + "p1,1,bmi,24\np1,3,bmi,abc\n", outcome)
+    with pytest.raises(CohortParseError, match="^line 4: bad numeric value 'abc'"):
+        _parse(head + "p1,3,bmi,abc\np1,1,bmi,24\n", outcome)
+
+
+def test_feature_with_only_blank_cells_has_no_column():
+    cohort = _parse("patient_id,wave,feature,value\np1,1,bmi,\np1,2,bmi,\n",
+                    "patient_id,time,event\np1,2,0\n")
+    assert cohort.columns == {}
+    assert cohort.patients[0].values == {}
+
+
+def test_columns_are_coded_arrays():
+    cohort = _parse(
+        "patient_id,wave,feature,value\np2,2,bmi,31.0\np1,1,bmi,20.5\np2,1,bmi,\np2,1,bmi,19.0\n",
+        "patient_id,time,event\np1,2,1\np2,3,0\np3,1,0\n",
+    )
+    assert cohort.patient_ids == ("p1", "p2", "p3")
+    column = cohort.columns["bmi"]
+    assert column.row.tolist() == [0, 1, 1]
+    assert column.wave.tolist() == [1, 1, 2]
+    assert column.values.tolist() == [20.5, 19.0, 31.0]
+    assert column.categories is None
+
+
+def test_empty_series_leave_no_column():
+    record = PatientRecord("p1", {"bmi": {}}, SurvivalOutcome(2.0, False))
+    cohort = RawCohort(2, tuple(SPECS), (record,))
+    assert cohort.columns == {}
+    assert cohort.patients[0].values == {}
+    assert carry_forward(cohort).patients[0].values == {}

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import io
 import itertools
 import json
 import random
@@ -406,6 +407,112 @@ def test_each_sequence_is_paired_once(monkeypatch):
     results, stats = mine_with_stats(db, MinerConfig(minsup=0.1, risk_sup=0.1))
     assert results and stats.nodes > 0
     assert len(calls) == len(db)
+
+
+# ---------------------------------------------------------------------------
+# the store built from intervals
+
+
+def _store_view(store):
+    return (
+        store.fl_pairs, store.n, store.n_events,
+        [(p.patient_id, p.event, p.groups, p.partner) for p in store.patients],
+    )
+
+
+def _assert_same_store(doc):
+    """``_Store.from_intervals(doc)`` equals ``_Store(doc.sequences())``, or fails the same way."""
+    try:
+        expected = _store_view(_Store(doc.sequences()))
+    except PairingError as exc:
+        with pytest.raises(PairingError) as raised:
+            _Store.from_intervals(doc)
+        assert str(raised.value) == str(exc)
+        return "raises"
+    assert _store_view(_Store.from_intervals(doc)) == expected
+    return "pairs"
+
+
+def test_store_from_intervals_matches_sequences_on_seeded_cohorts():
+    from wavemine.abstraction import abstract_cohort
+
+    from test_abstraction import RANDOM_SPECS, _random_cohort
+
+    rng = random.Random(2024)  # the cohorts of test_abstract_cohort_matches_per_value_reference
+    cfg = MinerConfig(minsup=0.05, risk_sup=0.5)
+    for _trial in range(40):
+        cohort = _random_cohort(rng, patients=rng.randint(1, 60), waves=rng.randint(1, 8))
+        doc = abstract_cohort(cohort, RANDOM_SPECS)
+        assert _assert_same_store(doc) == "pairs"
+        events = {p.event for p in doc.patients}
+        if events == {True, False}:
+            got, stats = mine_with_stats(doc, cfg)
+            want, want_stats = mine_with_stats(doc.sequences(), cfg)
+            assert result_fingerprint(got) == result_fingerprint(want)
+            assert [r.matched for r in got] == [r.matched for r in want]
+            assert stats == want_stats
+
+
+def _intervals_doc(*patients, levels=None):
+    """A CohortIntervals read from intervals.json text: (id, event, intervals) per patient."""
+    from wavemine.encoding import read_intervals_json
+
+    payload = {
+        "wave_count": 6,
+        "levels": levels or {"A": {"hi": "high", "lo": "low", "ok": "normal"},
+                             "B": {"hi": "high", "ok": "normal"}},
+        "edges": {},
+        "patients": [
+            {"patient_id": pid, "time": 6.0, "event": int(event),
+             "intervals": [{"feature": f, "level": lv, "start": s, "end": e}
+                           for f, lv, s, e in intervals]}
+            for pid, event, intervals in patients
+        ],
+    }
+    return read_intervals_json(io.StringIO(json.dumps(payload)))
+
+
+_PLAIN = ("p0", True, [("A", "hi", 1, 2), ("B", "hi", 2, 4), ("A", "ok", 3, 6), ("A", "lo", 5, 5)])
+
+
+@pytest.mark.parametrize("intervals,outcome", [
+    pytest.param([("A", "hi", 1, 3), ("A", "hi", 2, 4)], "raises", id="overlapping"),
+    pytest.param([("A", "hi", 1, 3), ("A", "hi", 1, 5)], "raises", id="same-start"),
+    pytest.param([("A", "hi", 1, 4), ("A", "hi", 2, 3)], "raises", id="nested"),
+    pytest.param([("A", "hi", 1, 2), ("A", "hi", 2, 3)], "raises", id="abutting-at-a-wave"),
+    pytest.param([("A", "hi", 1, 2), ("A", "hi", 3, 4)], "pairs", id="abutting-waves"),
+    pytest.param([("A", "hi", 3, 1)], "raises", id="start-after-end"),
+    pytest.param([("A", "hi", 1, 2), ("A", "hi", 3, 2)], "raises", id="start-after-end-left-open"),
+    pytest.param([("A", "hi", 1, 4), ("A", "hi", 3, 2)], "pairs", id="start-after-end-repaired"),
+    pytest.param([("A", "hi", 1, 2), ("A", "hi", 1, 2), ("B", "hi", 2, 2)], "pairs",
+                 id="repeated"),
+    pytest.param([("A", "mid", 1, 2), ("C", "hi", 2, 3)], "pairs", id="level-not-in-levels"),
+    pytest.param([("A", "ok", 1, 6), ("B", "ok", 1, 3)], "pairs", id="all-normal"),
+    pytest.param([("A", "ok", 1, 2), ("A", "ok", 2, 3)], "pairs", id="normal-overlap-dropped"),
+    pytest.param([], "pairs", id="no-intervals"),
+])
+def test_store_from_intervals_matches_sequences_on_hostile_intervals(intervals, outcome):
+    doc = _intervals_doc(_PLAIN, ("p1", False, intervals), ("p2", False, _PLAIN[2]))
+    assert _assert_same_store(doc) == outcome
+    if outcome == "raises":  # the error names the patient
+        with pytest.raises(PairingError, match="^p1: "):
+            mine_with_stats(doc, MinerConfig())
+
+
+def test_store_from_intervals_reports_the_first_unpaired_patient():
+    bad = [("A", "hi", 1, 3), ("A", "hi", 2, 4)]
+    doc = _intervals_doc(_PLAIN, ("p1", False, [("B", "hi", 4, 2)]), ("p2", True, bad))
+    assert _assert_same_store(doc) == "raises"
+    with pytest.raises(PairingError, match="^p1: "):
+        _Store.from_intervals(doc)
+
+
+def test_mining_intervals_rejects_duplicate_patient_ids():
+    doc = _intervals_doc(_PLAIN, ("p1", False, _PLAIN[2]), ("p1", False, []))
+    assert _assert_same_store(doc) == "pairs"
+    for db in (doc, doc.sequences()):
+        with pytest.raises(CohortValidationError, match="duplicate patient ids"):
+            mine_with_stats(db, MinerConfig())
 
 
 def test_miner_config_validation():
