@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
@@ -31,12 +30,6 @@ class Endpoint(NamedTuple):
 
     def label(self) -> str:
         return f"{self.feature}={self.level}{'-' if self.is_finish else '+'}"
-
-
-# encoded sequences share one Endpoint per (feature, level, is_finish), and
-# one pair per (feature, level, start group, finish group)
-_endpoint = lru_cache(maxsize=4096)(Endpoint)
-_pair = lru_cache(maxsize=4096)(tuple)
 
 
 def group_order(ep: Endpoint):
@@ -65,7 +58,7 @@ class EndpointSequence:
             raise PairingError(f"{self.patient_id}: {exc}") from None
         if left_open:
             raise PairingError(f"{self.patient_id}: intervals never finished: {sorted(left_open)}")
-        object.__setattr__(self, "pairs", tuple(map(_pair, closed)))
+        object.__setattr__(self, "pairs", tuple(closed))
 
 
 def encode(
@@ -88,7 +81,7 @@ def encode(
         ends.add((iv.end, True, feature, level))
     # sorting (time, is_finish, feature, level) orders by time, then by group_order
     groups = tuple([
-        EndpointGroup(time, tuple([_endpoint(f, lv, fin) for _, fin, f, lv in block]))
+        EndpointGroup(time, tuple([Endpoint(f, lv, fin) for _, fin, f, lv in block]))
         for time, block in groupby(sorted(ends), key=itemgetter(0))
     ])
     return EndpointSequence(patient_id=patient_id, groups=groups, event=event)
@@ -250,24 +243,36 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
     stream.write("\n  ]\n}\n" if doc.patients else "]\n}\n")
 
 
+def _wave(pid, x) -> int:
+    """An interval wave: an int, or a float such as ``2.0`` that is one; never a bool."""
+    if type(x) is int or type(x) is float and x.is_integer():
+        return int(x)
+    raise MatrixFormatError(f"patient {pid!r}: interval waves must be integers, got {x!r}")
+
+
+def _patient_intervals(p) -> PatientIntervals:
+    """One patient's entry: event 0/1 or a bool, time finite and >= 1, integer waves."""
+    pid, time, event = p["patient_id"], p["time"], p["event"]
+    if type(event) not in (bool, int) or event not in (0, 1):
+        raise MatrixFormatError(f"patient {pid!r}: event must be 0/1 or a bool, got {event!r}")
+    if type(time) not in (int, float) or not (math.isfinite(time) and time >= 1):
+        raise MatrixFormatError(f"patient {pid!r}: time must be finite and >= 1, got {time!r}")
+    intervals = []
+    for iv in p["intervals"]:
+        start, end = iv["start"], iv["end"]
+        if type(start) is not int or type(end) is not int:
+            start, end = _wave(pid, start), _wave(pid, end)
+        intervals.append(StateInterval(iv["feature"], iv["level"], start, end))
+    return PatientIntervals(pid, float(time), bool(event), tuple(intervals))
+
+
 def read_intervals_json(stream: IO[str]) -> CohortIntervals:
     try:
         payload = json.load(stream)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"bad intervals JSON: {exc}") from None
     try:
-        patients = tuple(
-            PatientIntervals(
-                patient_id=p["patient_id"],
-                time=float(p["time"]),
-                event=bool(p["event"]),
-                intervals=tuple(
-                    StateInterval(iv["feature"], iv["level"], int(iv["start"]), int(iv["end"]))
-                    for iv in p["intervals"]
-                ),
-            )
-            for p in payload["patients"]
-        )
+        patients = tuple(map(_patient_intervals, payload["patients"]))
         levels = payload["levels"]
         if not isinstance(levels, dict) or not all(isinstance(by, dict) for by in levels.values()):
             raise MatrixFormatError(
@@ -279,5 +284,5 @@ def read_intervals_json(stream: IO[str]) -> CohortIntervals:
             patients=patients,
             edges=payload.get("edges") or None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: an int time
         raise MatrixFormatError(f"bad intervals JSON structure: {exc}") from None

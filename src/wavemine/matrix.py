@@ -48,16 +48,19 @@ def build_matrix(
     """Indicator matrix: cell(i, j) = 1 iff patient i carries pattern j.
 
     The carriers are the miner's ``PatternResult.matched`` ids, so no pattern
-    is searched for again; an id that names no sequence or repeats is
-    rejected.  Rows follow ``sequences``, of which only each ``patient_id`` is
-    read, so ``CohortIntervals.patients`` serve as well.  Column order follows
-    the miner's deterministic result order.  Column sums are checked against each
+    is searched for again; a matched id that names no row or repeats is
+    rejected, and so are two rows with one patient id.  Rows follow
+    ``sequences``, of which only each ``patient_id`` is read, so
+    ``CohortIntervals.patients`` serve as well.  Column order follows the
+    miner's deterministic result order.  Column sums are checked against each
     pattern's reported a+b at build time.
     """
     missing = [s.patient_id for s in sequences if s.patient_id not in outcomes]
     if missing:
         raise CohortValidationError(f"patients without an outcome: {sorted(missing)}")
     row_of = {s.patient_id: i for i, s in enumerate(sequences)}
+    if len(row_of) != len(sequences):
+        raise CohortValidationError("duplicate patient ids among the matrix rows")
     cells = np.zeros((len(sequences), len(patterns)), dtype=np.int8)
     for j, result in enumerate(patterns):
         rows = [row_of.get(pid) for pid in result.matched]

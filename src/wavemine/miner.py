@@ -238,11 +238,7 @@ def _embeds(pat: _PatientSeq, pgroups, closable: bool = False) -> bool:
 def contains(sequence: EndpointSequence, pattern) -> bool:
     """True iff the pattern embeds into the patient's endpoint sequence."""
     groups = pattern.groups if isinstance(pattern, TemporalPattern) else canonical_form(pattern)
-    store = _Store([sequence])
-    tgroups = [[store.token(ep) for ep in g] for g in groups]
-    if any(None in g for g in tgroups):
-        return False  # an endpoint the sequence never holds
-    return _embeds(store.patients[0], tgroups)
+    return bool(_Store([sequence]).carriers(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +335,13 @@ class _Store:
         if fl is None:
             return None
         return fl * 2 + int(ep.is_finish)
+
+    def carriers(self, groups) -> list[int]:
+        """Indices of the patients into which the pattern groups embed."""
+        tgroups = [[self.token(ep) for ep in g] for g in groups]
+        if any(None in g for g in tgroups):
+            return []  # an endpoint no patient holds
+        return [i for i, pat in enumerate(self.patients) if _embeds(pat, tgroups)]
 
 
 def _shown_intervals(records, severity):

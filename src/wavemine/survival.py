@@ -213,7 +213,11 @@ def rr_score(matrix: BinaryDesignMatrix, rr_by_key: Mapping[str, float]) -> np.n
 
 
 def make_folds(events: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Event-stratified fold assignment, reshuffled if a fold lacks an event."""
+    """Event-stratified folds: each outcome group is shuffled once and dealt round-robin.
+
+    Whatever the shuffle, every fold and its complement then hold an event iff
+    there are at least ``k`` events; fewer raise FoldError.
+    """
     _check_folds(k, seed)
     events = np.asarray(events, dtype=bool)
     n = events.shape[0]
@@ -221,20 +225,13 @@ def make_folds(events: np.ndarray, k: int, seed: int) -> np.ndarray:
         raise ConfigError(f"k must lie in [2, {n}], got {k}")
     n_events = int(events.sum())
     if k > n_events:
-        log.warning("k=%d exceeds the %d events; folds without events are likely", k, n_events)
+        raise FoldError(f"k={k} folds need at least {k} events, got {n_events}")
     rng = np.random.default_rng(seed)
-    for _attempt in range(5):
-        folds = np.empty(n, dtype=np.int64)
-        for group in (np.flatnonzero(events), np.flatnonzero(~events)):
-            shuffled = rng.permutation(group)
-            folds[shuffled] = np.arange(shuffled.size) % k
-        ok = all(
-            events[folds == f].any() and events[folds != f].any() for f in range(k)
-        )
-        if ok:
-            return folds
-        log.warning("fold %s lacked an event; reshuffling", _attempt)
-    raise FoldError("could not build folds with at least one event per fold")
+    folds = np.empty(n, dtype=np.int64)
+    for group in (np.flatnonzero(events), np.flatnonzero(~events)):
+        shuffled = rng.permutation(group)
+        folds[shuffled] = np.arange(shuffled.size) % k
+    return folds
 
 
 def cv_score_vector(

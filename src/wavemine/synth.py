@@ -4,7 +4,7 @@ Backgrounds draw each (patient, feature, wave) cell as the normal level,
 or, with probability ``noise_rate``, a uniformly chosen non-normal level.
 Planted patterns are injected into Bernoulli-sampled carriers at random
 admissible wave offsets; the manifest reports each pattern's true 2x2
-counts, recounted on the generated cohort via containment.
+counts, recounted on the generated cohort's intervals by the miner's store.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .encoding import (
 )
 from .errors import ConfigError, PairingError, UndefinedRiskError, typed_setting
 from .ingest import Column, RawCohort, SurvivalOutcome
-from .miner import contains, counts_stats, relative_risk
+from .miner import _Store, counts_stats, relative_risk
 
 log = logging.getLogger(__name__)
 
@@ -141,24 +141,27 @@ def generate(config: SynthConfig):
     rng = np.random.default_rng(config.seed)
     n, w = config.patients, config.waves
     feature_names = config.feature_names()
-    non_normal = [name for name, _ in config.levels if name != config.normal_level]
 
     events = rng.random(n) < config.event_rate
     times = np.where(events, rng.integers(1, w + 1, size=n), w).astype(np.int64)
 
-    # background level grid, (feature, patient, wave)
+    # background level grid of level codes, (feature, patient, wave)
+    names = tuple(name for name, _ in config.levels)
+    normal = names.index(config.normal_level)
+    non_normal = [code for code in range(len(names)) if code != normal]
     noisy = rng.random((config.features, n, w)) < config.noise_rate
     picks = rng.integers(0, max(len(non_normal), 1), size=(config.features, n, w))
-    grid = np.full((config.features, n, w), config.normal_level, dtype=object)
+    grid = np.full((config.features, n, w), normal, dtype=np.intp)
     if non_normal:
-        alt = np.array(non_normal, dtype=object)[picks]
+        alt = np.array(non_normal, dtype=np.intp)[picks]
         grid[noisy] = alt[noisy]
 
-    claimed: list[set[tuple[str, int]]] = [set() for _ in range(n)]
+    fidx = {name: i for i, name in enumerate(feature_names)}
+    claimed: list[set[tuple[int, int]]] = [set() for _ in range(n)]
     carrier_ids: list[list[int]] = []
     for pat in config.planted:
         k = len(pat.groups)
-        template = pat.intervals()
+        template = [(fidx[f], names.index(lv), gs, ge) for f, lv, gs, ge in pat.intervals()]
         carriers = []
         for pidx in range(n):
             frac = pat.frac_events if events[pidx] else pat.frac_nonevents
@@ -168,11 +171,7 @@ def generate(config: SynthConfig):
                 # keep the configured carrier fraction: give the carrier a
                 # horizon long enough to hold the pattern
                 times[pidx] = int(rng.integers(k, w + 1))
-            horizon = int(times[pidx])
-            placed = _inject(
-                rng, grid, claimed[pidx], template, k, horizon, pidx, feature_names, config
-            )
-            if placed:
+            if _inject(rng, grid[:, pidx], claimed[pidx], template, k, int(times[pidx]), normal):
                 carriers.append(pidx)
             else:
                 log.warning("could not place pattern %s for patient %d", pat.key(), pidx)
@@ -182,13 +181,10 @@ def generate(config: SynthConfig):
     # each patient's cells run from wave 1 to its outcome wave, in every feature
     row = np.repeat(np.arange(n), times)
     wave = np.arange(row.size) - np.repeat(np.cumsum(times) - times, times) + 1
-    names = tuple(name for name, _ in config.levels)
-    code_of = {name: code for code, name in enumerate(names)}
-    columns = {}
-    for f, name in enumerate(feature_names):
-        levels = grid[f, row, wave - 1].tolist()
-        codes = np.fromiter(map(code_of.__getitem__, levels), np.intp, row.size)
-        columns[name] = Column(row, wave, codes, names)
+    columns = {
+        name: Column(row, wave, grid[f, row, wave - 1], names)
+        for f, name in enumerate(feature_names)
+    }
     outcomes = [SurvivalOutcome(time=float(t), event=bool(e)) for t, e in zip(times, events)]
     specs = _feature_specs(config)
     cohort = RawCohort.from_columns(w, specs, ids, outcomes, columns)
@@ -196,28 +192,28 @@ def generate(config: SynthConfig):
     return cohort, specs, manifest
 
 
-def _inject(rng, grid, claimed, template, k, horizon, pidx, feature_names, config) -> bool:
-    fidx = {name: i for i, name in enumerate(feature_names)}
+def _inject(rng, cells_of, claimed, template, k, horizon, normal) -> bool:
+    """Write a (feature, code, start group, end group) template into unclaimed cells."""
     for _try in range(20):
         offsets = np.sort(rng.choice(horizon, size=k, replace=False)) + 1
-        cells: dict[tuple[str, int], str] = {}
-        for feature, level, gs, ge in template:
+        cells: dict[tuple[int, int], int] = {}
+        for f, code, gs, ge in template:
             for wave in range(int(offsets[gs]), int(offsets[ge]) + 1):
-                cells[(feature, wave)] = level
+                cells[(f, wave)] = code
         if any(cell in claimed for cell in cells):
             continue
         # protect interval boundaries from merging with equal background noise
         guards = set()
-        for feature, level, gs, ge in template:
+        for f, _code, gs, ge in template:
             for wave in (int(offsets[gs]) - 1, int(offsets[ge]) + 1):
-                if 1 <= wave <= horizon and (feature, wave) not in cells:
-                    guards.add((feature, wave))
+                if 1 <= wave <= horizon and (f, wave) not in cells:
+                    guards.add((f, wave))
         if any(cell in claimed for cell in guards):
             continue
-        for (feature, wave), level in cells.items():
-            grid[fidx[feature], pidx, wave - 1] = level
-        for feature, wave in guards:
-            grid[fidx[feature], pidx, wave - 1] = config.normal_level
+        for (f, wave), code in cells.items():
+            cells_of[f, wave - 1] = code
+        for f, wave in guards:
+            cells_of[f, wave - 1] = normal
         claimed.update(cells)
         claimed.update(guards)
         return True
@@ -225,19 +221,14 @@ def _inject(rng, grid, claimed, template, k, horizon, pidx, feature_names, confi
 
 
 def _manifest(config, cohort, specs, carrier_ids, ids):
-    doc = abstract_cohort(cohort, specs)
-    sequences = doc.sequences()
-    n = len(sequences)
-    n_events = sum(1 for s in sequences if s.event)
+    store = _Store.from_intervals(abstract_cohort(cohort, specs))
+    n, n_events = store.n, store.n_events
     entries = []
     for pat, planted_carriers in zip(config.planted, carrier_ids):
-        matched = [s.patient_id for s in sequences if contains(s, pat.groups)]
-        matched_set = set(matched)
-        a = sum(1 for s in sequences if s.event and s.patient_id in matched_set)
-        ab = len(matched)
-        b, c = ab - a, n_events - a
-        d = n - ab - c
-        stats = counts_stats(a, b, c, d)
+        matched = [store.patients[i] for i in store.carriers(pat.groups)]
+        a = sum(1 for p in matched if p.event)
+        b, c = len(matched) - a, n_events - a
+        stats = counts_stats(a, b, c, n - a - b - c)
         try:
             rr = relative_risk(stats)
         except UndefinedRiskError:
@@ -251,12 +242,12 @@ def _manifest(config, cohort, specs, carrier_ids, ids):
                 "a": a,
                 "b": b,
                 "c": c,
-                "d": d,
+                "d": stats.d,
                 "rr": rr,
                 "support_pop": stats.support_pop,
                 "support_event": stats.support_event,
                 "planted_carrier_ids": [ids[i] for i in planted_carriers],
-                "matched_ids": sorted(matched),
+                "matched_ids": sorted(p.patient_id for p in matched),
             }
         )
     return {

@@ -232,6 +232,19 @@ def _intervals_with_levels(levels):
     ]}
 
 
+def _intervals_repeating_p1():
+    """Intervals that list patient p1 twice, plus one pattern that p1 carries.
+
+    The one file serves as ``--intervals`` and as ``--patterns``: each reader
+    ignores the other's keys.
+    """
+    doc = _intervals_with_levels({"F01": {"H": "high"}})
+    doc["patients"].append(doc["patients"][0])
+    patterns = _patterns_with_groups([[{**_F01_H_FINISH, "kind": "start"}], [_F01_H_FINISH]])
+    patterns["patterns"][0]["matched_patient_ids"] = ["p1"]
+    return {**doc, **patterns}
+
+
 # (id, JSON written to {bad} or None, command line)
 _BAD_INPUTS = [
     ("missing-file", None, "mine --intervals {tmp}/nope.json --out {tmp}/out.json"),
@@ -311,6 +324,8 @@ _BAD_INPUTS = [
      "synth --out-dir {tmp}/synth --config {bad}"),
     ("config-workers-bool", {"workers": True},
      "mine --intervals {work}/intervals.json --out {tmp}/p.json --config {bad}"),
+    ("matrix-intervals-repeated-patient", _intervals_repeating_p1(),
+     "matrix --intervals {bad} --patterns {bad} --out {tmp}/m.csv"),
 ]
 
 

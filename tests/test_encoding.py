@@ -217,6 +217,66 @@ def test_intervals_json_round_trip():
         read_intervals_json(io.StringIO('{"wave_count": 3}'))
 
 
+_GOOD_PATIENT = {
+    "patient_id": "p7",
+    "time": 4.0,
+    "event": 1,
+    "intervals": [{"feature": "A", "level": "x", "start": 1, "end": 2}],
+}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("event", "0"),
+    ("event", 2),
+    ("start", 1.7),
+    ("end", True),
+    ("time", "nan"),
+    ("time", -5),
+], ids=["event-string", "event-two", "wave-fraction", "wave-bool", "time-string", "time-negative"])
+def test_read_intervals_json_rejects_bad_patient_fields(field, value):
+    import io
+    import json
+
+    from wavemine.encoding import read_intervals_json
+    from wavemine.errors import MatrixFormatError
+
+    patient = json.loads(json.dumps(_GOOD_PATIENT))
+    if field in ("start", "end"):
+        patient["intervals"][0][field] = value
+    else:
+        patient[field] = value
+    doc = {"wave_count": 4, "levels": {"A": {"x": "high"}}, "patients": [patient]}
+    with pytest.raises(MatrixFormatError, match="patient 'p7'"):
+        read_intervals_json(io.StringIO(json.dumps(doc)))
+
+
+def test_read_intervals_json_rejects_a_time_beyond_float_range():
+    import io
+    import json
+
+    from wavemine.encoding import read_intervals_json
+    from wavemine.errors import MatrixFormatError
+
+    doc = {"wave_count": 4, "levels": {}, "patients": [{**_GOOD_PATIENT, "time": 10**400}]}
+    with pytest.raises(MatrixFormatError, match="too large"):
+        read_intervals_json(io.StringIO(json.dumps(doc)))
+
+
+def test_read_intervals_json_accepts_bools_and_integral_float_waves():
+    import io
+    import json
+
+    from wavemine.encoding import read_intervals_json
+
+    patient = {**_GOOD_PATIENT, "time": 4, "event": False,
+               "intervals": [{"feature": "A", "level": "x", "start": 1.0, "end": 2}]}
+    doc = {"wave_count": 4, "levels": {"A": {"x": "high"}}, "patients": [patient]}
+    (back,) = read_intervals_json(io.StringIO(json.dumps(doc))).patients
+    assert (back.time, back.event) == (4.0, False)
+    assert back.intervals == (StateInterval("A", "x", 1, 2),)
+    assert type(back.intervals[0].start) is int
+
+
 def _reference_intervals_json(doc) -> str:
     """``intervals.json`` as ``json.dump(payload, indent=2)`` writes it: the fixed layout."""
     import json

@@ -2,7 +2,9 @@
 
 The digests were recorded from a run of the same inputs before the columnar
 front end (numpy abstraction, template-written ``intervals.json``) replaced
-the per-value one, so any change to an artifact's bytes fails here.
+the per-value one, so any change to an artifact's bytes fails here.  The
+synth files the cohort starts from are pinned as well: they are the
+benchmark's inputs, and their ``manifest.json`` is the planted ground truth.
 ``report.json`` is left to the tolerance tests: its coefficients depend on
 floating-point summation order, which BLAS may change across machines.
 The miner's five search counters are pinned too, so a change that keeps
@@ -42,9 +44,21 @@ GOLDEN = {
 
 MINING = {"nodes": 42, "candidates": 306, "emitted": 5, "duplicates": 0, "undefined_risk": 0}
 
+# synth's own files for the 400-patient config, before the BMI rows are added
+SYNTH_GOLDEN = {
+    "cohort.csv": "c8780585fbe3dcf50943da4f27994713b881ca6b0c64b6062282f82b030be5ea",
+    "outcomes.csv": "04b351d4749623872b5283d28225b8256f5dd22e97f383d3775d24e2161e0604",
+    "features.json": "262d2662fbec5d726a373a4683833456162bb93666c842bb8824836a8e218e4c",
+    "manifest.json": "284bd4b8a229fa65f56410a0bc8bf5b1e5f18f86ec5ef10711020adcd1a2ff22",
+}
 
-def _cohort(tmp_path):
-    """A 400-patient synth cohort plus a BMI cutoff feature with blank cells."""
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
+def _synth(tmp_path):
+    """A 400-patient synth cohort with one planted pattern."""
     config = {
         "patients": 400,
         "waves": 5,
@@ -64,6 +78,12 @@ def _cohort(tmp_path):
     (tmp_path / "synth.json").write_text(json.dumps(config), encoding="utf-8")
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--config", str(tmp_path / "synth.json")]) == 0
+    return data
+
+
+def _cohort(tmp_path):
+    """The synth cohort plus a BMI cutoff feature with blank cells."""
+    data = _synth(tmp_path)
     rng = random.Random(21)
     rows = []
     for line in (data / "outcomes.csv").read_text(encoding="utf-8").splitlines()[1:]:
@@ -91,9 +111,10 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path):
         "--out-dir", str(out),
         "--minsup", "0.02", "--risk-threshold", "0.8", "--workers", "1", "--seed", "0",
     ]) == 0
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN
-    }
-    assert digests == GOLDEN
+    assert _digests(out, GOLDEN) == GOLDEN
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["metrics"]["mining"] == MINING
+
+
+def test_synth_files_match_golden_digests(tmp_path):
+    assert _digests(_synth(tmp_path), SYNTH_GOLDEN) == SYNTH_GOLDEN

@@ -36,6 +36,12 @@ def _toy():
     return db, outcomes, results
 
 
+def test_build_matrix_rejects_repeated_patient_rows():
+    db, outcomes, results = _toy()
+    with pytest.raises(CohortValidationError, match="duplicate patient ids"):
+        build_matrix(results, [*db, db[0]], outcomes)
+
+
 def test_build_matrix_matches_miner_counts():
     db, outcomes, results = _toy()
     matrix = build_matrix(results, db, outcomes)

@@ -503,10 +503,20 @@ def test_cross_validate_rejects_zero_columns():
         cross_validate(matrix, k=2, seed=0)
 
 
-def test_folds_error_when_events_fewer_than_k():
+def test_folds_error_when_events_fewer_than_k(caplog):
+    # round-robin dealing gives every shuffle the same per-fold event counts,
+    # so too few events fail on the first draw, with no reshuffle to log
     events = np.array([True, True, False, False, False, False])
-    with pytest.raises(FoldError):
-        make_folds(events, 4, seed=0)
+    with caplog.at_level("WARNING", logger="wavemine.survival"):
+        with pytest.raises(FoldError, match="k=4 folds need at least 4 events, got 2"):
+            make_folds(events, 4, seed=0)
+    assert caplog.records == []
+
+
+def test_folds_are_dealt_round_robin_from_one_shuffle():
+    # recorded when make_folds still reshuffled: an accepted call's one draw is unchanged
+    events = np.array([1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1], dtype=bool)
+    assert make_folds(events, 3, seed=7).tolist() == [1, 1, 0, 0, 0, 0, 1, 2, 1, 0, 2, 2]
 
 
 def test_leave_one_out_no_censoring_defined():
