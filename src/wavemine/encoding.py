@@ -210,8 +210,15 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
 
     The layout is fixed, so the header goes through ``json`` and each patient
     and interval is written from a template, one patient at a time.  Strings
-    are escaped by ``json`` itself.
+    are escaped by ``json`` itself.  What ``read_intervals_json`` would refuse
+    raises its ``MatrixFormatError``: a bad event or time before anything is
+    written, and a wave that is no integer (a bool, or a float such as 1.5)
+    before its patient is written.  Int waves need no check, and a pass over
+    every wave before writing would cost about a fifth of the writer, so the
+    waves are checked in the branch that already handles the other kinds.
     """
+    for p in doc.patients:
+        _check_outcome(p.patient_id, p.time, p.event)
     header = json.dumps(
         {
             "wave_count": doc.wave_count,
@@ -231,6 +238,8 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
                 if text is None:
                     text = texts[iv] = _interval_text(iv)
             else:  # 2.0 == 2, so a float wave must not share an int wave's text
+                _wave(p.patient_id, iv.start)
+                _wave(p.patient_id, iv.end)
                 text = _interval_text(iv)
             lines.append(text)
         intervals = "[\n" + ",\n".join(lines) + "\n      ]" if lines else "[]"
@@ -250,13 +259,18 @@ def _wave(pid, x) -> int:
     raise MatrixFormatError(f"patient {pid!r}: interval waves must be integers, got {x!r}")
 
 
-def _patient_intervals(p) -> PatientIntervals:
-    """One patient's entry: event 0/1 or a bool, time finite and >= 1, integer waves."""
-    pid, time, event = p["patient_id"], p["time"], p["event"]
+def _check_outcome(pid, time, event) -> None:
+    """Event 0/1 or a bool, time an int or float that is finite and >= 1."""
     if type(event) not in (bool, int) or event not in (0, 1):
         raise MatrixFormatError(f"patient {pid!r}: event must be 0/1 or a bool, got {event!r}")
     if type(time) not in (int, float) or not (math.isfinite(time) and time >= 1):
         raise MatrixFormatError(f"patient {pid!r}: time must be finite and >= 1, got {time!r}")
+
+
+def _patient_intervals(p) -> PatientIntervals:
+    """One patient's entry: event 0/1 or a bool, time finite and >= 1, integer waves."""
+    pid, time, event = p["patient_id"], p["time"], p["event"]
+    _check_outcome(pid, time, event)
     intervals = []
     for iv in p["intervals"]:
         start, end = iv["start"], iv["end"]

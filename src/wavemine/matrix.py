@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -93,13 +94,33 @@ def _column_names(width: int) -> list[str]:
 
 
 def write_matrix_csv(matrix: BinaryDesignMatrix, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    names = _column_names(len(matrix.pattern_keys))
-    writer.writerow(["patient_id", "time", "event", *names])
-    for i, pid in enumerate(matrix.patient_ids):
-        writer.writerow(
-            [pid, repr(float(matrix.times[i])), int(matrix.events[i]), *matrix.cells[i].tolist()]
-        )
+    """Write the header and one ``patient_id,time,event,cells...`` row per patient.
+
+    ``csv`` quotes the header and each row's id, time and event prefix (one
+    ``write`` per row, so each prefix arrives whole).  The 0/1 cells never
+    need quoting: their ``,0,1,...`` text is laid out for all rows at once as
+    one byte array.
+    """
+    cells = matrix.cells
+    if ((cells != 0) & (cells != 1)).any():
+        raise MatrixFormatError("indicator cells must be 0 or 1")
+    n, p = cells.shape
+    csv.writer(stream, lineterminator="\n").writerow(
+        ["patient_id", "time", "event", *_column_names(p)]
+    )
+    times = map(repr, matrix.times.astype(float).tolist())
+    prefixes: list[str] = []
+    csv.writer(SimpleNamespace(write=prefixes.append), lineterminator="\n").writerows(
+        zip(matrix.patient_ids, times, matrix.events.astype(int).tolist())
+    )
+    width = 2 * p + 1
+    text = np.full((n, width), ord(","), dtype=np.uint8)
+    text[:, 1::2] = cells + ord("0")
+    text[:, -1] = ord("\n")
+    rows = text.tobytes().decode("ascii")
+    stream.write(
+        "".join(prefix[:-1] + rows[i * width:(i + 1) * width] for i, prefix in enumerate(prefixes))
+    )
 
 
 def sidecar_payload(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,8 +12,9 @@ from wavemine.encoding import (
     groups_from_payload,
     groups_to_payload,
     pattern_key,
+    read_intervals_json,
 )
-from wavemine.errors import PairingError
+from wavemine.errors import MatrixFormatError, PairingError
 
 from util import ep
 
@@ -328,8 +330,12 @@ def _writer_cases():
         ),
         edges={"é\"": [0.1 + 0.2, 1e-300, 123456789.12345678], "b": [1, 2.0]},
     )
+    valid_times = tuple(
+        dataclasses.replace(p, time=1.1) if p.time < 1 else p for p in odd.patients
+    )
     return {
         "odd strings, int and float times": odd,
+        "odd strings, valid times": dataclasses.replace(odd, patients=valid_times),
         "patient without intervals": CohortIntervals(
             3, {"A": {"x": "high"}}, (PatientIntervals("p1", 2.0, False, ()),), {}
         ),
@@ -340,6 +346,16 @@ def _writer_cases():
                 StateInterval("A", "x", 1, 2),
                 StateInterval("A", "x", 1.0, 2.0),
                 StateInterval("A", "x", True, 2),
+                StateInterval("A", "x", 1, 2),
+            )),),
+            {},
+        ),
+        "float waves": CohortIntervals(
+            4,
+            {"A": {"x": "high"}},
+            (PatientIntervals("p1", 3.0, True, (
+                StateInterval("A", "x", 1, 2),
+                StateInterval("A", "x", 1.0, 2.0),
                 StateInterval("A", "x", 1, 2),
             )),),
             {},
@@ -363,6 +379,15 @@ def _writer_cases():
     }
 
 
+# cases the reader refuses: the writer raises its error naming the patient, a
+# bad time before anything is written, a bad wave before its patient is written
+_REFUSED = {
+    "odd strings, int and float times": "'tab\\there': time must be finite and >= 1, got 0.1",
+    "float and bool waves": "'p1': interval waves must be integers, got True",
+    "nan time": "'p1': time must be finite and >= 1, got nan",
+}
+
+
 @pytest.mark.parametrize("name", list(_writer_cases()))
 def test_intervals_json_writer_matches_json_dump(name):
     import io
@@ -371,5 +396,14 @@ def test_intervals_json_writer_matches_json_dump(name):
 
     doc = _writer_cases()[name]
     buf = io.StringIO()
+    if name in _REFUSED:
+        with pytest.raises(MatrixFormatError) as err:
+            write_intervals_json(doc, buf)
+        assert str(err.value) == "patient " + _REFUSED[name]
+        assert '"patient_id": "p1"' not in buf.getvalue()
+        if "time" in _REFUSED[name]:
+            assert buf.getvalue() == ""
+        return
     write_intervals_json(doc, buf)
     assert buf.getvalue() == _reference_intervals_json(doc)
+    assert len(read_intervals_json(io.StringIO(buf.getvalue())).patients) == len(doc.patients)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 
@@ -83,6 +84,44 @@ def test_matrix_csv_round_trip():
     db, outcomes, results = _toy()
     matrix = build_matrix(results, db, outcomes)
     assert _round_trip(matrix, results) == matrix
+
+
+def _reference_matrix_csv(matrix):
+    """The row-by-row ``csv.writer`` that ``write_matrix_csv`` must match byte for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["patient_id", "time", "event", *(f"P{j + 1}" for j in range(matrix.shape[1]))])
+    for i, pid in enumerate(matrix.patient_ids):
+        writer.writerow(
+            [pid, repr(float(matrix.times[i])), int(matrix.events[i]), *matrix.cells[i].tolist()]
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("width", [0, 1, 7])
+def test_matrix_csv_writer_matches_reference(width):
+    ids = ("plain", "com,ma", 'quo"te', "new\nline", "cr\rret", " lead", "", "naïve", "t\tab")
+    rng = np.random.default_rng(width)
+    matrix = BinaryDesignMatrix(
+        patient_ids=ids,
+        times=np.array([1.0, 2.5, 3.0000000000000004, 1e16, 7.0, 0.1, 2.0, 4.0, 5.0]),
+        events=rng.random(len(ids)) < 0.5,
+        pattern_keys=tuple(f"K{j}" for j in range(width)),
+        cells=rng.integers(0, 2, size=(len(ids), width)).astype(np.int8),
+    )
+    buf = io.StringIO()
+    write_matrix_csv(matrix, buf)
+    assert buf.getvalue() == _reference_matrix_csv(matrix)
+
+
+def test_matrix_csv_writer_rejects_non_indicator_cells():
+    db, outcomes, results = _toy()
+    matrix = build_matrix(results, db, outcomes)
+    bad = dataclasses.replace(matrix, cells=np.where(matrix.cells == 1, 10, 0).astype(np.int8))
+    buf = io.StringIO()
+    with pytest.raises(MatrixFormatError, match="0 or 1"):
+        write_matrix_csv(bad, buf)
+    assert buf.getvalue() == ""
 
 
 def test_empty_matrix_round_trip():

@@ -335,14 +335,20 @@ def _ref_fit_cox(X, times, events, lam, tol, max_iter):
     return CoxModel(beta, lam, converged, iterations, tuple(path))
 
 
-def _block_case(rng, binary, n, p):
+def _block_case(rng, kind, n, p):
     """Shuffled rows whose sorted time blocks cover every risk-set edge case."""
     times = rng.integers(1, 7, size=n).astype(float)
     events = rng.random(n) < 0.4
     times[:3], events[:3] = 0.0, False  # first block: censoring only
     times[3:6], events[3:6] = 7.0, True  # last block: events only
     times[6:10], events[6:10] = 3.0, [True, True, False, False]  # tied events and censored
-    X = rng.integers(0, 2, size=(n, p)) if binary else rng.normal(size=(n, p))
+    if kind == "binary":
+        X = rng.integers(0, 2, size=(n, p))
+    elif kind == "real":
+        X = rng.normal(size=(n, p))
+    else:  # about 5% dense, as a mined pattern matrix, with an all-zero row and column
+        X = (rng.random((n, p)) < 0.05).astype(int)
+        X[n // 2], X[:, p // 2] = 0, 0
     perm = rng.permutation(n)
     return X[perm].astype(float), times[perm], events[perm]
 
@@ -351,12 +357,15 @@ def _close(actual, expected, rtol):
     np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * np.abs(expected).max())
 
 
-@pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
-def test_block_gradient_and_hessian_match_reference(binary):
-    rng = np.random.default_rng(21 if binary else 22)
-    for _ in range(30):
-        n, p = int(rng.integers(12, 80)), int(rng.integers(1, 9))
-        X, times, events = _block_case(rng, binary, n, p)
+@pytest.mark.parametrize("kind", ["binary", "real", "sparse"])
+def test_block_gradient_and_hessian_match_reference(kind):
+    rng = np.random.default_rng({"binary": 21, "real": 22, "sparse": 24}[kind])
+    for case in range(30):
+        n = int(rng.integers(12, 80))
+        p = int(rng.integers(20, 40) if kind == "sparse" else rng.integers(1, 9))
+        X, times, events = _block_case(rng, kind, n, p)
+        if kind == "sparse" and case == 0:
+            X[:] = 0.0  # a fold with no nonzero cell
         beta = rng.normal(scale=0.5, size=p)
         lam = float(rng.choice([0.0, 0.1, 2.0]))
         risk = _RiskSets(X, times, events)
@@ -364,16 +373,22 @@ def test_block_gradient_and_hessian_match_reference(binary):
         ref_ll, ref_grad = _ref_objective(X, times, events, beta, lam)
         assert ll == pytest.approx(ref_ll, rel=1e-12)
         _close(grad, ref_grad, 1e-10)
-        _close(risk.hessian(*sums, lam), _ref_hessian(X, times, events, beta, lam), 1e-10)
+        hess = risk.hessian(*sums, lam)
+        _close(hess, _ref_hessian(X, times, events, beta, lam), 1e-10)
         public_ll, public_grad = cox_objective(X, times, events, beta, lam)
         assert public_ll == ll and np.array_equal(public_grad, grad)
+        if kind != "real":  # the matrix's own int8 cells give the float input's sums
+            int8 = _RiskSets(X.astype(np.int8), times, events)
+            int8_ll, int8_grad, int8_sums = int8.objective(beta, lam)
+            assert int8_ll == ll and np.array_equal(int8_grad, grad)
+            assert np.array_equal(int8.hessian(*int8_sums, lam), hess)
 
 
 def test_block_hessian_matches_finite_difference_of_gradient():
     rng = np.random.default_rng(23)
     h = 1e-5
-    for binary in (True, False):
-        X, times, events = _block_case(rng, binary, 60, 5)
+    for kind in ("binary", "real", "sparse"):
+        X, times, events = _block_case(rng, kind, 60, 5)
         beta, lam = rng.normal(scale=0.5, size=5), 0.3
         risk = _RiskSets(X, times, events)
         hess = risk.hessian(*risk.objective(beta, lam)[2], lam)
@@ -383,6 +398,13 @@ def test_block_hessian_matches_finite_difference_of_gradient():
             for e in np.eye(5)
         ])
         _close(hess, fd, 1e-6)
+
+
+def _dense(risk):
+    """The risk set's nonzero cells as the dense matrix they hold."""
+    X = np.zeros((risk.times.size, risk.p))
+    X[risk.rows, risk.cols] = risk.vals
+    return X
 
 
 def test_block_fit_matches_reference_fit_on_synth_cohort(tmp_path, monkeypatch):
@@ -406,7 +428,7 @@ def test_block_fit_matches_reference_fit_on_synth_cohort(tmp_path, monkeypatch):
         survival,
         "_fit_cox",
         lambda risk, lam, tol, max_iter: _ref_fit_cox(
-            risk.X, risk.times, risk.events, lam, tol, max_iter
+            _dense(risk), risk.times, risk.events, lam, tol, max_iter
         ),
     )
     ref = survival.cross_validate(matrix, k=5, seed=0)
@@ -495,6 +517,24 @@ def test_cross_validate_sorts_each_training_fold_once(monkeypatch):
     cv = cross_validate(matrix, k=5, seed=0, lam_grid=(0.1, 1.0, 10.0))
     assert built == [int((cv.folds != f).sum()) for f in range(5)]
     assert cv.fold_c == expected.fold_c and cv.chosen_lambda == expected.chosen_lambda
+
+
+def test_cross_validate_makes_no_dense_float_copy():
+    # 5000 x 140 cells at about 2% density, as a mined pattern matrix: a float
+    # copy of the cells is 5.6 MB, and each training fold's another 4.5 MB
+    rng = np.random.default_rng(12)
+    n, p = 5000, 140
+    cells = rng.random((n, p)) < 0.02
+    events = rng.random(n) < 0.15
+    times = np.where(events, rng.integers(1, 7, size=n), 6).astype(float)
+    matrix = _matrix(cells, times, events)
+    tracemalloc.start()
+    try:
+        cross_validate(matrix, k=5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_cross_validate_rejects_zero_columns():
