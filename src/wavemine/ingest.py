@@ -9,10 +9,11 @@ Input formats:
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import chain, islice, repeat
 from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -192,41 +193,27 @@ def parse_outcomes(stream: IO[str]) -> dict[str, SurvivalOutcome]:
     return out
 
 
-_ROW_SHIFT = 32  # a streamed cell's key is row << _ROW_SHIFT | wave
-_CHUNK = 1 << 16  # records streamed between moves of the cells into arrays
+_ROW_SHIFT = 32  # a cell's key is row << _ROW_SHIFT | wave
+_BLOCK = 1 << 18  # characters read at a time; a block is then completed to a whole line
+_WIDE = 64  # bytes: a block with a wider field is split by csv.reader
+_INT32_MAX = 2**31 - 1
+# _MASKS[n] keeps the first n bytes of a big-endian 8-byte word
+_MASKS = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], dtype=np.uint64)
 
 
 class _Cells:
-    """One feature's cells as the CSV streams them: key, value and line of each.
+    """One feature's cells as the CSV streams them: chunks of key, value and line arrays.
 
     A key packs the cell's row and wave, so keys order cells by (row, wave).
-    Cells collect in lists, which ``flush`` moves into arrays every chunk of
-    records.
+    Category codes are int32 until ``column`` widens them to intp.
     """
 
-    __slots__ = ("name", "categories", "keys", "values", "lines", "chunks")
+    __slots__ = ("name", "categories", "chunks")
 
     def __init__(self, name: str, numeric: bool):
         self.name = name
         self.categories: dict[str, int] | None = None if numeric else {}  # raw value -> code
-        self.keys: list[int] = []
-        self.values: list = []
-        self.lines: list[int] = []
         self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def appenders(self) -> tuple:
-        return (self.name, self.categories, self.keys.append, self.values.append,
-                self.lines.append)
-
-    def flush(self) -> None:
-        n = len(self.keys)
-        if n:
-            dtype = float if self.categories is None else np.intp
-            self.chunks.append((np.fromiter(self.keys, np.int64, n),
-                                np.fromiter(self.values, dtype, n),
-                                np.fromiter(self.lines, np.int64, n)))
-            for streamed in (self.keys, self.values, self.lines):
-                streamed.clear()  # in place: the appenders stay bound to these lists
 
     def column(self, ids: Sequence[str]) -> tuple[Column, tuple[int, str] | None]:
         """The cells as a Column, and the first line that repeats a cell with its message."""
@@ -234,10 +221,10 @@ class _Cells:
         if not np.all(key[1:] > key[:-1]):
             order = np.argsort(key, kind="stable")
             key, values, lines = key[order], values[order], lines[order]
-        column = Column(
-            key >> _ROW_SHIFT, key & ((1 << _ROW_SHIFT) - 1), values,
-            None if self.categories is None else tuple(self.categories),
-        )
+        categories = None
+        if self.categories is not None:
+            categories, values = tuple(self.categories), values.astype(np.intp)
+        column = Column(key >> _ROW_SHIFT, key & ((1 << _ROW_SHIFT) - 1), values, categories)
         repeats = np.flatnonzero(key[1:] == key[:-1]) + 1
         if not repeats.size:
             return column, None
@@ -252,7 +239,6 @@ def _columns(cells: Mapping[str, _Cells], ids: Sequence[str]) -> dict[str, Colum
     """Each feature's Column; a repeated cell raises the error of the earliest such line."""
     columns, repeats = {}, []
     for name, feature_cells in cells.items():
-        feature_cells.flush()
         if not feature_cells.chunks:
             continue  # only blank cells
         columns[name], repeat_ = feature_cells.column(ids)
@@ -272,15 +258,16 @@ def parse_cohort(
     """Parse the long-format cohort CSV into a columnar RawCohort.
 
     The rows are the outcome map's patients, sorted by id; a data patient
-    without an outcome is a validation error.  One ``csv.reader`` pass codes
-    each cell into its feature's arrays: numeric values as floats, which must
-    be finite, others as codes into the feature's distinct values.  One sort
-    per feature then orders its cells by (patient, wave) and finds duplicate
-    cells.  Of several faults, the one on the earliest line is reported.
+    without an outcome is a validation error.  The stream is read a block
+    of lines at a time; each distinct field of a block is checked once and
+    its cells coded into the feature's arrays: numeric values as floats,
+    which must be finite, others as codes into the feature's distinct
+    values.  One sort per feature then orders its cells by (patient, wave)
+    and finds duplicate cells.  Of several faults, the one on the earliest
+    line is reported.
     """
     by_name = {spec.name: spec for spec in features}
-    reader = csv.reader(stream)
-    header = next(reader, None)
+    header = next(csv.reader(stream), None)
     if header is None or tuple(h.strip() for h in header) != COHORT_HEADER:
         raise CohortParseError(
             f"cohort header must be exactly {','.join(COHORT_HEADER)}", line=1
@@ -291,7 +278,7 @@ def parse_cohort(
     base_of_id = {pid: r << _ROW_SHIFT for r, pid in enumerate(outcome_ids)}
     cells: dict[str, _Cells] = {}
     try:
-        _stream(reader, by_name, wave_count, base_of_id, cells)
+        _stream(stream, _Coder(by_name, wave_count, base_of_id, cells))
     except WaveMineError:
         try:
             _columns(cells, list(base_of_id))
@@ -312,72 +299,245 @@ def parse_cohort(
     )
 
 
-def _stream(reader, by_name, wave_count, base_of_id, cells: dict[str, _Cells]) -> None:
-    """Code each record of ``reader`` into ``cells``, per feature; raise at a faulty record.
+def _stream(stream: IO[str], coder: _Coder) -> None:
+    """Code every record after the header, a block of whole lines at a time.
+
+    A block holding a quote, a carriage return or a NUL is where ``csv.reader``
+    takes over, to the end of the stream, since a quoted field may span lines.
+    It gets the block's lines as the stream would give them: a stream that
+    reports ``newlines`` splits lines at a lone carriage return too.
+    """
+    line = 2  # the line number of the block's first record
+    while text := stream.read(_BLOCK):
+        text += stream.readline()
+        if '"' in text or "\r" in text or "\0" in text:
+            lines = io.StringIO(text, newline="" if getattr(stream, "newlines", None) else "\n")
+            _code_records(csv.reader(chain(lines, stream)), line, coder)
+            return
+        line = _code_block(text, line, coder)
+
+
+def _code_block(text: str, line: int, coder: _Coder) -> int:
+    """Code a block of lines split at every comma and newline; the next block's first line.
+
+    Each field goes into ``np.unique`` as one item: up to 8 bytes packed in
+    a uint64, a wider field in a fixed-width bytes array.  A block with a
+    field wider than ``_WIDE`` bytes goes through ``csv.reader`` instead.
+    """
+    data = text.encode("utf-8", "surrogatepass")  # lone surrogates round-trip
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the stream's last line
+    buf = np.frombuffer(data + bytes(_WIDE), np.uint8)  # room to read past the last field
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    start = np.empty_like(sep)
+    start[0], start[1:] = 0, sep[:-1] + 1
+    width = sep - start
+    if width.max() > _WIDE:
+        return _code_records(csv.reader(io.StringIO(text)), line, coder)
+    ends = np.flatnonzero(buf[sep] == ord("\n"))  # each line's last field
+    counts = np.diff(ends, prepend=-1)
+    blank = (counts == 1) & (width[ends] == 0)  # csv.reader skips it; it still counts
+    wrong = np.flatnonzero((counts != 4) & ~blank)
+    n_lines, miscount = ends.size, None
+    if wrong.size:  # code the records before the first miscounted line
+        n_lines = int(wrong[0])
+        miscount = (line + n_lines, int(counts[n_lines]))
+    records = np.flatnonzero(counts[:n_lines] == 4)
+    words = np.ndarray(buf.size - 7, ">u8", buf, strides=(1,))  # the 8 bytes from each offset
+    field_ids = ends[records] + np.arange(-3, 1)[:, None]  # patient, wave, feature, value
+    fields = [_pack(buf, words, start[i], width[i]) for i in field_ids]
+    coder.code(fields, _lines(line + records), miscount)
+    return line + ends.size
+
+
+def _pack(buf: np.ndarray, words: np.ndarray, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The fields as sortable items: uint64 words left-aligned and zero-padded, or bytes."""
+    widest = int(width.max(initial=0))
+    if widest <= 8:
+        return np.bitwise_and(words[start], _MASKS[width], dtype=np.uint64)  # native order
+    offsets = np.arange(widest)
+    packed = buf[start[:, None] + offsets]
+    packed[offsets >= width[:, None]] = 0
+    return packed.view(f"S{widest}").ravel()
+
+
+def _texts(distinct: np.ndarray) -> list[str]:
+    """The strings of distinct packed fields, or of an object array of strings."""
+    if distinct.dtype == object:
+        return distinct.tolist()
+    if distinct.dtype == np.uint64:
+        distinct = distinct.astype(">u8").view("S8")  # a bytes item drops its zero padding
+    return [field.decode("utf-8", "surrogatepass") for field in distinct.tolist()]
+
+
+def _lines(lines) -> np.ndarray:
+    """Line numbers as int32, or int64 past its range."""
+    lines = np.asarray(lines, dtype=np.int64)
+    return lines.astype(np.int32) if not lines.size or lines[-1] <= _INT32_MAX else lines
+
+
+def _code_records(records, line: int, coder: _Coder) -> int:
+    """Code ``csv.reader`` records, ``_BLOCK >> 4`` at a time; the line after the last."""
+    for stretch in iter(lambda: list(islice(records, max(1, _BLOCK >> 4))), []):
+        kept, lines, miscount = [], [], None
+        for lineno, record in enumerate(stretch, start=line):
+            if len(record) == 4:
+                kept.append(record)
+                lines.append(lineno)
+            elif record:  # a blank line is skipped, but counts
+                miscount = (lineno, len(record))
+                break
+        coder.code(np.array(kept, dtype=object).reshape(-1, 4).T, _lines(lines), miscount)
+        line += len(stretch)
+    return line
+
+
+class _Coder:
+    """Codes records into each feature's _Cells, checking each distinct field once.
 
     ``base_of_id`` maps each patient id to its row shifted into a key, and
-    gains a row for each patient found without an outcome.
+    gains a row for each patient found without an outcome, in order of first
+    appearance.  Raw feature, wave and patient cells are cached once checked.
     """
-    isfinite = math.isfinite
-    base_of = dict(base_of_id)  # patient cell -> shifted row
-    wave_of: dict[str, int] = {}  # wave cell -> validated wave index
-    feature_of: dict[str, tuple] = {}  # feature cell -> its feature's _Cells.appenders()
-    feature_get, wave_get, base_get = feature_of.get, wave_of.get, base_of.get
-    lineno = 1
-    for start in count(2, _CHUNK):
-        for lineno, row in zip(range(start, start + _CHUNK), reader):
-            try:
-                pid, wave_s, feature_s, value_s = row
-            except ValueError:
-                if not row:
+
+    def __init__(self, by_name, wave_count, base_of_id, cells: dict[str, _Cells]):
+        self.by_name, self.wave_count = by_name, wave_count
+        self.base_of_id, self.cells = base_of_id, cells
+        self.feature_of: dict[str, _Cells] = {}  # feature cell -> its feature's cells
+        self.wave_of: dict[str, int] = {}  # wave cell -> validated wave index
+        self.base_of: dict[str, int] = {}  # patient cell -> shifted row
+
+    def code(self, fields, lines: np.ndarray, miscount: tuple[int, int] | None) -> None:
+        """Append the records' cells; raise the fault on the earliest line, if any.
+
+        ``fields`` are the patient, wave, feature and value of each record, as
+        arrays ``np.unique`` can sort; ``lines`` are the records' increasing
+        line numbers; ``miscount`` is the (line, field count) of a record
+        right after them without 4 fields.  Cells on lines before a fault
+        are appended first.  Of faults on one line, an unknown feature comes
+        before a bad wave, and a bad wave before a bad value.
+        """
+        pid, wave, feature, value = fields
+        faults = []  # (line, rank on its line, error)
+        if miscount is not None:
+            line, n = miscount
+            faults.append((line, 0, CohortParseError(f"expected 4 fields, got {n}", line=line)))
+        features = self._features(feature, lines, faults)
+        wave_at = self._waves(wave, lines, faults)
+        coded = []  # each feature's cells, the records with a value, and their values
+        for cells, records in features:
+            kept, values = self._values(cells, value[records], lines[records], faults)
+            coded.append((cells, records[kept], values))
+        fault = min(faults, key=lambda f: f[:2], default=None)
+        if fault is not None:  # keep the cells on earlier lines only
+            end = np.searchsorted(lines, fault[0])
+            coded = [(cells, records[records < end], values[records < end])
+                     for cells, records, values in coded]
+        with_cell = np.zeros(lines.size, dtype=bool)
+        for _, records, _ in coded:
+            with_cell[records] = True
+        at = np.flatnonzero(with_cell)
+        key = np.zeros(lines.size, dtype=np.int64)
+        key[at] = self._bases(pid[at])
+        key += wave_at
+        for cells, records, values in coded:
+            if records.size:
+                cells.chunks.append((key[records], values, lines[records]))
+        if fault is not None:
+            raise fault[2]
+
+    def _features(self, feature, lines, faults) -> list[tuple[_Cells, np.ndarray]]:
+        """Each configured feature's cells and the records that name it."""
+        distinct, first, feature_at = _unique(feature)
+        named: dict[_Cells, list[int]] = {}
+        for k, (raw, i) in enumerate(zip(_texts(distinct), first.tolist())):
+            cells = self.feature_of.get(raw)
+            if cells is None:
+                name = raw.strip()
+                if name not in self.by_name:
+                    line = int(lines[i])
+                    faults.append((line, 1, CohortValidationError(
+                        f"line {line}: feature {name!r} is not defined in the config"
+                    )))
                     continue
-                raise CohortParseError(f"expected 4 fields, got {len(row)}", line=lineno) from None
-            known = feature_get(feature_s)
-            if known is None:
-                feature = feature_s.strip()
-                if feature not in by_name:
-                    raise CohortValidationError(
-                        f"line {lineno}: feature {feature!r} is not defined in the config"
-                    )
-                if feature not in cells:
-                    cells[feature] = _Cells(feature, by_name[feature].kind in NUMERIC_KINDS)
-                known = feature_of[feature_s] = cells[feature].appenders()
-            feature, categories, add_key, add_value, add_line = known
-            wave = wave_get(wave_s)
-            if wave is None:
-                wave = wave_of[wave_s] = _wave(wave_s, wave_count, lineno)
-            if categories is None:
-                if not value_s:
-                    continue  # explicit missing cell
+                if name not in self.cells:
+                    self.cells[name] = _Cells(name, self.by_name[name].kind in NUMERIC_KINDS)
+                cells = self.feature_of[raw] = self.cells[name]
+            named.setdefault(cells, []).append(k)
+        return [(cells, np.flatnonzero(np.isin(feature_at, ks))) for cells, ks in named.items()]
+
+    def _waves(self, wave, lines, faults) -> np.ndarray:
+        """Each record's wave index; 0 for a bad wave, which is a fault."""
+        distinct, first, wave_at = _unique(wave)
+        index = np.zeros(distinct.size, dtype=np.int64)
+        for k, (raw, i) in enumerate(zip(_texts(distinct), first.tolist())):
+            if raw not in self.wave_of:
                 try:
-                    value = float(value_s)
-                except ValueError:
-                    raise CohortParseError(
-                        f"bad numeric value {value_s!r} for feature {feature!r}", line=lineno
-                    ) from None
-                if not isfinite(value):
-                    raise CohortParseError(
-                        f"non-finite numeric value {value_s!r} for feature {feature!r}",
-                        line=lineno,
-                    )
-            else:
-                value = categories.get(value_s)
-                if value is None:
-                    if not value_s:
-                        continue  # explicit missing cell
-                    value = categories[value_s] = len(categories)
-            base = base_get(pid)
+                    self.wave_of[raw] = _wave(raw, self.wave_count, int(lines[i]))
+                except WaveMineError as fault:
+                    faults.append((int(lines[i]), 2, fault))
+                    continue
+            index[k] = self.wave_of[raw]
+        return index[wave_at]
+
+    def _values(self, cells: _Cells, value, lines, faults) -> tuple[np.ndarray, np.ndarray]:
+        """Which of one feature's records hold a value, and those values.
+
+        A numeric value is a float; any other is a code into the feature's
+        categories, which grow in order of first appearance.
+        """
+        distinct, first, value_at = _unique(value)
+        raws = _texts(distinct)
+        categories = cells.categories
+        coded = np.zeros(len(raws), dtype=float if categories is None else np.int32)
+        for k in np.argsort(first, kind="stable").tolist():
+            raw = raws[k]
+            if not raw:
+                continue  # explicit missing cell
+            if categories is not None:
+                coded[k] = categories.setdefault(raw, len(categories))
+                continue
+            try:
+                coded[k] = _number(raw, cells.name, int(lines[first[k]]))
+            except CohortParseError as fault:
+                faults.append((fault.line, 3, fault))
+        # the empty string sorts first
+        kept = value_at > 0 if raws and not raws[0] else np.ones(value_at.size, dtype=bool)
+        return kept, coded[value_at[kept]]
+
+    def _bases(self, pid) -> np.ndarray:
+        """Each cell's patient row shifted into a key; a new patient gets the next row."""
+        distinct, first, pid_at = _unique(pid)
+        raws = _texts(distinct)
+        bases = np.zeros(len(raws), dtype=np.int64)
+        for k in np.argsort(first, kind="stable").tolist():  # new rows by first appearance
+            base = self.base_of.get(raws[k])
             if base is None:
-                base = base_of[pid] = base_of_id.setdefault(
-                    pid.strip(), len(base_of_id) << _ROW_SHIFT
+                base = self.base_of[raws[k]] = self.base_of_id.setdefault(
+                    raws[k].strip(), len(self.base_of_id) << _ROW_SHIFT
                 )
-            add_key(base + wave)
-            add_value(value)
-            add_line(lineno)
-        for feature_cells in cells.values():
-            feature_cells.flush()
-        if lineno < start + _CHUNK - 1:
-            break  # the reader ran out within this chunk
+            bases[k] = base
+        return bases[pid_at]
+
+
+def _unique(items: np.ndarray):
+    """The distinct items, the first index of each, and each item's distinct index."""
+    return np.unique(items, return_index=True, return_inverse=True)
+
+
+def _number(raw: str, feature: str, line: int) -> float:
+    """The finite float a numeric cell holds."""
+    try:
+        number = float(raw)
+    except ValueError:
+        raise CohortParseError(
+            f"bad numeric value {raw!r} for feature {feature!r}", line=line
+        ) from None
+    if not math.isfinite(number):
+        raise CohortParseError(
+            f"non-finite numeric value {raw!r} for feature {feature!r}", line=line
+        )
+    return number
 
 
 def _wave(wave_s: str, wave_count: int | None, lineno: int) -> int:

@@ -32,7 +32,7 @@ class CoxModel:
     objective_path: tuple[float, ...] = ()
 
     def score(self, matrix: BinaryDesignMatrix) -> np.ndarray:
-        return matrix.cells.astype(float) @ self.coefficients
+        return _row_sums(matrix.cells, self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,14 @@ def rr_score(matrix: BinaryDesignMatrix, rr_by_key: Mapping[str, float]) -> np.n
     if missing:
         raise ConfigError(f"missing relative risk for columns: {missing[:3]}")
     weights = np.log([rr_by_key[k] for k in matrix.pattern_keys])
-    if weights.size == 0:
-        return np.zeros(len(matrix.patient_ids))
-    return matrix.cells.astype(float) @ weights
+    return _row_sums(matrix.cells, weights)
+
+
+def _row_sums(cells: np.ndarray, weights) -> np.ndarray:
+    """``cells @ weights``, summed over the nonzero cells: no float copy of the matrix."""
+    rows, cols = np.nonzero(cells)
+    weights = np.asarray(weights, dtype=float)[cols] * cells[rows, cols]
+    return np.bincount(rows, weights, cells.shape[0])
 
 
 def make_folds(events: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -360,13 +365,16 @@ def rank_patterns(models: Sequence[CoxModel], matrix: BinaryDesignMatrix) -> Pat
     if not models:
         raise ConfigError("rank_patterns needs at least one model")
     keys = matrix.pattern_keys
-    _, first, twin = np.unique(matrix.cells, axis=1, return_index=True, return_inverse=True)
+    # each column's first twin, found by its bit-packed cells
+    first_of: dict[bytes, int] = {}
+    packed = np.packbits(matrix.cells != 0, axis=0).T
+    twin = [first_of.setdefault(column.tobytes(), j) for j, column in enumerate(packed)]
     sums = {key: 0 for key in keys}
     for model in models:
         coef = np.abs(np.asarray(model.coefficients, dtype=float))
         if coef.shape[0] != len(keys):
             raise ConfigError("model width does not match the matrix")
-        coef = coef[first][twin.ravel()]
+        coef = coef[twin]
         order = sorted(range(len(keys)), key=lambda j: (-coef[j], keys[j]))
         for rank, j in enumerate(order, start=1):
             sums[keys[j]] += rank

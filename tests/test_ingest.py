@@ -1,10 +1,14 @@
+import csv
 import io
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import reference_ingest as reference
+from wavemine import ingest
 from wavemine.abstraction import (
     AbstractionRule, FeatureSpec, Level, bmi_feature, percentile_feature,
 )
@@ -283,20 +287,31 @@ SMOKER = FeatureSpec(
     rule=AbstractionRule(method="categorical", categories={"never": "no", "daily": "yes"}),
     levels=(Level("no", "normal"), Level("yes", "high")),
 )
-MIXED = [bmi_feature(), percentile_feature("gait", kind="discrete"), SMOKER]
+MIXED = [bmi_feature(), percentile_feature("gait", kind="discrete"), SMOKER,
+         percentile_feature("weight")]
+PATIENT_IDS = ["p{:03d}", "patient-{:05d}", "pé{:03d}", "患者-{:03d}",
+               "participant-{:03d}-" + "x" * 60]  # over 64 bytes: csv.reader splits it
 
 
 def _random_csv(rng, patients, waves):
     """Cohort and outcome CSV text: rows in any order, gaps, blank and padded cells,
-    series past the outcome wave, and patients with no rows."""
+    series past the outcome wave, and patients with no rows.
+
+    Some files also have quoted fields (holding a comma or a newline) from
+    some row on, CRLF rows, no final newline, non-ASCII ids, ids and
+    categories longer than 8 bytes, waves written as ``0_3`` or `` 3``, and a
+    feature (weight) with only blank cells.
+    """
     draws = {
         "bmi": lambda: str(round(rng.uniform(15, 40), 1)),
         "gait": lambda: rng.choice(["3", "7.5", "1e1", " 4 "]),
-        "smoker": lambda: rng.choice(["never", "daily", "weekly"]),
+        "smoker": lambda: rng.choice(["never", "daily", "weekly", "occasionally", "dáily"]),
+        "weight": lambda: "",
     }
+    id_format = rng.choice(PATIENT_IDS)
     rows, outcome_rows = [], []
     for i in range(patients):
-        pid = f"p{i:03d}"
+        pid = id_format.format(i)
         outcome_rows.append(f"{pid},{rng.randint(1, waves)},{int(rng.random() < 0.4)}")
         for feature, draw in draws.items():
             if rng.random() < 0.25:
@@ -307,7 +322,8 @@ def _random_csv(rng, patients, waves):
                 value = "" if rng.random() < 0.1 else draw()
                 pid_cell = f" {pid}" if rng.random() < 0.1 else pid
                 feature_cell = f"{feature} " if rng.random() < 0.1 else feature
-                rows.append(f"{pid_cell},{wave},{feature_cell},{value}")
+                wave_cell = rng.choice([str(wave)] * 8 + [f" {wave}", f"0_{wave}"])
+                rows.append(f"{pid_cell},{wave_cell},{feature_cell},{value}")
     if rng.random() < 0.5:
         rng.shuffle(rows)
     else:  # mostly sorted, a few rows moved
@@ -316,7 +332,19 @@ def _random_csv(rng, patients, waves):
                 rows.insert(rng.randrange(len(rows) + 1), rows.pop(rng.randrange(len(rows))))
     if rows and rng.random() < 0.3:
         rows.insert(rng.randrange(len(rows)), "")  # a blank line still counts
-    cohort = "patient_id,wave,feature,value\n" + "".join(r + "\n" for r in rows)
+    if rows and rng.random() < 0.3:  # quoted fields from some row on
+        for r in range(rng.randrange(len(rows)), len(rows)):
+            pid, wave, feature, value = rows[r].split(",") if rows[r] else ("", "", "", "")
+            if value and rng.random() < 0.5:
+                if feature.strip() == "smoker":
+                    value = rng.choice([value, f"{value},x", f"{value}\nx"])
+                rows[r] = f'"{pid}",{wave},{feature},"{value}"'
+    ends = ["\r\n" if rng.random() < 0.2 else "\n" for _ in rows] if rng.random() < 0.3 else (
+        ["\n"] * len(rows)
+    )
+    cohort = "patient_id,wave,feature,value\n" + "".join(map(str.__add__, rows, ends))
+    if rng.random() < 0.3:
+        cohort = cohort[:-len(ends[-1])] if rows else cohort  # no final newline
     return cohort, "patient_id,time,event\n" + "".join(r + "\n" for r in outcome_rows)
 
 
@@ -416,3 +444,149 @@ def test_empty_series_leave_no_column():
     assert cohort.columns == {}
     assert cohort.patients[0].values == {}
     assert carry_forward(cohort).patients[0].values == {}
+
+
+# --- the block tokeniser: block boundaries, the csv.reader route, wide fields
+
+BLOCKS = [1, 7, 64]  # characters read per block
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("seed", range(40))
+def test_small_blocks_match_dict_reference(monkeypatch, seed, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    test_columnar_ingest_matches_dict_reference(seed)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("seed", range(60))
+def test_small_blocks_report_the_reference_fault(monkeypatch, seed, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    test_columnar_ingest_reports_the_reference_fault(seed)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_small_blocks_keep_an_earlier_duplicate_first(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    test_earlier_duplicate_wins_over_later_bad_number()
+
+
+def _both(data, outcome_text, wave_count=None):
+    """The columnar parse and the reference parse of one file, records in order."""
+    outcomes = parse_outcomes(io.StringIO(outcome_text))
+    cohort = parse_cohort(io.StringIO(data), MIXED, outcomes, wave_count=wave_count)
+    ref_count, ref = reference.parse_cohort(io.StringIO(data), MIXED, outcomes, wave_count)
+    return (cohort.wave_count, _in_order(cohort.patients)), (ref_count, _in_order(ref))
+
+
+@pytest.mark.parametrize("block", [*BLOCKS, 1 << 18])
+def test_quoted_records_count_as_one_line(monkeypatch, block):
+    # the quote sits after a few plain blocks when blocks are small
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    head = "patient_id,wave,feature,value\np1,1,bmi,22\np1,2,bmi,23\n"
+    quoted = 'p1,1,smoker,"da,\nily"\r\n"p1",2,smoker,never\n'
+    outcome = "patient_id,time,event\np1,2,0\n"
+    got, expected = _both(head + quoted, outcome)
+    assert got == expected
+    _, _, series = got[1][0]  # p1's features, each with its series
+    assert dict(series)["smoker"] == [(1, "da,\nily"), (2, "never")]
+    with pytest.raises(CohortParseError, match="^line 6: bad numeric value 'x'"):
+        _both(head + quoted + "p1,3,bmi,x\n", outcome)
+
+
+@pytest.mark.parametrize("block", [*BLOCKS, 1 << 18])
+@pytest.mark.parametrize("newline", ["", "\n"])
+def test_lone_carriage_returns_split_lines_as_the_stream_does(monkeypatch, block, newline):
+    # a stream with universal newlines ends a line at a lone "\r"; one that
+    # splits at "\n" only hands csv.reader a line it rejects
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    data = "patient_id,wave,feature,value\np1,1,bmi,22\np1,2,bmi,23\rp1,3,bmi,24\r\n"
+    outcomes = parse_outcomes(io.StringIO("patient_id,time,event\np1,3,0\n"))
+
+    def outcome(parse):
+        try:
+            return parse(io.StringIO(data, newline=newline), MIXED, outcomes, None)
+        except csv.Error as exc:
+            return str(exc)
+
+    got, expected = outcome(parse_cohort), outcome(reference.parse_cohort)
+    if newline:
+        assert got == expected
+    else:
+        assert (got.wave_count, _in_order(got.patients)) == (expected[0], _in_order(expected[1]))
+        assert got.columns["bmi"].wave.tolist() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("block", [*BLOCKS, 1 << 18])
+def test_wide_and_non_ascii_fields(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    ids = ["p" * 8, "p" * 9, "é" * 4, "é" * 5, "q" * 64, "q" * 65, "患者", "s" + chr(0xDC80)]
+    rows = [f"{pid},{w},smoker,{cat}" for w in (1, 2) for pid, cat in
+            zip(ids, ["never", "occasional", "daily" * 3, "ñ", "n" * 70, "", "x", "y"])]
+    data = "patient_id,wave,feature,value\n" + "\n".join(rows)  # no final newline
+    outcome = "patient_id,time,event\n" + "".join(f"{pid},2,1\n" for pid in ids)
+    got, expected = _both(data, outcome)
+    assert got == expected
+    assert [record[0] for record in got[1]] == sorted(ids)
+    with pytest.raises(CohortParseError, match="^line 18: expected 4 fields, got 5"):
+        _both(data + "\n" + "q" * 70 + ",1,bmi,2,3\n", outcome)
+
+
+@pytest.mark.parametrize("block", [*BLOCKS, 1 << 18])
+def test_categories_are_coded_in_order_of_first_appearance(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    values = ["weekly", "", "daily", "weekly", "never", "daily", "occasionally"]
+    data = "patient_id,wave,feature,value\n" + "".join(
+        f"p1,{wave},smoker,{value}\n" for wave, value in enumerate(values, start=1)
+    )
+    outcomes = parse_outcomes(io.StringIO("patient_id,time,event\np1,7,0\n"))
+    column = parse_cohort(io.StringIO(data), MIXED, outcomes).columns["smoker"]
+    assert column.categories == ("weekly", "daily", "never", "occasionally")
+    assert column.values.tolist() == [0, 1, 0, 2, 1, 3]
+    assert column.values.dtype == np.intp
+
+
+@pytest.mark.parametrize("block", [*BLOCKS, 1 << 18])
+@pytest.mark.parametrize("row", [
+    "p1,x,height,abc", "p1,x,bmi,abc", "p1,0,bmi,nan", "p1,9,gait,x", "p1,1,bmi",
+])
+def test_faults_on_one_line_keep_their_order(monkeypatch, block, row):
+    # an unknown feature before a bad wave before a bad value
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    data = f"patient_id,wave,feature,value\np1,1,bmi,22\n{row}\np1,2,bmi,23\n"
+    outcomes = parse_outcomes(io.StringIO("patient_id,time,event\np1,2,0\n"))
+    expected = _first_fault(reference.parse_cohort, data, outcomes, 4)
+    assert expected is not None and expected[1].startswith("line 3: ")
+    assert _first_fault(parse_cohort, data, outcomes, 4) == expected
+
+
+def _long_csv(patients=12_500, waves=6):
+    """225,000 rows (4 MB): three features at every wave, one with blank cells."""
+    rng = random.Random(5)
+    rows = []
+    for i in range(patients):
+        for w in range(1, waves + 1):
+            rows.append(f"p{i:05d},{w},bmi,{rng.uniform(15, 40):.1f}\n")
+            rows.append(f"p{i:05d},{w},gait,{rng.randint(1, 9)}\n")
+            rows.append(f"p{i:05d},{w},smoker,{rng.choice(['never', 'daily', ''])}\n")
+    outcome = "".join(f"p{i:05d},{waves},0\n" for i in range(patients))
+    return ("patient_id,wave,feature,value\n" + "".join(rows),
+            "patient_id,time,event\n" + outcome)
+
+
+def test_parse_holds_one_block_at_a_time(monkeypatch):
+    # the per-row csv.reader parse peaked at 11,532,288 traced bytes on this
+    # file (Python 3.11, numpy 2.4); splitting the whole file at once, 76 MB
+    data, outcome_text = _long_csv()
+    outcomes = parse_outcomes(io.StringIO(outcome_text))
+    stream = io.StringIO(data)
+    tracemalloc.start()
+    try:
+        cohort = parse_cohort(stream, MIXED, outcomes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11_532_288
+    # one block of the whole file: over 10^5 fields packed at once
+    monkeypatch.setattr(ingest, "_BLOCK", len(data))
+    assert parse_cohort(io.StringIO(data), MIXED, outcomes) == cohort

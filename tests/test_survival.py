@@ -473,6 +473,27 @@ def test_rr_score_missing_stats_rejected():
         rr_score(matrix, {})
 
 
+def test_scores_sum_over_nonzero_cells_without_a_float_copy():
+    # 5000 x 140 cells at about 2% density: a float copy of them is 5.6 MB
+    rng = np.random.default_rng(3)
+    n, p = 5000, 140
+    matrix = _matrix(rng.random((n, p)) < 0.02, np.ones(n), np.ones(n, dtype=bool))
+    rr_by_key = dict(zip(matrix.pattern_keys, rng.uniform(0.2, 5.0, p)))
+    model = _model(rng.normal(size=p))
+    dense = matrix.cells.astype(float)
+    expected = (dense @ np.log(list(rr_by_key.values())), dense @ model.coefficients)
+    del dense
+    tracemalloc.start()
+    try:
+        scores = (rr_score(matrix, rr_by_key), model.score(matrix))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for got, want in zip(scores, expected):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # cross-validation
 
@@ -636,6 +657,39 @@ def test_rank_patterns_ties_identical_columns():
     for coefs in ([1.0 + 1e-15, 0.5, 1.0], [1.0, 0.5, 1.0 + 1e-15]):
         ranking = rank_patterns([_model(coefs)], matrix)
         assert ranking.ordered_keys == ("X", "Y", "Z")
+
+
+def _unique_rank_reference(models, matrix):
+    """Sum-of-ranks with each column's first twin found by ``np.unique(axis=1)``."""
+    keys = matrix.pattern_keys
+    _, first, twin = np.unique(matrix.cells, axis=1, return_index=True, return_inverse=True)
+    sums = {key: 0 for key in keys}
+    for model in models:
+        coef = np.abs(model.coefficients)[first][twin.ravel()]
+        order = sorted(range(len(keys)), key=lambda j: (-coef[j], keys[j]))
+        for rank, j in enumerate(order, start=1):
+            sums[keys[j]] += rank
+    return tuple(sorted(keys, key=lambda key: (sums[key], key))), sums
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rank_patterns_twins_match_unique_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))  # packed columns end in a partial byte unless n % 8 == 0
+    base = rng.random((n, 4)) < 0.3
+    picks = rng.integers(0, 4, size=9)
+    cells = np.column_stack([base[:, picks], np.zeros(n, dtype=bool)])  # twins, all-zero
+    order = rng.permutation(cells.shape[1])
+    keys = tuple(f"K{j}" for j in rng.permutation(cells.shape[1]))
+    matrix = _matrix(cells[:, order], np.arange(1, n + 1), np.ones(n, dtype=bool), keys=keys)
+    # twins get coefficients that differ by rounding only, as from a fit
+    shared = rng.normal(size=4)[picks]
+    models = [_model(np.append(shared + rng.normal(scale=1e-15, size=9), rng.normal())[order])
+              for _ in range(3)]
+    ordered, sums = _unique_rank_reference(models, matrix)
+    ranking = rank_patterns(models, matrix)
+    assert ranking.ordered_keys == ordered
+    assert dict(ranking.rank_sum) == sums
 
 
 def test_rank_patterns_scale_invariant():
