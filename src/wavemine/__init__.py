@@ -1,5 +1,15 @@
 """Mining and survival evaluation of high-risk temporal patterns in wave data."""
 
+import os
+
+# The Cox fits solve systems of a few hundred columns at most, where a second
+# OpenBLAS thread only spins between calls; ``--workers`` is the parallelism.
+# This must run before numpy is first imported, and a thread count set in the
+# environment is kept.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 __version__ = "0.1.0"
 
 from .abstraction import (

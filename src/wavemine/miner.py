@@ -30,6 +30,7 @@ import math
 import multiprocessing
 from concurrent import futures
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import count
 from typing import Iterable, Sequence
 
@@ -336,12 +337,26 @@ class _Store:
             return None
         return fl * 2 + int(ep.is_finish)
 
+    @cached_property
+    def holders(self) -> dict[int, list[int]]:
+        """Each token's holders: the ascending indices of the patients whose groups hold it."""
+        holders: dict[int, list[int]] = {}
+        for pidx, pat in enumerate(self.patients):
+            for tok in set().union(*pat.groups):
+                holders.setdefault(tok, []).append(pidx)
+        return holders
+
     def carriers(self, groups) -> list[int]:
-        """Indices of the patients into which the pattern groups embed."""
+        """Indices of the patients into which the pattern groups embed.
+
+        Only the patients that hold every token of the pattern are searched.
+        """
         tgroups = [[self.token(ep) for ep in g] for g in groups]
         if any(None in g for g in tgroups):
             return []  # an endpoint no patient holds
-        return [i for i, pat in enumerate(self.patients) if _embeds(pat, tgroups)]
+        held = sorted((self.holders.get(tok, []) for g in tgroups for tok in g), key=len)
+        candidates = sorted(set(held[0]).intersection(*held[1:])) if held else range(self.n)
+        return [i for i in candidates if _embeds(self.patients[i], tgroups)]
 
 
 def _shown_intervals(records, severity):
@@ -503,17 +518,13 @@ def _gate(store: _Store, config: MinerConfig, pids, parent_risk: float, stats: M
 
 def _roots(store: _Store, config: MinerConfig, stats: MiningStats) -> list[tuple]:
     """Frequent high-risk Start endpoints: the branch roots, with their risks and hits."""
-    carriers: dict[int, list[int]] = {}
-    for pidx, pat in enumerate(store.patients):
-        for tok in set().union(*pat.groups):
-            carriers.setdefault(tok, []).append(pidx)
     roots = []
-    for tok in sorted(carriers):
+    for tok, carriers in sorted(store.holders.items()):
         if tok & 1:
             continue  # only starting endpoints seed growth
-        gated = _gate(store, config, carriers[tok], 0.0, stats)
+        gated = _gate(store, config, carriers, 0.0, stats)
         if gated is not None:
-            hits = [(pidx, {}, g) for pidx in carriers[tok]
+            hits = [(pidx, {}, g) for pidx in carriers
                     for g, tokens in enumerate(store.patients[pidx].groups) if tok in tokens]
             roots.append((tok, gated[1], hits))
     return roots
@@ -603,16 +614,17 @@ def _results(store: _Store, emitted) -> list[PatternResult]:
     return results
 
 
-_WORKER_STATE: tuple[_Store, MinerConfig] | None = None
+_WORKER_STATE: tuple[_Store, MinerConfig, list[tuple]] | None = None
 
 
-def _worker_init(store, config):
+def _worker_init(store, config, roots):
     global _WORKER_STATE
-    _WORKER_STATE = (store, config)
+    _WORKER_STATE = (store, config, roots)
 
 
-def _worker_branch(root):
-    return _grow_branch(*_WORKER_STATE, *root)
+def _worker_branch(i: int):
+    store, config, roots = _WORKER_STATE
+    return _grow_branch(store, config, *roots[i])
 
 
 def mine_with_stats(
@@ -633,15 +645,16 @@ def mine_with_stats(
     if config.workers == 1 or len(roots) <= 1:
         branches = [_grow_branch(store, config, *root) for root in roots]
     else:
-        # a failing worker fails the whole run; pool.map re-raises the
-        # worker's own exception as the diagnostic
+        # forked workers inherit the store and the roots, so only root
+        # indices are sent; a failing worker fails the whole run, and
+        # pool.map re-raises the worker's own exception as the diagnostic
         with futures.ProcessPoolExecutor(
             max_workers=min(config.workers, len(roots)),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init,
-            initargs=(store, config),
+            initargs=(store, config, roots),
         ) as pool:
-            branches = list(pool.map(_worker_branch, roots))
+            branches = list(pool.map(_worker_branch, range(len(roots))))
     emitted: list = []
     for branch_emitted, branch_stats in branches:
         emitted.extend(branch_emitted)

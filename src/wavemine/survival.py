@@ -337,7 +337,7 @@ def cross_validate(
             if best is None or c_train > best[0]:
                 best = (c_train, lam, model)
         c_train, lam, model = best
-        heldout[test] = cells[test] @ model.coefficients
+        heldout[test] = _row_sums(cells[test], model.coefficients)
         train_c.append(c_train)
         models.append(model)
         chosen.append(lam)

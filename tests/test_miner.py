@@ -453,6 +453,46 @@ def test_store_from_intervals_matches_sequences_on_seeded_cohorts():
             assert stats == want_stats
 
 
+def test_carriers_prefiltered_by_token_holders_match_the_plain_scan():
+    from wavemine.abstraction import abstract_cohort
+    from wavemine.synth import PlantedPattern, SynthConfig, generate
+
+    planted = PlantedPattern(
+        groups=(
+            (ep("F01", "H", "+"),),
+            (ep("F01", "H", "-"), ep("F02", "L", "+")),
+            (ep("F02", "L", "-"),),
+        ),
+        frac_events=0.5,
+        frac_nonevents=0.1,
+    )
+    config = SynthConfig(patients=400, waves=6, features=8, event_rate=0.2, noise_rate=0.08,
+                         planted=(planted,), seed=4)
+    doc = abstract_cohort(*generate(config)[:2])
+    store = _Store.from_intervals(doc)
+    mined = [r.pattern.groups for r in mine(doc, MinerConfig(minsup=0.005, risk_sup=0.5))]
+    assert len(mined) >= 10
+    patterns = [
+        *mined,
+        planted.groups,
+        ((ep("F01", "H", "+"),),),  # open
+        ((ep("F01", "H", "+"), ep("F02", "H", "+")), (ep("F03", "L", "+"),)),
+        (),  # vacuous: every patient
+    ]
+    held = 0
+    for groups in patterns:
+        tgroups = [[store.token(e) for e in g] for g in groups]
+        plain = [i for i, pat in enumerate(store.patients) if miner._embeds(pat, tgroups)]
+        assert store.carriers(groups) == plain
+        held += bool(plain)
+    assert held >= len(mined) + 2
+    # an endpoint no patient holds has no token and no carrier
+    assert ("F01", "ZZ") not in store.fl_index
+    assert store.carriers(((ep("F01", "ZZ", "+"),),)) == []
+    assert store.carriers(planted.groups + ((ep("F01", "ZZ", "+"),),)) == []
+    assert sorted(store.holders) == list(range(2 * len(store.fl_pairs)))
+
+
 def _intervals_doc(*patients, levels=None):
     """A CohortIntervals read from intervals.json text: (id, event, intervals) per patient."""
     from wavemine.encoding import read_intervals_json

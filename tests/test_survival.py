@@ -558,6 +558,32 @@ def test_cross_validate_makes_no_dense_float_copy():
     assert peak < 10 * 2**20
 
 
+def test_cross_validate_scores_held_out_folds_over_the_nonzeros(monkeypatch):
+    rng = np.random.default_rng(5)
+    n, p = 400, 30
+    cells = rng.random((n, p)) < 0.05
+    events = rng.random(n) < 0.3
+    times = np.where(events, rng.integers(1, 7, size=n), 6).astype(float)
+    matrix = _matrix(cells, times, events)
+    row_sums = survival._row_sums
+    scored = []
+
+    def recorded(cells, weights):
+        scored.append(row_sums(cells, weights))
+        return scored[-1]
+
+    monkeypatch.setattr(survival, "_row_sums", recorded)
+    cv = cross_validate(matrix, k=5, seed=0)
+    assert len(scored) == 5
+    dense = matrix.cells.astype(float)
+    heldout = np.zeros(n)
+    for f, (model, got) in enumerate(zip(cv.models, scored)):
+        test = cv.folds == f
+        np.testing.assert_allclose(got, dense[test] @ model.coefficients, rtol=0, atol=1e-12)
+        heldout[test] = got
+    assert cv.pooled_c == concordance_index(heldout, matrix.times, matrix.events)
+
+
 def test_cross_validate_rejects_zero_columns():
     matrix = _matrix(np.zeros((10, 0)), np.arange(1, 11), [1] * 5 + [0] * 5, keys=())
     with pytest.raises(UndefinedMetricError):
