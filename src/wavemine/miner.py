@@ -1,7 +1,7 @@
 """Projection-based mining of high-relative-risk interval patterns.
 
-Patterns are grown endpoint by endpoint over a shared, immutable sequence
-store.  A growth step survives only if the extended pattern clears the
+Patterns are grown endpoint by endpoint over a shared, immutable endpoint
+table.  A growth step survives only if the extended pattern clears the
 support threshold, clears the risk threshold, and strictly increases the
 risk over its parent.  Pruning strategies:
 
@@ -14,25 +14,31 @@ risk over its parent.  Pruning strategies:
 * risk-pruning     -- threshold plus strict-increase gate,
 * duplicate-pruning-- canonical-form seen set cuts permuted regrowth.
 
-A projected database maps each patient carrying the pattern to its states
-``(g, open)``: an embedding's last matched group and the finish group of each
-interval it holds open.  A patient keeps every distinct state, which makes
-projections independent of growth order and support counts equal to true
-containment counts.  A scan of the states returns each candidate
-``(endpoint, site)``'s hits, the ``(patient, open map, group)`` at which the
-endpoint extends a state in its last matched group (site 0) or a later one
-(site 1).  Support counts the hits' distinct patients; projecting applies the
-hits and tests nothing again.
+The store is one endpoint table sorted by (row, group, token), with groups
+numbered across the table, so a patient's endpoints are one contiguous run.
+A projected database is a table of states: per state the patient, an
+embedding's last matched group, and the finish group of each interval it
+holds open.  Every state of a pattern holds the same intervals open, so the
+finish groups form one matrix with a column per open interval.  A patient
+keeps every distinct state, which makes projections independent of growth
+order and support counts equal to true containment counts.  A scan expands
+each state's window of endpoints in numpy, masks out what the growth rule
+forbids, and sorts the hits by candidate ``(endpoint, site)`` and patient:
+site 0 extends a state in its last matched group, site 1 in a later one.
+Support counts the distinct (candidate, patient) pairs.  Projecting a
+candidate selects its hits, inserts or drops one column and removes repeated
+states; it tests nothing again.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import multiprocessing
 from concurrent import futures
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,7 +198,7 @@ def odds_ratio(stats) -> float:
 # Containment (embedding with pairing consistency)
 
 
-def _embeds(pat: _PatientSeq, pgroups, closable: bool = False) -> bool:
+def _embeds(store: _Store, row: int, pgroups, closable: bool = False) -> bool:
     """Backtracking embedding search of token pattern groups into one patient.
 
     Pattern groups map to strictly later data groups; all endpoints of a
@@ -203,7 +209,8 @@ def _embeds(pat: _PatientSeq, pgroups, closable: bool = False) -> bool:
     split = [
         ([tok for tok in g if not tok & 1], [tok for tok in g if tok & 1]) for g in pgroups
     ]
-    n = len(pat.groups)
+    groups, partner = store.groups_of(row)
+    n = len(groups)
 
     def rec(pi, min_g, open_map):
         if pi == len(split):
@@ -213,14 +220,14 @@ def _embeds(pat: _PatientSeq, pgroups, closable: bool = False) -> bool:
             return True
         starts, fins = split[pi]
         for h in range(min_g, n):
-            tokens = pat.groups[h]
+            tokens = groups[h]
             new_open = dict(open_map)
             ok = True
             for tok in starts:
                 if tok not in tokens or tok >> 1 in new_open:
                     ok = False
                     break
-                new_open[tok >> 1] = pat.partner[(h, tok)]
+                new_open[tok >> 1] = partner[(h, tok)]
             if ok:
                 for tok in fins:
                     if new_open.get(tok >> 1) != h:
@@ -232,7 +239,7 @@ def _embeds(pat: _PatientSeq, pgroups, closable: bool = False) -> bool:
         return False
 
     found = rec(0, 0, {})
-    del rec  # the closure refers to itself: without this the cycle would keep ``pat`` alive
+    del rec  # the closure refers to itself: without this the cycle would outlive the call
     return found
 
 
@@ -243,31 +250,27 @@ def contains(sequence: EndpointSequence, pattern) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Token-space sequence store (shared, immutable)
-
-
-class _PatientSeq:
-    __slots__ = ("patient_id", "event", "groups", "partner")
-
-    def __init__(self, patient_id, event, groups, partner):
-        self.patient_id = patient_id
-        self.event = event
-        self.groups = groups    # list[tuple[int, ...]], each sorted
-        self.partner = partner  # (group_idx, start_token) -> finish group_idx
+# Token-space endpoint table (shared, immutable)
 
 
 class _Store:
-    """Token-indexed view of the database: token = fl_id * 2 + is_finish.
+    """The database as one endpoint table: token = fl_id * 2 + is_finish.
 
     Integer token order is the endpoint order: (feature, level), Start first.
-    ``_Store(sequences)`` tokenises each sequence's pairs;
-    ``_Store.from_intervals(doc)`` builds the same store from the intervals.
+    Endpoints are sorted by (row, group, token), and groups are numbered
+    across the whole table, so a row's groups and a group's endpoints are
+    contiguous.  Per endpoint: ``tok``, ``grp`` and ``partner`` (a Start's
+    finish group, -1 for a Finish).  Row r holds groups ``row_groups[r]`` up
+    to ``row_groups[r + 1]``, group g endpoints ``group_starts[g]`` up to
+    ``group_starts[g + 1]``.  Per row: ``ids`` and ``event``.
+    ``_Store(sequences)`` reads each sequence's pairs;
+    ``_Store.from_intervals(doc)`` builds the same table from the intervals.
     """
 
     def __init__(self, db: Sequence[EndpointSequence]):
-        self._index({(f, lv) for s in db for f, lv, _, _ in s.pairs})
-        self.patients = [self._tokenised(seq) for seq in db]
-        self._count()
+        pairs = [(r, *pair) for r, seq in enumerate(db) for pair in seq.pairs]
+        self._index({(f, lv) for _, f, lv, _, _ in pairs})
+        self._build([s.patient_id for s in db], [s.event for s in db], *self._quadruples(pairs).T)
 
     @classmethod
     def from_intervals(cls, doc: CohortIntervals) -> "_Store":
@@ -279,7 +282,7 @@ class _Store:
         Start token at its start wave and a Finish token at its end wave, and
         the Start's partner is its own interval's end.  A patient with any
         other intervals is encoded, so it pairs, or raises PairingError, as
-        its ``EndpointSequence`` does.
+        its ``EndpointSequence`` does, and its pairs join the table.
         """
         records = doc.patients
         severity = doc.severity_of()
@@ -287,45 +290,66 @@ class _Store:
         crossed = start > end  # or starting where the key's previous interval is still open
         crossed[1:] |= (row[1:] == row[:-1]) & (kid[1:] == kid[:-1]) & (start[1:] <= end[:-1])
         odd = sorted(set(row[crossed].tolist()))
-        encoded = {
-            r: encode(records[r].patient_id, records[r].intervals, severity, records[r].event)
+        pairs = [
+            (r, *pair)
             for r in odd
-        }
+            for pair in encode(records[r].patient_id, records[r].intervals, severity,
+                               records[r].event).pairs
+        ]
         plain = ~np.isin(row, odd)
         row, kid, start, end = row[plain], kid[plain], start[plain], end[plain]
 
         store = cls.__new__(cls)
         store._index(
-            {keys[k] for k in np.flatnonzero(np.bincount(kid, minlength=len(keys))).tolist()}
-            | {(f, lv) for seq in encoded.values() for f, lv, _, _ in seq.pairs}
+            {keys[k] for k in np.unique(kid).tolist()} | {(f, lv) for _, f, lv, _, _ in pairs}
         )
         token = np.array([2 * store.fl_index.get(key, -1) for key in keys], dtype=np.intp)
-        groups, partners = _groups_and_partners(len(records), row, token[kid], start, end)
-        store.patients = [
-            store._tokenised(encoded[r]) if r in encoded
-            else _PatientSeq(p.patient_id, p.event, groups[r], partners[r])
-            for r, p in enumerate(records)
-        ]
-        store._count()
+        store._build(
+            [p.patient_id for p in records], [p.event for p in records],
+            *map(np.concatenate, zip((row, token[kid], start, end), store._quadruples(pairs).T)),
+        )
         return store
 
     def _index(self, fl_pairs) -> None:
         self.fl_pairs = sorted(fl_pairs)
         self.fl_index = {p: i for i, p in enumerate(self.fl_pairs)}
 
-    def _tokenised(self, seq: EndpointSequence) -> _PatientSeq:
-        groups = [[] for _ in range(len(seq.groups))]
-        partner = {}
-        for feature, level, gs, ge in seq.pairs:
-            tok = self.fl_index[feature, level] * 2
-            groups[gs].append(tok)
-            groups[ge].append(tok + 1)
-            partner[gs, tok] = ge
-        return _PatientSeq(seq.patient_id, seq.event, [tuple(sorted(g)) for g in groups], partner)
+    def _quadruples(self, pairs) -> np.ndarray:
+        """(row, start token, start, end) rows of (row, feature, level, start, end) pairs."""
+        return np.array(
+            [(r, 2 * self.fl_index[f, lv], gs, ge) for r, f, lv, gs, ge in pairs], dtype=np.intp
+        ).reshape(-1, 4)
 
-    def _count(self) -> None:
-        self.n = len(self.patients)
-        self.n_events = sum(1 for p in self.patients if p.event)
+    def _build(self, ids, events, row, start_token, start, end) -> None:
+        """The table of intervals given as (row, start token, start, end) quadruples.
+
+        An interval puts ``start_token`` in the group of its start position
+        and the Finish token after it in the group of its end position
+        (non-negative ints, compared only within a row); a row's groups are
+        its distinct positions in order.
+        """
+        self.ids = list(ids)
+        self.event = np.array(events, dtype=bool)
+        self.n = len(self.ids)
+        self.n_events = int(np.count_nonzero(self.event))
+        m = row.size
+        n_pos = int(max(start.max(), end.max())) + 1 if m else 1
+        n_tokens = 2 * len(self.fl_pairs)
+        # one number per endpoint, ordering endpoints by (row, position, token)
+        ep_group = np.concatenate([row, row]) * n_pos + np.concatenate([start, end])
+        ep_key = ep_group * n_tokens + np.concatenate([start_token, start_token + 1])
+        order = np.argsort(ep_key)
+        ep_group = ep_group[order]
+        opens = np.ones(2 * m, dtype=bool)  # the endpoint opens a group
+        opens[1:] = ep_group[1:] != ep_group[:-1]
+        self.tok = ep_key[order] % n_tokens
+        self.grp = np.cumsum(opens) - 1
+        self.group_starts = np.append(np.flatnonzero(opens), 2 * m)
+        self.row_groups = np.searchsorted(ep_group[opens] // n_pos, np.arange(self.n + 1))
+        place = np.empty(2 * m, dtype=np.intp)  # each endpoint's index in the table
+        place[order] = np.arange(2 * m)
+        self.partner = np.full(2 * m, -1, dtype=np.intp)
+        self.partner[place[:m]] = self.grp[place[m:]]
 
     def endpoint(self, tok: int) -> Endpoint:
         feature, level = self.fl_pairs[tok >> 1]
@@ -337,14 +361,31 @@ class _Store:
             return None
         return fl * 2 + int(ep.is_finish)
 
+    def groups_of(self, row: int) -> tuple[list[set[int]], dict[tuple[int, int], int]]:
+        """A row's groups as token sets, and its (group, Start token) -> finish group map.
+
+        Groups are numbered from 0 within the row.
+        """
+        first, stop = int(self.row_groups[row]), int(self.row_groups[row + 1])
+        lo, hi = self.group_starts[first], self.group_starts[stop]
+        groups: list[set[int]] = [set() for _ in range(stop - first)]
+        partner = {}
+        for tok, g, fin in zip(
+            self.tok[lo:hi].tolist(), (self.grp[lo:hi] - first).tolist(),
+            (self.partner[lo:hi] - first).tolist(),
+        ):
+            groups[g].add(tok)
+            if not tok & 1:
+                partner[g, tok] = fin
+        return groups, partner
+
     @cached_property
-    def holders(self) -> dict[int, list[int]]:
-        """Each token's holders: the ascending indices of the patients whose groups hold it."""
-        holders: dict[int, list[int]] = {}
-        for pidx, pat in enumerate(self.patients):
-            for tok in set().union(*pat.groups):
-                holders.setdefault(tok, []).append(pidx)
-        return holders
+    def presence(self) -> np.ndarray:
+        """Patients x tokens: True where the patient's groups hold the token."""
+        table = np.zeros((self.n, 2 * len(self.fl_pairs)), dtype=bool)
+        sizes = np.diff(self.group_starts[self.row_groups])  # each row's endpoint count
+        table[np.repeat(np.arange(self.n), sizes), self.tok] = True
+        return table
 
     def carriers(self, groups) -> list[int]:
         """Indices of the patients into which the pattern groups embed.
@@ -354,9 +395,8 @@ class _Store:
         tgroups = [[self.token(ep) for ep in g] for g in groups]
         if any(None in g for g in tgroups):
             return []  # an endpoint no patient holds
-        held = sorted((self.holders.get(tok, []) for g in tgroups for tok in g), key=len)
-        candidates = sorted(set(held[0]).intersection(*held[1:])) if held else range(self.n)
-        return [i for i in candidates if _embeds(self.patients[i], tgroups)]
+        held = self.presence[:, [tok for g in tgroups for tok in g]].all(axis=1)
+        return [i for i in np.flatnonzero(held).tolist() if _embeds(self, i, tgroups)]
 
 
 def _shown_intervals(records, severity):
@@ -391,53 +431,53 @@ def _shown_intervals(records, severity):
     return keys, coded // n, kid[rank], start, end
 
 
-def _groups_and_partners(n_rows: int, row, start_token, start, end):
-    """Each row's token groups and partner map, from intervals sorted by row.
-
-    An interval puts ``start_token`` in the group of its start wave and the
-    Finish token after it in the group of its end wave (waves as non-negative
-    ranks); a row's groups are its distinct waves in order, each group's
-    tokens sorted.  A partner map takes (start group, Start token) to the
-    finish group.
-    """
-    m = row.size
-    n_waves = int(max(start.max(), end.max())) + 1 if m else 1
-    n_tokens = int(start_token.max()) + 2 if m else 2
-    # one number per endpoint, ordering endpoints by (row, wave, token)
-    ep_group = np.concatenate([row, row]) * n_waves + np.concatenate([start, end])
-    ep_key = ep_group * n_tokens + np.concatenate([start_token, start_token + 1])
-    order = np.argsort(ep_key)
-    ep_group = ep_group[order]
-    opens = np.ones(2 * m, dtype=bool)  # the endpoint opens a group
-    opens[1:] = ep_group[1:] != ep_group[:-1]
-    row_cuts = np.searchsorted(ep_group[opens] // n_waves, np.arange(n_rows + 1))
-    group_at = np.empty(2 * m, dtype=np.intp)  # each endpoint's group within its row
-    group_at[order] = np.cumsum(opens) - 1 - row_cuts[ep_group // n_waves]
-
-    tokens = tuple((ep_key[order] % n_tokens).tolist())
-    cuts = [*np.flatnonzero(opens).tolist(), 2 * m]
-    all_groups = [tokens[a:b] for a, b in zip(cuts, cuts[1:])]
-    row_cuts = row_cuts.tolist()
-    groups = [all_groups[a:b] for a, b in zip(row_cuts, row_cuts[1:])]
-    keys = list(zip(group_at[:m].tolist(), start_token.tolist()))
-    finish = group_at[m:].tolist()
-    cuts = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
-    partners = [dict(zip(keys[a:b], finish[a:b])) for a, b in zip(cuts, cuts[1:])]
-    return groups, partners
-
-
 def _group_key(tokens: Iterable[int]) -> tuple[int, ...]:
     # Canonical intra-group order: Start block then Finish block.
     return tuple(sorted(tokens, key=lambda t: (t & 1, t >> 1)))
 
 
-# A projection state is (last_matched_group, open) where open is a tuple of
-# (fl_id, finish_group) pairs sorted by fl_id.  A hit is (patient index,
-# open map of the state it extends, group of the extending endpoint).
+class _States(NamedTuple):
+    """A projected database: the states of every patient that carries a pattern.
+
+    State i is an embedding into patient ``pat[i]`` whose last matched group
+    is ``last[i]``.  Every state of a pattern holds the same intervals open,
+    ``open`` (fl ids, ascending), and the instance of ``open[j]`` finishes in
+    group ``fin[i, j]``.  Groups are the store's, and no two states are equal.
+    """
+
+    pat: np.ndarray
+    last: np.ndarray
+    fin: np.ndarray
+    open: tuple[int, ...]
 
 
-def _scan_states(store, pdb, last_set):
-    """Hits of every candidate ``(token, site)`` that extends a state of ``pdb``.
+class _Scan(NamedTuple):
+    """The candidates ``(token, site)`` that extend some state of a projected database.
+
+    Candidate i is ``key[i] = token * 2 + site``, keys ascending; ``ab[i]``
+    patients hold it, ``a[i]`` of them with the event.  Its hits are
+    ``state[bounds[i]:bounds[i + 1]]`` and ``endpoint[...]``: the state each
+    extends and the extending endpoint, ordered by patient.
+    """
+
+    key: np.ndarray
+    ab: np.ndarray
+    a: np.ndarray
+    bounds: np.ndarray
+    state: np.ndarray
+    endpoint: np.ndarray
+
+
+def _root_states(store: _Store, tok: int) -> _States:
+    """The projected database of the Start ``tok`` alone: one state per group that holds it."""
+    endpoint = np.flatnonzero(store.tok == tok)
+    last = store.grp[endpoint]
+    pat = np.searchsorted(store.row_groups, last, "right") - 1
+    return _States(pat, last, store.partner[endpoint][:, None], (tok >> 1,))
+
+
+def _scan_states(store: _Store, states: _States, last_set) -> _Scan:
+    """Every candidate ``(token, site)`` that extends a state of ``states``, with its hits.
 
     This is the growth rule, and the only place it is tested.  A token extends
     the state ``(g, open)`` in group ``g`` (site 0) unless the pattern's last
@@ -446,37 +486,79 @@ def _scan_states(store, pdb, last_set):
     closed, a Finish only at exactly its open instance's finish group (point-
     and postfix-pruning fall out of the pairing structure).
     """
-    out: dict[tuple[int, int], list] = {}
-    for pidx in sorted(pdb):
-        pat = store.patients[pidx]
-        for g, open_ in pdb[pidx]:
-            open_map = dict(open_)
-            e_min = min(open_map.values(), default=len(pat.groups) - 1)
-            for h in range(g, e_min + 1):
-                for tok in pat.groups[h]:
-                    if tok & 1:
-                        if open_map.get(tok >> 1) != h:
-                            continue
-                    elif (tok >> 1) in open_map:
-                        continue
-                    site = int(h > g)
-                    if site or tok not in last_set:
-                        out.setdefault((tok, site), []).append((pidx, open_map, h))
-    return out
+    pat, last, fin, open_ = states
+    # each state's window of endpoints, from its last group to its earliest open finish
+    stop = fin.min(axis=1) if open_ else store.row_groups[pat + 1] - 1
+    lo = store.group_starts[last]
+    size = store.group_starts[stop + 1] - lo
+    state = np.arange(pat.size).repeat(size)
+    endpoint = np.arange(state.size) + (lo - size.cumsum() + size).repeat(size)
+    tok, group = store.tok[endpoint], store.grp[endpoint]
+    site = group > last[state]
+    # per token: a Start of a closed interval, the column of an open interval's
+    # Finish, and whether the pattern's last group holds it
+    n_tokens = 2 * len(store.fl_pairs)
+    fresh = np.zeros(n_tokens, dtype=bool)
+    fresh[0::2] = True
+    column = np.full(n_tokens, -1)
+    for j, fl in enumerate(open_):
+        fresh[2 * fl] = False
+        column[2 * fl + 1] = j
+    in_last = np.zeros(n_tokens, dtype=bool)
+    in_last[list(last_set)] = True
+    ok = fresh[tok]
+    if open_:
+        col = column[tok]
+        ok |= (col >= 0) & (fin[state, col] == group)
+    ok &= site | ~in_last[tok]
+    if not ok.any():
+        none = np.zeros(0, dtype=np.intp)
+        return _Scan(none, none, none, np.zeros(1, dtype=np.intp), none, none)
+
+    state, endpoint = state[ok], endpoint[ok]
+    key = (tok[ok] * 2 + site[ok]) * store.n + pat[state]  # (candidate, patient)
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)  # the first hit of its (candidate, patient)
+    first[1:] = key[1:] != key[:-1]
+    candidate = key // store.n
+    bounds = np.flatnonzero(np.concatenate(([True], candidate[1:] != candidate[:-1], [True])))
+    starts = bounds[:-1]
+    ab = np.add.reduceat(first, starts, dtype=np.intp)
+    a = np.add.reduceat(first & store.event[key % store.n], starts, dtype=np.intp)
+    return _Scan(candidate[starts], ab, a, bounds, state[order], endpoint[order])
 
 
-def _project(store, hits, tok):
-    """The projected database after extending every hit's state by ``tok``."""
+def _project(store: _Store, states: _States, scan: _Scan, i: int) -> _States:
+    """The projected database after extending candidate ``i``'s hits by its endpoint.
+
+    It applies the scan's hits and tests nothing again.
+    """
+    hits = slice(scan.bounds[i], scan.bounds[i + 1])
+    state, endpoint = scan.state[hits], scan.endpoint[hits]
+    tok, site = divmod(int(scan.key[i]), 2)
     fl = tok >> 1
-    new_pdb: dict[int, set] = {}
-    for pidx, open_map, h in hits:
-        opened = dict(open_map)
-        if tok & 1:
-            del opened[fl]
-        else:
-            opened[fl] = store.patients[pidx].partner[(h, tok)]
-        new_pdb.setdefault(pidx, set()).add((h, tuple(sorted(opened.items()))))
-    return {pidx: sorted(states) for pidx, states in new_pdb.items()}
+    fin = states.fin[state]
+    if tok & 1:  # a Finish closes its interval: drop its column
+        j = states.open.index(fl)
+        fin = fin[:, [c for c in range(len(states.open)) if c != j]]
+        open_ = states.open[:j] + states.open[j + 1:]
+    else:  # a Start opens one: a column of its finish groups
+        j = bisect.bisect(states.open, fl)
+        fin = np.concatenate((fin[:, :j], store.partner[endpoint, None], fin[:, j:]), axis=1)
+        open_ = states.open[:j] + (fl,) + states.open[j:]
+    pat, last = states.pat[state], store.grp[endpoint]
+    if site:
+        # states that part only before this group extend to the same state;
+        # in the last group each state has at most one hit, and keeps its own
+        table = np.column_stack((last, fin))
+        order = np.lexsort(table.T[::-1])
+        table = table[order]
+        distinct = np.ones(len(table), dtype=bool)
+        distinct[1:] = (table[1:] != table[:-1]).any(axis=1)
+        keep = order[distinct]
+        pat, last, fin = pat[keep], last[keep], fin[keep]
+    return _States(pat, last, fin, open_)
 
 
 def _sweep_open(groups) -> frozenset | None:
@@ -491,15 +573,14 @@ def _sweep_open(groups) -> frozenset | None:
 # Growth
 
 
-def _gate(store: _Store, config: MinerConfig, pids, parent_risk: float, stats: MiningStats):
-    """Support, risk and strict-increase test of one carrier set.
+def _gate(store: _Store, config: MinerConfig, ab: int, a: int, parent_risk: float,
+          stats: MiningStats):
+    """Support, risk and strict-increase test of ``ab`` carriers, ``a`` of them with the event.
 
     Returns ``((a, b, c, d), risk)`` for a pattern that clears ``minsup``,
     ``risk_sup`` and its parent's risk, else None.  Branch roots pass a parent
     risk of 0.0, which both (always positive) measures clear.
     """
-    ab = len(pids)
-    a = sum(1 for p in pids if store.patients[p].event)
     support = a / store.n_events if config.minsup_scope == "event_group" else ab / store.n
     if not support > config.minsup:
         return None
@@ -516,42 +597,40 @@ def _gate(store: _Store, config: MinerConfig, pids, parent_risk: float, stats: M
     return (a, b, c, d), risk
 
 
-def _roots(store: _Store, config: MinerConfig, stats: MiningStats) -> list[tuple]:
-    """Frequent high-risk Start endpoints: the branch roots, with their risks and hits."""
+def _roots(store: _Store, config: MinerConfig, stats: MiningStats) -> list[tuple[int, float]]:
+    """Frequent high-risk Start tokens: the branch roots, with their risks."""
+    ab = store.presence.sum(axis=0).tolist()
+    a = store.presence[store.event].sum(axis=0).tolist()
     roots = []
-    for tok, carriers in sorted(store.holders.items()):
-        if tok & 1:
-            continue  # only starting endpoints seed growth
-        gated = _gate(store, config, carriers, 0.0, stats)
+    for tok in range(0, len(ab), 2):  # only starting endpoints seed growth
+        gated = _gate(store, config, ab[tok], a[tok], 0.0, stats)
         if gated is not None:
-            hits = [(pidx, {}, g) for pidx in carriers
-                    for g, tokens in enumerate(store.patients[pidx].groups) if tok in tokens]
-            roots.append((tok, gated[1], hits))
+            roots.append((tok, gated[1]))
     return roots
 
 
-def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float, hits):
+def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float):
     """Mine every pattern whose growth starts at the given Start endpoint.
 
-    ``hits`` are the root's hits, one per group that holds it.  Returns the
-    branch's ``(groups, counts, pids, risk)`` emissions and its search counters.
+    Returns the branch's ``(groups, counts, pids, risk)`` emissions and its
+    search counters.
     """
     seen: set = set()
     emitted: list = []
     stats = MiningStats()
 
-    def grow(key, last_set, open_fls, pdb, risk, n_tokens):
+    def grow(key, last_set, states, risk, n_tokens):
         stats.nodes += 1
         if config.max_length is not None and n_tokens >= config.max_length:
             return
-        cands = _scan_states(store, pdb, last_set)
-        for tok, site in sorted(cands):
-            stats.candidates += 1
-            hits = cands[(tok, site)]
-            pids = sorted({pidx for pidx, _, _ in hits})
-            gated = _gate(store, config, pids, risk, stats)
+        scan = _scan_states(store, states, last_set)
+        stats.candidates += len(scan.key)
+        for i, (cand, ab, a) in enumerate(zip(scan.key.tolist(), scan.ab.tolist(),
+                                              scan.a.tolist())):
+            gated = _gate(store, config, ab, a, risk, stats)
             if gated is None:
                 continue
+            tok, site = divmod(cand, 2)
             if site == 0:
                 new_last = last_set | {tok}
                 new_key = key[:-1] + (_group_key(new_last),)
@@ -562,36 +641,28 @@ def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float
                 stats.duplicates += 1
                 continue
             seen.add(new_key)
-            fl = tok >> 1
-            new_open = open_fls - {fl} if tok & 1 else open_fls | {fl}
             counts, new_risk = gated
-            if not new_open:
+            if tok & 1 and len(states.open) == 1:  # it closes the last open interval
+                pids = np.unique(states.pat[scan.state[scan.bounds[i]:scan.bounds[i + 1]]])
                 groups = tuple(tuple(store.endpoint(t) for t in g) for g in new_key)
-                emitted.append((groups, counts, tuple(pids), new_risk))
+                emitted.append((groups, counts, tuple(pids.tolist()), new_risk))
                 stats.emitted += 1
-            grow(new_key, new_last, new_open, _project(store, hits, tok), new_risk, n_tokens + 1)
+            grow(new_key, new_last, _project(store, states, scan, i), new_risk, n_tokens + 1)
 
-    grow(
-        ((root,),), frozenset((root,)), frozenset((root >> 1,)), _project(store, hits, root),
-        root_risk, 1,
-    )
+    grow(((root,),), frozenset((root,)), _root_states(store, root), root_risk, 1)
     del grow  # the closure refers to itself: without this the cycle would keep the store alive
     return emitted, stats
 
 
-def _check_db(db) -> None:
-    """Reject an empty database, one without both outcomes, or one that repeats a patient id.
-
-    ``db`` holds anything with a ``patient_id`` and an ``event``.
-    """
-    if not db:
+def _check_db(ids: Sequence[str], events) -> None:
+    """Reject an empty database, one without both outcomes, or one that repeats a patient id."""
+    if not ids:
         raise CohortValidationError("mining needs a non-empty database")
-    events = sum(1 for s in db if s.event)
-    if events == 0 or events == len(db):
+    n_events = int(np.count_nonzero(events))
+    if n_events == 0 or n_events == len(ids):
         raise CohortValidationError(
             "mining needs at least one event and one non-event patient"
         )
-    ids = [s.patient_id for s in db]
     if len(set(ids)) != len(ids):
         raise CohortValidationError("duplicate patient ids in the database")
 
@@ -606,7 +677,7 @@ def _results(store: _Store, emitted) -> list[PatternResult]:
         PatternResult(
             pattern=TemporalPattern(groups),
             stats=counts_stats(*counts, risk),
-            matched=tuple(sorted(store.patients[p].patient_id for p in pids)),
+            matched=tuple(sorted(store.ids[p] for p in pids)),
         )
         for groups, (counts, pids, risk) in by_groups.items()
     ]
@@ -614,7 +685,7 @@ def _results(store: _Store, emitted) -> list[PatternResult]:
     return results
 
 
-_WORKER_STATE: tuple[_Store, MinerConfig, list[tuple]] | None = None
+_WORKER_STATE: tuple[_Store, MinerConfig, list[tuple[int, float]]] | None = None
 
 
 def _worker_init(store, config, roots):
@@ -639,14 +710,14 @@ def mine_with_stats(
         store = _Store.from_intervals(db)
     else:
         store = _Store(db)
-    _check_db(store.patients)
+    _check_db(store.ids, store.event)
     stats = MiningStats()
     roots = _roots(store, config, stats)
     if config.workers == 1 or len(roots) <= 1:
         branches = [_grow_branch(store, config, *root) for root in roots]
     else:
-        # forked workers inherit the store and the roots, so only root
-        # indices are sent; a failing worker fails the whole run, and
+        # forked workers inherit the store's arrays and the roots, so only
+        # root indices are sent; a failing worker fails the whole run, and
         # pool.map re-raises the worker's own exception as the diagnostic
         with futures.ProcessPoolExecutor(
             max_workers=min(config.workers, len(roots)),
@@ -682,7 +753,7 @@ def brute_force_mine(
     path but knows nothing about projections or scan pruning; support comes
     from direct embedding searches.  Guarded to small inputs.
     """
-    _check_db(db)
+    _check_db([s.patient_id for s in db], [s.event for s in db])
     alphabet = sorted({ep for s in db for g in s.groups for ep in g.endpoints})
     max_wave = max((g.time for s in db for g in s.groups), default=0)
     if len(db) > _GUARD_MAX_PATIENTS:
@@ -693,6 +764,7 @@ def brute_force_mine(
         raise GuardError(f"brute force refuses more than {_GUARD_MAX_ENDPOINTS} endpoints")
 
     store = _Store(db)
+    events = store.event.tolist()
     carrier_cache: dict = {}
     uncounted = MiningStats()  # the oracle reports no search counters
 
@@ -700,11 +772,10 @@ def brute_force_mine(
         pids = carrier_cache.get(groups)
         if pids is None:
             tgroups = [[store.token(ep) for ep in g] for g in groups]
-            pids = tuple(
-                i for i, pat in enumerate(store.patients) if _embeds(pat, tgroups, closable=True)
-            )
+            pids = tuple(i for i in range(store.n) if _embeds(store, i, tgroups, closable=True))
             carrier_cache[groups] = pids
-        gated = _gate(store, config, pids, parent_risk, uncounted)
+        a = sum(events[i] for i in pids)
+        gated = _gate(store, config, len(pids), a, parent_risk, uncounted)
         return None if gated is None else (pids, *gated)
 
     seen: set = set()

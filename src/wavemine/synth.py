@@ -225,8 +225,8 @@ def _manifest(config, cohort, specs, carrier_ids, ids):
     n, n_events = store.n, store.n_events
     entries = []
     for pat, planted_carriers in zip(config.planted, carrier_ids):
-        matched = [store.patients[i] for i in store.carriers(pat.groups)]
-        a = sum(1 for p in matched if p.event)
+        matched = store.carriers(pat.groups)
+        a = int(np.count_nonzero(store.event[matched]))
         b, c = len(matched) - a, n_events - a
         stats = counts_stats(a, b, c, n - a - b - c)
         try:
@@ -247,7 +247,7 @@ def _manifest(config, cohort, specs, carrier_ids, ids):
                 "support_pop": stats.support_pop,
                 "support_event": stats.support_event,
                 "planted_carrier_ids": [ids[i] for i in planted_carriers],
-                "matched_ids": sorted(p.patient_id for p in matched),
+                "matched_ids": sorted(store.ids[i] for i in matched),
             }
         )
     return {

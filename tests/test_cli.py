@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,28 @@ def test_stage_by_stage_matches_pipeline(tmp_path):
         stage_configs.update(stage["config"])
     assert run["config"] == stage_configs
     assert {"wave_count", "carry_past_outcome", "minsup", "k", "top"} <= set(stage_configs)
+
+
+def test_manifests_time_the_search_apart_from_writing_patterns(tmp_path, monkeypatch):
+    payload = cli._patterns_payload
+
+    def slow_payload(*args):  # building and writing patterns.json takes at least 50 ms
+        time.sleep(0.05)
+        return payload(*args)
+
+    monkeypatch.setattr(cli, "_patterns_payload", slow_payload)
+    data = _make_cohort(tmp_path)
+    piped = _run_pipeline(tmp_path, data, "piped")
+    timings = json.loads((piped / "run_manifest.json").read_text())["timings_seconds"]
+    assert list(timings) == ["abstract", "mining", "patterns_io", "matrix", "evaluate", "render"]
+    assert timings["patterns_io"] >= 0.05
+    assert main([
+        "mine", "--intervals", str(piped / "intervals.json"), "--out", str(tmp_path / "p.json"),
+        "--minsup", "0.1", "--risk-threshold", "1.3",
+    ]) == 0
+    timings = json.loads((tmp_path / "p.json.manifest.json").read_text())["timings_seconds"]
+    assert list(timings) == ["load", "mining", "patterns_io"]
+    assert timings["patterns_io"] >= 0.05
 
 
 def test_evaluate_zero_columns_fails_cleanly(tmp_path, capsys):

@@ -13,6 +13,7 @@ the patterns but alters how much of the search runs also fails here.
 import hashlib
 import json
 import random
+from pathlib import Path
 
 from wavemine.cli import main
 
@@ -118,3 +119,52 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path):
 
 def test_synth_files_match_golden_digests(tmp_path):
     assert _digests(_synth(tmp_path), SYNTH_GOLDEN) == SYNTH_GOLDEN
+
+
+# The patterns-5k benchmark's synth and mining settings at 1,000 patients:
+# a search of about 1,500 nodes, far past what the brute-force oracle reaches.
+PIN_SYNTH = {
+    "patients": 1000,
+    "waves": 6,
+    "features": 10,
+    "event_rate": 0.15,
+    "noise_rate": 0.08,
+    "seed": 7,
+    "planted": [{
+        "groups": [
+            [{"feature": "F01", "level": "H", "kind": "start"}],
+            [
+                {"feature": "F01", "level": "H", "kind": "finish"},
+                {"feature": "F02", "level": "L", "kind": "start"},
+            ],
+            [{"feature": "F02", "level": "L", "kind": "finish"}],
+        ],
+        "frac_events": 0.5,
+        "frac_nonevents": 0.1,
+    }],
+}
+
+PIN_PATTERNS = "155ebeb5921e095a53b15355157a45a01e14ddbc7037bc7fd3961d22032c06de"
+
+PIN_MINING = {"nodes": 1514, "candidates": 8208, "emitted": 102, "duplicates": 245,
+              "undefined_risk": 0}
+
+
+def test_mining_a_1000_patient_cohort_matches_its_pinned_digest_and_counters(tmp_path):
+    (tmp_path / "synth.json").write_text(json.dumps(PIN_SYNTH), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--config", str(tmp_path / "synth.json")]) == 0
+    intervals = tmp_path / "intervals.json"
+    assert main([
+        "abstract", "--cohort", str(data / "cohort.csv"), "--outcomes", str(data / "outcomes.csv"),
+        "--features", str(data / "features.json"), "--out", str(intervals),
+    ]) == 0
+    for workers in ("1", "2"):
+        out = tmp_path / f"patterns-{workers}.json"
+        assert main([
+            "mine", "--intervals", str(intervals), "--out", str(out),
+            "--minsup", "0.005", "--risk-threshold", "0.5", "--workers", workers,
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PIN_PATTERNS
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
+        assert manifest["metrics"]["mining"] == PIN_MINING

@@ -4,7 +4,9 @@ import io
 import itertools
 import json
 import random
+import weakref
 
+import numpy as np
 import pytest
 
 from wavemine import miner
@@ -189,30 +191,37 @@ def _walk(db, start, steps=()):
     """Grow the Start ``start`` by ``(endpoint, site)`` steps with the miner's
     own helpers (site 0: the last group, site 1: a later group).
 
-    The root's hits are every group holding ``start``; each step projects the
-    hits that ``_scan_states`` returns for it.  Returns ``(store, pdb,
-    last_set)``; patient index i in ``pdb`` is ``db[i]``.
+    The root's states are every group holding ``start``; each step projects
+    the hits that ``_scan_states`` finds for it.  Returns ``(store, pdb,
+    (states, last_set))``, ``pdb`` mapping patient index i (``db[i]``) to its
+    sorted states ``(g, ((fl, finish group), ...))``, groups counted within
+    the patient.
     """
     store = _Store(db)
     tok = store.token(start)
-    hits = [
-        (i, {}, g) for i, pat in enumerate(store.patients)
-        for g, tokens in enumerate(pat.groups) if tok in tokens
-    ]
-    pdb, last_set = _project(store, hits, tok), frozenset((tok,))
+    states, last_set = miner._root_states(store, tok), frozenset((tok,))
     for endpoint, site in steps:
         tok = store.token(endpoint)
-        pdb = _project(store, _scan_states(store, pdb, last_set).get((tok, site), []), tok)
+        scan = _scan_states(store, states, last_set)
+        (i,) = np.flatnonzero(scan.key == tok * 2 + site)  # the step must extend some state
+        states = _project(store, states, scan, i)
         last_set = last_set | {tok} if site == 0 else frozenset((tok,))
-    return store, pdb, last_set
+    pdb = {}
+    for p, g, fin in zip(states.pat.tolist(), states.last.tolist(), states.fin.tolist()):
+        first = int(store.row_groups[p])
+        opened = tuple((fl, f - first) for fl, f in zip(states.open, fin))
+        pdb.setdefault(p, []).append((g - first, opened))
+    return store, {p: sorted(marks) for p, marks in pdb.items()}, (states, last_set)
 
 
 def _support(db, start, steps=()):
     """Candidate extensions: endpoint -> (population, events) over both sites."""
-    store, pdb, last_set = _walk(db, start, steps)
+    store, _, (states, last_set) = _walk(db, start, steps)
+    scan = _scan_states(store, states, last_set)
     merged = {}
-    for (tok, _site), hits in _scan_states(store, pdb, last_set).items():
-        merged.setdefault(store.endpoint(tok), set()).update(pidx for pidx, _, _ in hits)
+    for i, key in enumerate(scan.key.tolist()):
+        hits = scan.state[scan.bounds[i]:scan.bounds[i + 1]]
+        merged.setdefault(store.endpoint(key >> 1), set()).update(states.pat[hits].tolist())
     return {e: (len(p), sum(db[i].event for i in p)) for e, p in merged.items()}
 
 
@@ -415,8 +424,9 @@ def test_each_sequence_is_paired_once(monkeypatch):
 
 def _store_view(store):
     return (
-        store.fl_pairs, store.n, store.n_events,
-        [(p.patient_id, p.event, p.groups, p.partner) for p in store.patients],
+        store.fl_pairs, store.n, store.n_events, store.ids, store.event.tolist(),
+        *(getattr(store, name).tolist()
+          for name in ("tok", "grp", "partner", "row_groups", "group_starts")),
     )
 
 
@@ -482,7 +492,7 @@ def test_carriers_prefiltered_by_token_holders_match_the_plain_scan():
     held = 0
     for groups in patterns:
         tgroups = [[store.token(e) for e in g] for g in groups]
-        plain = [i for i, pat in enumerate(store.patients) if miner._embeds(pat, tgroups)]
+        plain = [i for i in range(store.n) if miner._embeds(store, i, tgroups)]
         assert store.carriers(groups) == plain
         held += bool(plain)
     assert held >= len(mined) + 2
@@ -490,7 +500,8 @@ def test_carriers_prefiltered_by_token_holders_match_the_plain_scan():
     assert ("F01", "ZZ") not in store.fl_index
     assert store.carriers(((ep("F01", "ZZ", "+"),),)) == []
     assert store.carriers(planted.groups + ((ep("F01", "ZZ", "+"),),)) == []
-    assert sorted(store.holders) == list(range(2 * len(store.fl_pairs)))
+    assert store.presence.shape == (store.n, 2 * len(store.fl_pairs))
+    assert store.presence.any(axis=0).all()  # every token has a holder
 
 
 def _intervals_doc(*patients, levels=None):
@@ -702,9 +713,17 @@ def test_results_are_json_stable():
     assert one == two
 
 
-def test_mining_frees_its_store_by_reference_counting():
+def test_mining_frees_its_store_by_reference_counting(monkeypatch):
     # commands run with the cyclic collector paused, so nothing the search
     # builds may sit in a reference cycle
+    stores = []
+    build = _Store.__init__
+
+    def tracked(self, db):
+        build(self, db)
+        stores.append(weakref.ref(self))
+
+    monkeypatch.setattr(_Store, "__init__", tracked)
     db = random_db(random.Random(3), n_pat=12, waves=5)
     cfg = MinerConfig(minsup=0.1, risk_sup=0.1)
     was_enabled = gc.isenabled()
@@ -714,10 +733,10 @@ def test_mining_frees_its_store_by_reference_counting():
         results, stats = mine_with_stats(db, cfg)
         assert stats.nodes > 0
         del results, stats
-        assert not [o for o in gc.get_objects() if isinstance(o, miner._PatientSeq)]
+        assert len(stores) == 1 and stores[0]() is None
         # the oracle grows by a recursive closure too
         assert brute_force_mine(db, cfg)
-        assert not [o for o in gc.get_objects() if isinstance(o, miner._PatientSeq)]
+        assert len(stores) == 2 and stores[1]() is None
     finally:
         if was_enabled:
             gc.enable()
