@@ -182,19 +182,39 @@ def abstract_value(value, spec: FeatureSpec, edges: np.ndarray | None = None) ->
     return _level_names(spec.rule)[code]
 
 
+def _distinct_runs(label, start, end, n_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Code each run by its distinct (label, start, end): an index of one run per code, the codes.
+
+    The triple becomes one int64, waves counted from the first; where
+    far-apart waves would overflow that, waves are numbered by rank.
+    """
+    lo, hi = int(start.min()), int(end.max())
+    if n_labels * (hi - lo + 1) ** 2 < 2**63:
+        span = hi - lo + 1
+        key = (label * span + start - lo) * span + end - lo
+    else:
+        waves, ranks = np.unique(np.concatenate([start, end]), return_inverse=True)
+        span = len(waves)
+        key = (label * span + ranks[: start.size]) * span + ranks[start.size:]
+    distinct, code = np.unique(key, return_inverse=True)
+    at = np.empty(len(distinct), dtype=np.intp)
+    at[code] = np.arange(code.size)
+    return at, code.reshape(-1)
+
+
 def _intervals_by_row(
     columns: Mapping,
-    n_rows: int,
     specs: Sequence[FeatureSpec],
     edges_by_feature: Mapping[str, np.ndarray],
-) -> list[tuple[StateInterval, ...]]:
-    """Abstract each row's series into state intervals, one feature at a time.
+) -> tuple[tuple[StateInterval, ...], np.ndarray, np.ndarray]:
+    """Abstract each row's series into dictionary-encoded state intervals.
 
     ``columns`` maps feature names to ``ingest.Column``s.  Each feature's
     column is coded with one ``_level_codes`` call (over its distinct values
     when it has a category table) and split into runs where the row or the
-    level changes or a wave is skipped.  A row's intervals come in ``specs``
-    order, each feature's by wave.
+    level changes or a wave is skipped.  Returns the distinct intervals and,
+    per interval, its row and its index among them: rows ascending, a row's
+    intervals in ``specs`` order, each feature's by wave.
     """
     run_rows, run_labels, run_starts, run_ends = [], [], [], []
     labels: list[tuple[str, str]] = []  # (feature, level) per label code
@@ -229,27 +249,16 @@ def _intervals_by_row(
         _row, spec_index, value = min(unlisted, key=lambda u: u[:2])
         raise _unlisted(specs[spec_index], value)
     if not run_rows:
-        return [() for _ in range(n_rows)]
-    run_row = np.concatenate(run_rows)
-    order = np.argsort(run_row, kind="stable")
-    label = np.concatenate(run_labels)[order]
-    features = np.array([f for f, _ in labels], dtype=object)[label].tolist()
-    levels = np.array([lv for _, lv in labels], dtype=object)[label].tolist()
-    bounds = np.cumsum(np.bincount(run_row, minlength=n_rows)).tolist()
-    # tuple.__new__ builds each StateInterval without the Python-level __new__
-    intervals = list(
-        map(
-            tuple.__new__,
-            repeat(StateInterval),
-            zip(
-                features,
-                levels,
-                np.concatenate(run_starts)[order].tolist(),
-                np.concatenate(run_ends)[order].tolist(),
-            ),
-        )
+        return (), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    row, label, start, end = map(np.concatenate, (run_rows, run_labels, run_starts, run_ends))
+    del run_rows, run_labels, run_starts, run_ends  # a second copy of every run
+    at, code = _distinct_runs(label, start, end, len(labels))
+    table = tuple(
+        StateInterval(*labels[lb], s, e)
+        for lb, s, e in zip(label[at].tolist(), start[at].tolist(), end[at].tolist())
     )
-    return [tuple(intervals[a:b]) for a, b in zip([0, *bounds], bounds)]
+    order = np.argsort(row, kind="stable")
+    return table, row[order], code[order]
 
 
 def build_intervals(
@@ -265,7 +274,8 @@ def build_intervals(
     from .ingest import series_columns
 
     columns = series_columns([values], specs)
-    return list(_intervals_by_row(columns, 1, specs, edges_by_feature or {})[0])
+    table, _row, code = _intervals_by_row(columns, specs, edges_by_feature or {})
+    return [table[c] for c in code.tolist()]
 
 
 def fit_cohort_edges(cohort, specs: Sequence[FeatureSpec]):
@@ -296,30 +306,24 @@ def fit_cohort_edges(cohort, specs: Sequence[FeatureSpec]):
 
 def abstract_cohort(cohort, specs: Sequence[FeatureSpec]):
     """Abstract a carry-forwarded cohort into per-patient state intervals."""
-    from .encoding import CohortIntervals, PatientIntervals
+    from .encoding import CohortIntervals
 
     edges, usable = fit_cohort_edges(cohort, specs)
     severities = {
         spec.name: {lv.name: lv.severity for lv in spec.levels} for spec in usable
     }
-    by_row = _intervals_by_row(cohort.columns, len(cohort.patient_ids), usable, edges)
-    patients = tuple(
-        PatientIntervals(
-            patient_id=patient_id,
-            time=outcome.time,
-            event=outcome.event,
-            intervals=intervals,
-        )
-        for patient_id, outcome, intervals in zip(
-            cohort.patient_ids, cohort.patient_outcomes, by_row
-        )
-    )
-    fitted = {name: [float(e) for e in arr] for name, arr in edges.items()}
-    return CohortIntervals(
-        wave_count=cohort.wave_count,
-        levels=severities,
-        patients=patients,
-        edges=fitted,
+    table, row, code = _intervals_by_row(cohort.columns, usable, edges)
+    outcomes = cohort.patient_outcomes
+    return CohortIntervals.from_table(
+        cohort.wave_count,
+        severities,
+        {name: [float(e) for e in arr] for name, arr in edges.items()},
+        table,
+        row,
+        code,
+        cohort.patient_ids,
+        [o.time for o in outcomes],
+        [o.event for o in outcomes],
     )
 
 

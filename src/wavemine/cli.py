@@ -112,8 +112,8 @@ def _patterns_payload(results, config: MinerConfig, doc: CohortIntervals):
     del config_payload["workers"]
     return {
         "config": config_payload,
-        "total_patients": len(doc.patients),
-        "total_events": sum(1 for p in doc.patients if p.event),
+        "total_patients": len(doc.ids),
+        "total_events": sum(1 for event in doc.events if event),
         "levels": {f: dict(by) for f, by in sorted(doc.levels.items())},
         "patterns": [
             {
@@ -285,7 +285,7 @@ def _cmd_abstract(args) -> int:
         {},
         {"abstract": time.perf_counter() - t0},
     )
-    print(f"abstract: wrote intervals for {len(doc.patients)} patients to {args.out}")
+    print(f"abstract: wrote intervals for {len(doc.ids)} patients to {args.out}")
     return 0
 
 
@@ -323,7 +323,7 @@ def _cmd_mine(args) -> int:
 
 
 def _matrix_stage(results, doc: CohortIntervals, out: Path):
-    matrix = build_matrix(results, doc.patients, doc.outcomes())
+    matrix = build_matrix(results, doc.ids, doc.outcomes())
     with open(out, "w", encoding="utf-8", newline="") as fh:
         write_matrix_csv(matrix, fh)
     sidecar = sidecar_payload(matrix, results)

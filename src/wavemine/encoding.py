@@ -5,6 +5,15 @@ a Finish endpoint at wave e; normal-severity levels emit nothing.  Endpoints
 sharing a wave form one group.  Within a group the stored order is a pure
 canonical form (Start block before Finish block, each block sorted):
 pattern semantics depend only on group membership.
+
+The intervals travel from abstraction to ``intervals.json`` and the miner
+as one dictionary-encoded ``CohortIntervals``: ``table`` holds each distinct
+``StateInterval`` once, as given (an int wave and a float wave stay apart),
+and two int arrays, ``row`` and ``code``, hold one entry per occurrence, in
+patient order and then in the order given; ``ids``, ``times`` and ``events``
+hold one per patient.  ``patients`` is a view of ``PatientIntervals`` built
+on first use, and ``CohortIntervals(wave_count, levels, patients, edges)``
+still builds a document by encoding the patients it is given.
 """
 from __future__ import annotations
 
@@ -14,6 +23,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .abstraction import StateInterval
 from .errors import MatrixFormatError, PairingError
@@ -163,14 +174,78 @@ class PatientIntervals:
     intervals: tuple[StateInterval, ...]
 
 
+class _PatientsView:
+    """``CohortIntervals.patients``: encoded when set, decoded into a tuple on first read."""
+
+    def __get__(self, doc, owner=None):
+        if doc is None:
+            raise AttributeError("patients")  # so the dataclass field has no default
+        view = doc.__dict__.get("_patients")
+        if view is None:
+            table, bounds = doc.table, doc.bounds().tolist()
+            flat = list(map(table.__getitem__, doc.code.tolist()))
+            view = tuple(map(
+                PatientIntervals, doc.ids, doc.times, doc.events,
+                [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])],
+            ))
+            object.__setattr__(doc, "_patients", view)
+        return view
+
+    def __set__(self, doc, patients):
+        patients = tuple(patients)
+        index: dict = {}  # (interval, wave types) -> code, so 1 and 1.0 stay apart
+        code = [
+            index.setdefault((iv, type(iv.start), type(iv.end)), len(index))
+            for p in patients
+            for iv in p.intervals
+        ]
+        doc._encoded(
+            tuple(iv for iv, _, _ in index),
+            np.repeat(np.arange(len(patients)), [len(p.intervals) for p in patients]),
+            np.array(code, dtype=np.intp),
+            [p.patient_id for p in patients],
+            [p.time for p in patients],
+            [p.event for p in patients],
+        )
+
+
 @dataclass(frozen=True)
 class CohortIntervals:
-    """The intermediate intervals artifact handed from abstraction to mining."""
+    """The intermediate intervals artifact handed from abstraction to mining.
+
+    Dictionary-encoded (see the module docstring): occurrence k is
+    ``table[code[k]]`` of patient ``row[k]``, rows ascending, and per patient
+    ``ids``, ``times`` and ``events``.  ``from_table`` shares encoded arrays.
+    """
 
     wave_count: int
     levels: Mapping[str, Mapping[str, str]]  # feature -> level -> severity
-    patients: tuple[PatientIntervals, ...]
+    patients: tuple[PatientIntervals, ...] = _PatientsView()
     edges: Mapping[str, Sequence[float]] | None = None
+
+    @classmethod
+    def from_table(cls, wave_count, levels, edges, table, row, code, ids, times, events):
+        """A document over encoded intervals: ``row`` ascending, ``code`` indexing ``table``."""
+        doc = cls.__new__(cls)
+        for name, value in (("wave_count", wave_count), ("levels", levels), ("edges", edges)):
+            object.__setattr__(doc, name, value)
+        doc._encoded(table, row, code, ids, times, events)
+        return doc
+
+    def _encoded(self, table, row, code, ids, times, events) -> None:
+        for name, value in (("table", tuple(table)), ("row", row), ("code", code),
+                            ("ids", tuple(ids)), ("times", tuple(times)),
+                            ("events", tuple(events))):
+            object.__setattr__(self, name, value)
+
+    def bounds(self) -> np.ndarray:
+        """Patient i's occurrences are ``bounds[i]`` up to ``bounds[i + 1]``."""
+        return np.searchsorted(self.row, np.arange(len(self.ids) + 1))
+
+    def intervals_of(self, i: int) -> tuple[StateInterval, ...]:
+        """Patient ``i``'s intervals, in the order given."""
+        lo, hi = np.searchsorted(self.row, (i, i + 1)).tolist()
+        return tuple(map(self.table.__getitem__, self.code[lo:hi].tolist()))
 
     def severity_of(self) -> dict[tuple[str, str], str]:
         return {
@@ -184,7 +259,7 @@ class CohortIntervals:
         return [encode(p.patient_id, p.intervals, sev, p.event) for p in self.patients]
 
     def outcomes(self) -> dict[str, tuple[float, bool]]:
-        return {p.patient_id: (p.time, p.event) for p in self.patients}
+        return dict(zip(self.ids, zip(self.times, self.events)))
 
 
 def _number(x) -> str:
@@ -194,6 +269,9 @@ def _number(x) -> str:
     if type(x) is float and math.isfinite(x):
         return float.__repr__(x)
     return json.dumps(x)
+
+
+_CHUNK = 1 << 16  # characters of intervals.json text written at a time
 
 
 def _interval_text(iv: StateInterval) -> str:
@@ -208,17 +286,25 @@ def _interval_text(iv: StateInterval) -> str:
 def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
     """Write ``doc`` as ``json.dump(payload, stream, indent=2)`` plus a newline would.
 
-    The layout is fixed, so the header goes through ``json`` and each patient
-    and interval is written from a template, one patient at a time.  Strings
-    are escaped by ``json`` itself.  What ``read_intervals_json`` would refuse
-    raises its ``MatrixFormatError``: a bad event or time before anything is
-    written, and a wave that is no integer (a bool, or a float such as 1.5)
-    before its patient is written.  Int waves need no check, and a pass over
-    every wave before writing would cost about a fifth of the writer, so the
-    waves are checked in the branch that already handles the other kinds.
+    The layout is fixed, so the header goes through ``json``, each table
+    entry's text is rendered once from a template, and each patient's entry
+    joins the texts of its codes; strings are escaped by ``json`` itself.
+    The text goes out in chunks of about ``_CHUNK`` characters.  What
+    ``read_intervals_json`` would refuse raises its ``MatrixFormatError``
+    before anything is written: a bad event or time, then a wave that is no
+    integer (a bool, or a float such as 1.5), checked once per table entry
+    and reported for the first patient that holds it.
     """
-    for p in doc.patients:
-        _check_outcome(p.patient_id, p.time, p.event)
+    for pid, time, event in zip(doc.ids, doc.times, doc.events):
+        _check_outcome(pid, time, event)
+    table, code = doc.table, doc.code
+    refused = np.array([not (_integral(iv.start) and _integral(iv.end)) for iv in table],
+                       dtype=bool)[code]  # per occurrence
+    if refused.any():
+        k = int(np.flatnonzero(refused)[0])
+        iv, pid = table[code[k]], doc.ids[doc.row[k]]
+        _wave(pid, iv.start)
+        _wave(pid, iv.end)
     header = json.dumps(
         {
             "wave_count": doc.wave_count,
@@ -227,34 +313,36 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
         },
         indent=2,
     )
-    stream.write(header[:-2] + ',\n  "patients": [')
-    texts: dict[StateInterval, str] = {}  # interval with int waves -> its text
-    sep = "\n"
-    for p in doc.patients:
-        lines = []
-        for iv in p.intervals:
-            if type(iv.start) is int and type(iv.end) is int:
-                text = texts.get(iv)
-                if text is None:
-                    text = texts[iv] = _interval_text(iv)
-            else:  # 2.0 == 2, so a float wave must not share an int wave's text
-                _wave(p.patient_id, iv.start)
-                _wave(p.patient_id, iv.end)
-                text = _interval_text(iv)
-            lines.append(text)
-        intervals = "[\n" + ",\n".join(lines) + "\n      ]" if lines else "[]"
-        stream.write(
-            f'{sep}    {{\n      "patient_id": {json.dumps(p.patient_id)},\n'
-            f'      "time": {_number(p.time)},\n      "event": {int(p.event)},\n'
+    texts = [_interval_text(iv) for iv in table]
+    flat = list(map(texts.__getitem__, code.tolist()))
+    bounds = doc.bounds().tolist()
+    chunk = [header[:-2] + ',\n  "patients": [']
+    size, sep = 0, "\n"
+    for pid, time, event, a, b in zip(doc.ids, doc.times, doc.events, bounds, bounds[1:]):
+        intervals = "[\n" + ",\n".join(flat[a:b]) + "\n      ]" if b > a else "[]"
+        text = (
+            f'{sep}    {{\n      "patient_id": {json.dumps(pid)},\n'
+            f'      "time": {_number(time)},\n      "event": {int(event)},\n'
             f'      "intervals": {intervals}\n    }}'
         )
+        chunk.append(text)
+        size += len(text)
+        if size >= _CHUNK:
+            stream.write("".join(chunk))
+            chunk, size = [], 0
         sep = ",\n"
-    stream.write("\n  ]\n}\n" if doc.patients else "]\n}\n")
+    chunk.append("\n  ]\n}\n" if doc.ids else "]\n}\n")
+    stream.write("".join(chunk))
+
+
+def _integral(x) -> bool:
+    """An int, or a float such as ``2.0`` that is one; never a bool."""
+    return type(x) is int or type(x) is float and x.is_integer()
 
 
 def _wave(pid, x) -> int:
-    """An interval wave: an int, or a float such as ``2.0`` that is one; never a bool."""
-    if type(x) is int or type(x) is float and x.is_integer():
+    """An interval wave as an int; anything ``_integral`` refuses raises."""
+    if _integral(x):
         return int(x)
     raise MatrixFormatError(f"patient {pid!r}: interval waves must be integers, got {x!r}")
 
@@ -267,36 +355,47 @@ def _check_outcome(pid, time, event) -> None:
         raise MatrixFormatError(f"patient {pid!r}: time must be finite and >= 1, got {time!r}")
 
 
-def _patient_intervals(p) -> PatientIntervals:
-    """One patient's entry: event 0/1 or a bool, time finite and >= 1, integer waves."""
-    pid, time, event = p["patient_id"], p["time"], p["event"]
-    _check_outcome(pid, time, event)
-    intervals = []
-    for iv in p["intervals"]:
-        start, end = iv["start"], iv["end"]
-        if type(start) is not int or type(end) is not int:
-            start, end = _wave(pid, start), _wave(pid, end)
-        intervals.append(StateInterval(iv["feature"], iv["level"], start, end))
-    return PatientIntervals(pid, float(time), bool(event), tuple(intervals))
-
-
 def read_intervals_json(stream: IO[str]) -> CohortIntervals:
+    """Read ``intervals.json`` into the encoded form; equal intervals share a table entry.
+
+    Events must be 0/1 or bools, times finite and >= 1, waves integers (an
+    integral float becomes an int).
+    """
     try:
         payload = json.load(stream)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"bad intervals JSON: {exc}") from None
     try:
-        patients = tuple(map(_patient_intervals, payload["patients"]))
+        ids, times, events, ends = [], [], [], []
+        index: dict = {}  # (feature, level, start, end) -> code
+        code: list[int] = []
+        for p in payload["patients"]:
+            pid, time, event = p["patient_id"], p["time"], p["event"]
+            _check_outcome(pid, time, event)
+            for iv in p["intervals"]:
+                start, end = iv["start"], iv["end"]
+                if type(start) is not int or type(end) is not int:
+                    start, end = _wave(pid, start), _wave(pid, end)
+                code.append(index.setdefault((iv["feature"], iv["level"], start, end), len(index)))
+            ids.append(pid)
+            times.append(float(time))
+            events.append(bool(event))
+            ends.append(len(code))
         levels = payload["levels"]
         if not isinstance(levels, dict) or not all(isinstance(by, dict) for by in levels.values()):
             raise MatrixFormatError(
                 "bad intervals JSON structure: levels must map each feature to an object"
             )
-        return CohortIntervals(
-            wave_count=int(payload["wave_count"]),
-            levels=levels,
-            patients=patients,
-            edges=payload.get("edges") or None,
+        return CohortIntervals.from_table(
+            int(payload["wave_count"]),
+            levels,
+            payload.get("edges") or None,
+            map(StateInterval._make, index),
+            np.repeat(np.arange(len(ends)), np.diff([0, *ends])),
+            np.array(code, dtype=np.intp),
+            ids,
+            times,
+            events,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: an int time
         raise MatrixFormatError(f"bad intervals JSON structure: {exc}") from None

@@ -43,7 +43,7 @@ class BinaryDesignMatrix:
 
 def build_matrix(
     patterns: Sequence[PatternResult],
-    sequences: Sequence[EndpointSequence],
+    patients: Sequence[EndpointSequence | str],
     outcomes: Mapping[str, tuple[float, bool]],
 ) -> BinaryDesignMatrix:
     """Indicator matrix: cell(i, j) = 1 iff patient i carries pattern j.
@@ -51,18 +51,19 @@ def build_matrix(
     The carriers are the miner's ``PatternResult.matched`` ids, so no pattern
     is searched for again; a matched id that names no row or repeats is
     rejected, and so are two rows with one patient id.  Rows follow
-    ``sequences``, of which only each ``patient_id`` is read, so
-    ``CohortIntervals.patients`` serve as well.  Column order follows the
+    ``patients``: patient ids, or anything with a ``patient_id`` (endpoint
+    sequences, ``CohortIntervals.patients``).  Column order follows the
     miner's deterministic result order.  Column sums are checked against each
     pattern's reported a+b at build time.
     """
-    missing = [s.patient_id for s in sequences if s.patient_id not in outcomes]
+    ids = [p if isinstance(p, str) else p.patient_id for p in patients]
+    missing = [pid for pid in ids if pid not in outcomes]
     if missing:
         raise CohortValidationError(f"patients without an outcome: {sorted(missing)}")
-    row_of = {s.patient_id: i for i, s in enumerate(sequences)}
-    if len(row_of) != len(sequences):
+    row_of = {pid: i for i, pid in enumerate(ids)}
+    if len(row_of) != len(ids):
         raise CohortValidationError("duplicate patient ids among the matrix rows")
-    cells = np.zeros((len(sequences), len(patterns)), dtype=np.int8)
+    cells = np.zeros((len(ids), len(patterns)), dtype=np.int8)
     for j, result in enumerate(patterns):
         rows = [row_of.get(pid) for pid in result.matched]
         if None in rows or len(set(rows)) != len(rows):
@@ -78,10 +79,10 @@ def build_matrix(
                 f"column {j} sums to {got} but the miner reported a+b={expected} "
                 f"for pattern {result.pattern.key()}"
             )
-    times = np.array([outcomes[s.patient_id][0] for s in sequences], dtype=float)
-    events = np.array([outcomes[s.patient_id][1] for s in sequences], dtype=bool)
+    times = np.array([outcomes[pid][0] for pid in ids], dtype=float)
+    events = np.array([outcomes[pid][1] for pid in ids], dtype=bool)
     return BinaryDesignMatrix(
-        patient_ids=tuple(s.patient_id for s in sequences),
+        patient_ids=tuple(ids),
         times=times,
         events=events,
         pattern_keys=tuple(r.pattern.key() for r in patterns),

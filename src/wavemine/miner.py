@@ -37,7 +37,6 @@ import multiprocessing
 from concurrent import futures
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import count
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -284,17 +283,15 @@ class _Store:
         other intervals is encoded, so it pairs, or raises PairingError, as
         its ``EndpointSequence`` does, and its pairs join the table.
         """
-        records = doc.patients
         severity = doc.severity_of()
-        keys, row, kid, start, end = _shown_intervals(records, severity)
+        keys, row, kid, start, end = _shown_intervals(doc, severity)
         crossed = start > end  # or starting where the key's previous interval is still open
         crossed[1:] |= (row[1:] == row[:-1]) & (kid[1:] == kid[:-1]) & (start[1:] <= end[:-1])
         odd = sorted(set(row[crossed].tolist()))
         pairs = [
             (r, *pair)
             for r in odd
-            for pair in encode(records[r].patient_id, records[r].intervals, severity,
-                               records[r].event).pairs
+            for pair in encode(doc.ids[r], doc.intervals_of(r), severity, doc.events[r]).pairs
         ]
         plain = ~np.isin(row, odd)
         row, kid, start, end = row[plain], kid[plain], start[plain], end[plain]
@@ -305,7 +302,7 @@ class _Store:
         )
         token = np.array([2 * store.fl_index.get(key, -1) for key in keys], dtype=np.intp)
         store._build(
-            [p.patient_id for p in records], [p.event for p in records],
+            doc.ids, doc.events,
             *map(np.concatenate, zip((row, token[kid], start, end), store._quadruples(pairs).T)),
         )
         return store
@@ -399,19 +396,17 @@ class _Store:
         return [i for i in np.flatnonzero(held).tolist() if _embeds(self, i, tgroups)]
 
 
-def _shown_intervals(records, severity):
+def _shown_intervals(doc: CohortIntervals, severity):
     """Each patient's distinct non-normal intervals, sorted by (row, feature, level, start, end).
 
     Returns the sorted (feature, level) keys and, per interval, its row, its
     key's index, and its start and end as ranks among the distinct waves:
-    order and equality are all the store needs of a wave.
+    order and equality are all the store needs of a wave.  Table entries
+    that are equal (a wave 2 and a wave 2.0) are one interval.
     """
-    flat = [iv for p in records for iv in p.intervals]
-    first_at: dict = {}  # interval -> position of its first copy
-    first = np.fromiter(map(first_at.setdefault, flat, count()), np.intp, len(flat))
-    distinct = sorted(first_at)
-    rank_at = np.empty(len(flat), dtype=np.intp)  # at a first copy: the interval's rank
-    rank_at[[first_at[iv] for iv in distinct]] = np.arange(len(distinct))
+    distinct = sorted(set(doc.table))
+    rank_of = {iv: i for i, iv in enumerate(distinct)}
+    rank = np.array([rank_of[iv] for iv in doc.table], dtype=np.intp)  # per table entry
     features, levels, starts, ends = zip(*distinct) if distinct else ((), (), (), ())
     keys = sorted(set(zip(features, levels)))
     key_id = {key: i for i, key in enumerate(keys)}
@@ -421,8 +416,7 @@ def _shown_intervals(records, severity):
     )
     # one number per (row, distinct interval): sorted, each kept once
     n = max(len(distinct), 1)
-    coded = np.repeat(np.arange(len(records)) * n, [len(p.intervals) for p in records])
-    coded = np.sort(coded + rank_at[first])
+    coded = np.sort(doc.row * n + rank[doc.code])
     coded = coded[shown[coded % n] & np.append(True, coded[1:] != coded[:-1])]
     rank = coded % n
     waves = np.unique(np.asarray(starts + ends))

@@ -300,6 +300,7 @@ def test_abstract_cohort_matches_per_value_reference():
         doc = abstract_cohort(cohort, RANDOM_SPECS)
         assert list(doc.levels) == [spec.name for spec in usable]
         assert doc.edges == {name: list(arr) for name, arr in edges.items()}
+        assert len(set(doc.table)) == len(doc.table)  # each distinct interval once
         for record, patient in zip(cohort.patients, doc.patients):
             expected = _reference_intervals(record.values, usable, edges)
             assert list(patient.intervals) == expected
@@ -343,3 +344,32 @@ def test_non_finite_values_are_fit_error(bad):
     with pytest.raises(FitError, match="non-finite"):
         fit_percentiles([1.0, 2.0, bad, 3.0, 4.0], PCT.rule.bounds)
 
+
+
+def test_far_apart_waves_are_numbered_by_rank():
+    # 4 BMI levels over a span of 2**40 waves: an int64 key needs wave ranks
+    far = 2**40
+    values = {"bmi": {1: 20.0, 2: 21.0, far: 31.0, far + 1: 32.0, far + 3: 31.0, far + 4: 17.0}}
+    expected = _reference_intervals(values, [BMI], {})
+    assert build_intervals(values, [BMI]) == expected
+    assert expected[1] == StateInterval("bmi", "Obese", far, far + 1)
+
+
+def test_abstract_cohort_holds_no_interval_per_occurrence():
+    import tracemalloc
+
+    from wavemine.abstraction import abstract_cohort
+    from wavemine.synth import SynthConfig, generate
+
+    config = SynthConfig(patients=2000, waves=6, features=10, noise_rate=0.08, seed=3)
+    cohort, specs = generate(config)[:2]
+    tracemalloc.start()
+    try:
+        doc = abstract_cohort(cohort, specs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one StateInterval per occurrence (34,038 here, 546 distinct) peaked at 6,237,146 traced
+    # bytes (Python 3.11, numpy 2.4); the table of distinct ones at 2,920,904
+    assert peak <= 4_500_000
+    assert len(doc.table) < doc.code.size // 10

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -360,6 +361,18 @@ def _writer_cases():
             )),),
             {},
         ),
+        "fraction wave after valid patients": CohortIntervals(
+            4,
+            {"A": {"x": "high"}},
+            (
+                PatientIntervals("p1", 3.0, True, (StateInterval("A", "x", 1, 2),)),
+                PatientIntervals("p2", 3.0, False, (StateInterval("A", "x", 1, 2),
+                                                    StateInterval("A", "x", 2.5, 3))),
+                PatientIntervals("p3", 3.0, False, (StateInterval("A", "x", True, 2),
+                                                    StateInterval("A", "x", 2.5, 3))),
+            ),
+            {},
+        ),
         "nan time": CohortIntervals(2, {}, (PatientIntervals("p1", float("nan"), False, ()),)),
         "no patients": CohortIntervals(3, {"A": {"x": "high"}}, (), {"A": [1.5]}),
         "no levels, no edges": CohortIntervals(
@@ -379,11 +392,12 @@ def _writer_cases():
     }
 
 
-# cases the reader refuses: the writer raises its error naming the patient, a
-# bad time before anything is written, a bad wave before its patient is written
+# cases the reader refuses: the writer raises its error naming the patient
+# before anything is written, a bad wave for the first patient that holds one
 _REFUSED = {
     "odd strings, int and float times": "'tab\\there': time must be finite and >= 1, got 0.1",
     "float and bool waves": "'p1': interval waves must be integers, got True",
+    "fraction wave after valid patients": "'p2': interval waves must be integers, got 2.5",
     "nan time": "'p1': time must be finite and >= 1, got nan",
 }
 
@@ -400,10 +414,80 @@ def test_intervals_json_writer_matches_json_dump(name):
         with pytest.raises(MatrixFormatError) as err:
             write_intervals_json(doc, buf)
         assert str(err.value) == "patient " + _REFUSED[name]
-        assert '"patient_id": "p1"' not in buf.getvalue()
-        if "time" in _REFUSED[name]:
-            assert buf.getvalue() == ""
+        assert buf.getvalue() == ""
         return
     write_intervals_json(doc, buf)
     assert buf.getvalue() == _reference_intervals_json(doc)
     assert len(read_intervals_json(io.StringIO(buf.getvalue())).patients) == len(doc.patients)
+
+
+def test_intervals_json_writer_streams_in_chunks(monkeypatch):
+    import io
+
+    from wavemine import encoding
+
+    doc = _writer_cases()["odd strings, valid times"]
+    whole = io.StringIO()
+    encoding.write_intervals_json(doc, whole)
+    monkeypatch.setattr(encoding, "_CHUNK", 1)  # every patient fills a chunk
+    writes = []
+    encoding.write_intervals_json(doc, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == whole.getvalue()
+    assert len(writes) == len(doc.ids) + 1  # the header goes with the first, the tail alone
+    assert writes[-1] == "\n  ]\n}\n"
+
+
+def test_cohort_intervals_store_each_distinct_interval_once():
+    from wavemine.encoding import CohortIntervals, PatientIntervals
+
+    a, b, c = StateInterval("A", "x", 1, 2), StateInterval("A", "x", 1.0, 2.0), StateInterval(
+        "B", "y", 2, 2
+    )
+    patients = (
+        PatientIntervals("p1", 3.0, True, (a, b, a)),
+        PatientIntervals("p2", 2, False, ()),
+        PatientIntervals("p3", 4.0, 1, (c, a)),
+    )
+    doc = CohortIntervals(4, {"A": {"x": "high"}}, iter(patients))
+    # an int wave and a float wave are equal, but each keeps its own entry
+    assert doc.table == (a, b, c)
+    assert [type(iv.start) for iv in doc.table] == [int, float, int]
+    assert (doc.row.tolist(), doc.code.tolist()) == ([0, 0, 0, 2, 2], [0, 1, 0, 2, 0])
+    assert (doc.ids, doc.times, doc.events) == (("p1", "p2", "p3"), (3.0, 2, 4.0), (True, False, 1))
+    assert doc.bounds().tolist() == [0, 3, 3, 5]
+    assert doc.patients == patients
+    assert [type(iv.start) for iv in doc.patients[0].intervals] == [int, float, int]
+    assert type(doc.patients[1].time) is int
+    assert [doc.intervals_of(i) for i in range(3)] == [p.intervals for p in patients]
+    assert doc.outcomes() == {"p1": (3.0, True), "p2": (2, False), "p3": (4.0, 1)}
+    # replace encodes the patients it is given, and keeps the others' own
+    fewer = dataclasses.replace(doc, patients=patients[1:])
+    assert (fewer.table, fewer.row.tolist(), fewer.code.tolist()) == ((c, a), [1, 1], [0, 1])
+    assert fewer.patients == patients[1:]
+    moved = dataclasses.replace(doc, edges={"A": [1.5]})
+    assert (moved.patients, moved.edges, moved.levels) == (patients, {"A": [1.5]}, doc.levels)
+    assert dataclasses.replace(moved, edges=None) == doc != fewer
+    empty = CohortIntervals(2, {}, ())
+    assert (empty.table, empty.row.size, empty.code.size, empty.patients) == ((), 0, 0, ())
+
+
+def test_read_intervals_json_shares_equal_intervals():
+    import io
+    import json
+
+    from wavemine.encoding import read_intervals_json
+
+    def iv(start, end):
+        return {"feature": "A", "level": "x", "start": start, "end": end}
+
+    doc = {"wave_count": 4, "levels": {"A": {"x": "high"}}, "patients": [
+        {**_GOOD_PATIENT, "patient_id": "p1", "intervals": [iv(1, 2), iv(3, 4), iv(1.0, 2.0)]},
+        {**_GOOD_PATIENT, "patient_id": "p2", "intervals": []},
+        {**_GOOD_PATIENT, "patient_id": "p3", "intervals": [iv(3, 4)]},
+    ]}
+    back = read_intervals_json(io.StringIO(json.dumps(doc)))
+    assert back.table == (StateInterval("A", "x", 1, 2), StateInterval("A", "x", 3, 4))
+    assert (back.row.tolist(), back.code.tolist()) == ([0, 0, 0, 2], [0, 1, 0, 1])
+    assert (back.ids, back.times, back.events) == (("p1", "p2", "p3"), (4.0,) * 3, (True,) * 3)
+    empty = read_intervals_json(io.StringIO(json.dumps({**doc, "patients": []})))
+    assert (empty.table, empty.row.size, empty.patients) == ((), 0, ())

@@ -51,6 +51,14 @@ def test_build_matrix_matches_miner_counts():
     assert int(matrix.cells[:, 0].sum()) == results[0].stats.a + results[0].stats.b
 
 
+def test_build_matrix_rows_from_patient_ids():
+    db, outcomes, results = _toy()
+    ids = [s.patient_id for s in db]
+    assert build_matrix(results, ids, outcomes) == build_matrix(results, db, outcomes)
+    with pytest.raises(CohortValidationError, match="duplicate patient ids"):
+        build_matrix(results, [*ids, ids[0]], outcomes)
+
+
 def test_build_matrix_zero_patterns():
     db, outcomes, _ = _toy()
     matrix = build_matrix([], db, outcomes)

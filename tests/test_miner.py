@@ -431,15 +431,28 @@ def _store_view(store):
 
 
 def _assert_same_store(doc):
-    """``_Store.from_intervals(doc)`` equals ``_Store(doc.sequences())``, or fails the same way."""
+    """``_Store.from_intervals`` equals ``_Store(doc.sequences())``, or fails the same way.
+
+    So does the store of the document built from ``doc.patients``, and of
+    the one read back from ``doc``'s ``intervals.json``.
+    """
+    from wavemine.encoding import CohortIntervals, read_intervals_json, write_intervals_json
+
+    text = io.StringIO()
+    write_intervals_json(doc, text)
+    back = read_intervals_json(io.StringIO(text.getvalue()))
+    docs = [doc, CohortIntervals(doc.wave_count, doc.levels, doc.patients, doc.edges), back]
+    assert back.patients == doc.patients
     try:
         expected = _store_view(_Store(doc.sequences()))
     except PairingError as exc:
-        with pytest.raises(PairingError) as raised:
-            _Store.from_intervals(doc)
-        assert str(raised.value) == str(exc)
+        for built in docs:
+            with pytest.raises(PairingError) as raised:
+                _Store.from_intervals(built)
+            assert str(raised.value) == str(exc)
         return "raises"
-    assert _store_view(_Store.from_intervals(doc)) == expected
+    for built in docs:
+        assert _store_view(_Store.from_intervals(built)) == expected
     return "pairs"
 
 
