@@ -182,24 +182,21 @@ def abstract_value(value, spec: FeatureSpec, edges: np.ndarray | None = None) ->
     return _level_names(spec.rule)[code]
 
 
-def _distinct_runs(label, start, end, n_labels: int) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_runs(label, start, end) -> tuple[np.ndarray, np.ndarray]:
     """Code each run by its distinct (label, start, end): an index of one run per code, the codes.
 
-    The triple becomes one int64, waves counted from the first; where
-    far-apart waves would overflow that, waves are numbered by rank.
+    The runs are sorted by the triple and a code starts wherever it changes,
+    so codes follow the triples' order, whatever the waves' range.
     """
-    lo, hi = int(start.min()), int(end.max())
-    if n_labels * (hi - lo + 1) ** 2 < 2**63:
-        span = hi - lo + 1
-        key = (label * span + start - lo) * span + end - lo
-    else:
-        waves, ranks = np.unique(np.concatenate([start, end]), return_inverse=True)
-        span = len(waves)
-        key = (label * span + ranks[: start.size]) * span + ranks[start.size:]
-    distinct, code = np.unique(key, return_inverse=True)
-    at = np.empty(len(distinct), dtype=np.intp)
-    at[code] = np.arange(code.size)
-    return at, code.reshape(-1)
+    order = np.lexsort((end, start, label))
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for field in (label, start, end):
+        ordered = field[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    code = np.empty(order.size, dtype=np.intp)
+    code[order] = np.cumsum(new) - 1
+    return order[new], code
 
 
 def _intervals_by_row(
@@ -252,7 +249,7 @@ def _intervals_by_row(
         return (), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     row, label, start, end = map(np.concatenate, (run_rows, run_labels, run_starts, run_ends))
     del run_rows, run_labels, run_starts, run_ends  # a second copy of every run
-    at, code = _distinct_runs(label, start, end, len(labels))
+    at, code = _distinct_runs(label, start, end)
     table = tuple(
         StateInterval(*labels[lb], s, e)
         for lb, s, e in zip(label[at].tolist(), start[at].tolist(), end[at].tolist())

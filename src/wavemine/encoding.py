@@ -192,21 +192,36 @@ class _PatientsView:
         return view
 
     def __set__(self, doc, patients):
-        patients = tuple(patients)
-        index: dict = {}  # (interval, wave types) -> code, so 1 and 1.0 stay apart
-        code = [
-            index.setdefault((iv, type(iv.start), type(iv.end)), len(index))
-            for p in patients
-            for iv in p.intervals
-        ]
-        doc._encoded(
-            tuple(iv for iv, _, _ in index),
-            np.repeat(np.arange(len(patients)), [len(p.intervals) for p in patients]),
-            np.array(code, dtype=np.intp),
-            [p.patient_id for p in patients],
-            [p.time for p in patients],
-            [p.event for p in patients],
-        )
+        doc._encoded(*_dictionary_encode(
+            (p.patient_id, p.time, p.event, p.intervals) for p in patients
+        ))
+
+
+def _dictionary_encode(patients: Iterable[tuple]) -> tuple:
+    """Encode (patient_id, time, event, intervals) entries: table, row, code, ids, times, events.
+
+    An interval is any (feature, level, start, end) tuple.  Each distinct one
+    gets the next code when first met, keyed with its wave types so that 1
+    and 1.0 stay apart, and its table entry is a ``StateInterval``.
+    """
+    index: dict = {}  # (interval, wave types) -> code
+    code: list[int] = []
+    counts, ids, times, events = [], [], [], []
+    for pid, time, event, intervals in patients:
+        codes = [index.setdefault((iv, type(iv[2]), type(iv[3])), len(index)) for iv in intervals]
+        code += codes
+        counts.append(len(codes))
+        ids.append(pid)
+        times.append(time)
+        events.append(event)
+    return (
+        [StateInterval._make(iv) for iv, _, _ in index],
+        np.repeat(np.arange(len(counts)), counts),
+        np.array(code, dtype=np.intp),
+        ids,
+        times,
+        events,
+    )
 
 
 @dataclass(frozen=True)
@@ -271,9 +286,6 @@ def _number(x) -> str:
     return json.dumps(x)
 
 
-_CHUNK = 1 << 16  # characters of intervals.json text written at a time
-
-
 def _interval_text(iv: StateInterval) -> str:
     return (
         f'        {{\n          "feature": {json.dumps(iv.feature)},\n'
@@ -288,8 +300,8 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
 
     The layout is fixed, so the header goes through ``json``, each table
     entry's text is rendered once from a template, and each patient's entry
-    joins the texts of its codes; strings are escaped by ``json`` itself.
-    The text goes out in chunks of about ``_CHUNK`` characters.  What
+    joins the texts of its codes, one ``write`` per patient; strings are
+    escaped by ``json`` itself.  What
     ``read_intervals_json`` would refuse raises its ``MatrixFormatError``
     before anything is written: a bad event or time, then a wave that is no
     integer (a bool, or a float such as 1.5), checked once per table entry
@@ -316,23 +328,17 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
     texts = [_interval_text(iv) for iv in table]
     flat = list(map(texts.__getitem__, code.tolist()))
     bounds = doc.bounds().tolist()
-    chunk = [header[:-2] + ',\n  "patients": [']
-    size, sep = 0, "\n"
+    stream.write(header[:-2] + ',\n  "patients": [')
+    sep = "\n"
     for pid, time, event, a, b in zip(doc.ids, doc.times, doc.events, bounds, bounds[1:]):
         intervals = "[\n" + ",\n".join(flat[a:b]) + "\n      ]" if b > a else "[]"
-        text = (
+        stream.write(
             f'{sep}    {{\n      "patient_id": {json.dumps(pid)},\n'
             f'      "time": {_number(time)},\n      "event": {int(event)},\n'
             f'      "intervals": {intervals}\n    }}'
         )
-        chunk.append(text)
-        size += len(text)
-        if size >= _CHUNK:
-            stream.write("".join(chunk))
-            chunk, size = [], 0
         sep = ",\n"
-    chunk.append("\n  ]\n}\n" if doc.ids else "]\n}\n")
-    stream.write("".join(chunk))
+    stream.write("\n  ]\n}\n" if doc.ids else "]\n}\n")
 
 
 def _integral(x) -> bool:
@@ -355,6 +361,19 @@ def _check_outcome(pid, time, event) -> None:
         raise MatrixFormatError(f"patient {pid!r}: time must be finite and >= 1, got {time!r}")
 
 
+def _read_patient(p) -> tuple:
+    """A checked ``intervals.json`` patient entry as (patient_id, time, event, intervals)."""
+    pid, time, event = p["patient_id"], p["time"], p["event"]
+    _check_outcome(pid, time, event)
+    intervals = []
+    for iv in p["intervals"]:
+        start, end = iv["start"], iv["end"]
+        if type(start) is not int or type(end) is not int:
+            start, end = _wave(pid, start), _wave(pid, end)
+        intervals.append((iv["feature"], iv["level"], start, end))
+    return pid, float(time), bool(event), intervals
+
+
 def read_intervals_json(stream: IO[str]) -> CohortIntervals:
     """Read ``intervals.json`` into the encoded form; equal intervals share a table entry.
 
@@ -366,21 +385,7 @@ def read_intervals_json(stream: IO[str]) -> CohortIntervals:
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"bad intervals JSON: {exc}") from None
     try:
-        ids, times, events, ends = [], [], [], []
-        index: dict = {}  # (feature, level, start, end) -> code
-        code: list[int] = []
-        for p in payload["patients"]:
-            pid, time, event = p["patient_id"], p["time"], p["event"]
-            _check_outcome(pid, time, event)
-            for iv in p["intervals"]:
-                start, end = iv["start"], iv["end"]
-                if type(start) is not int or type(end) is not int:
-                    start, end = _wave(pid, start), _wave(pid, end)
-                code.append(index.setdefault((iv["feature"], iv["level"], start, end), len(index)))
-            ids.append(pid)
-            times.append(float(time))
-            events.append(bool(event))
-            ends.append(len(code))
+        encoded = _dictionary_encode(map(_read_patient, payload["patients"]))
         levels = payload["levels"]
         if not isinstance(levels, dict) or not all(isinstance(by, dict) for by in levels.values()):
             raise MatrixFormatError(
@@ -390,12 +395,7 @@ def read_intervals_json(stream: IO[str]) -> CohortIntervals:
             int(payload["wave_count"]),
             levels,
             payload.get("edges") or None,
-            map(StateInterval._make, index),
-            np.repeat(np.arange(len(ends)), np.diff([0, *ends])),
-            np.array(code, dtype=np.intp),
-            ids,
-            times,
-            events,
+            *encoded,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: an int time
         raise MatrixFormatError(f"bad intervals JSON structure: {exc}") from None

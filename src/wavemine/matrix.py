@@ -56,7 +56,7 @@ def build_matrix(
     miner's deterministic result order.  Column sums are checked against each
     pattern's reported a+b at build time.
     """
-    ids = [p if isinstance(p, str) else p.patient_id for p in patients]
+    ids = [getattr(p, "patient_id", p) for p in patients]
     missing = [pid for pid in ids if pid not in outcomes]
     if missing:
         raise CohortValidationError(f"patients without an outcome: {sorted(missing)}")

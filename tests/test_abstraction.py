@@ -346,8 +346,8 @@ def test_non_finite_values_are_fit_error(bad):
 
 
 
-def test_far_apart_waves_are_numbered_by_rank():
-    # 4 BMI levels over a span of 2**40 waves: an int64 key needs wave ranks
+def test_far_apart_waves_are_coded_apart():
+    # 4 BMI levels over a span of 2**40 waves: too wide for one int64 (level, start, end) key
     far = 2**40
     values = {"bmi": {1: 20.0, 2: 21.0, far: 31.0, far + 1: 32.0, far + 3: 31.0, far + 4: 17.0}}
     expected = _reference_intervals(values, [BMI], {})
@@ -370,6 +370,6 @@ def test_abstract_cohort_holds_no_interval_per_occurrence():
     finally:
         tracemalloc.stop()
     # one StateInterval per occurrence (34,038 here, 546 distinct) peaked at 6,237,146 traced
-    # bytes (Python 3.11, numpy 2.4); the table of distinct ones at 2,920,904
+    # bytes (Python 3.11, numpy 2.4); the table of distinct ones at 2,643,860
     assert peak <= 4_500_000
     assert len(doc.table) < doc.code.size // 10

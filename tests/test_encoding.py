@@ -1,6 +1,5 @@
 import dataclasses
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -419,22 +418,6 @@ def test_intervals_json_writer_matches_json_dump(name):
     write_intervals_json(doc, buf)
     assert buf.getvalue() == _reference_intervals_json(doc)
     assert len(read_intervals_json(io.StringIO(buf.getvalue())).patients) == len(doc.patients)
-
-
-def test_intervals_json_writer_streams_in_chunks(monkeypatch):
-    import io
-
-    from wavemine import encoding
-
-    doc = _writer_cases()["odd strings, valid times"]
-    whole = io.StringIO()
-    encoding.write_intervals_json(doc, whole)
-    monkeypatch.setattr(encoding, "_CHUNK", 1)  # every patient fills a chunk
-    writes = []
-    encoding.write_intervals_json(doc, SimpleNamespace(write=writes.append))
-    assert "".join(writes) == whole.getvalue()
-    assert len(writes) == len(doc.ids) + 1  # the header goes with the first, the tail alone
-    assert writes[-1] == "\n  ]\n}\n"
 
 
 def test_cohort_intervals_store_each_distinct_interval_once():

@@ -59,6 +59,31 @@ def test_build_matrix_rows_from_patient_ids():
         build_matrix(results, [*ids, ids[0]], outcomes)
 
 
+def test_matrix_stage_on_intervals_with_int_ids(tmp_path):
+    import json
+
+    from wavemine.cli import _matrix_stage
+    from wavemine.encoding import read_intervals_json
+
+    def patient(pid, event, end):
+        intervals = [] if end is None else [{"feature": "A", "level": "hi", "start": 1, "end": end}]
+        return {"patient_id": pid, "time": 2.0 + pid, "event": event, "intervals": intervals}
+
+    text = json.dumps({"wave_count": 2, "levels": {"A": {"hi": "high"}}, "patients": [
+        patient(1, 1, 2), patient(2, 1, 2), patient(3, 0, None), patient(4, 0, None),
+        patient(5, 0, 1),
+    ]})
+    doc = read_intervals_json(io.StringIO(text))
+    results = mine(doc.sequences(), MinerConfig(minsup=0.5, risk_sup=1.5))
+    matrix, _ = _matrix_stage(results, doc, tmp_path / "m.csv")
+    assert matrix.patient_ids == (1, 2, 3, 4, 5)
+    assert matrix.cells[:, 0].tolist() == [1, 1, 0, 0, 0]
+    with open(tmp_path / "m.csv", newline="") as fh:
+        assert [row[:2] for row in csv.reader(fh)][1:] == [
+            ["1", "3.0"], ["2", "4.0"], ["3", "5.0"], ["4", "6.0"], ["5", "7.0"]
+        ]
+
+
 def test_build_matrix_zero_patterns():
     db, outcomes, _ = _toy()
     matrix = build_matrix([], db, outcomes)
