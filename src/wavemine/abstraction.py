@@ -209,8 +209,10 @@ def _intervals_by_row(
     ``columns`` maps feature names to ``ingest.Column``s.  Each feature's
     column is coded with one ``_level_codes`` call (over its distinct values
     when it has a category table) and split into runs where the row or the
-    level changes or a wave is skipped.  Returns the distinct intervals and,
-    per interval, its row and its index among them: rows ascending, a row's
+    level changes or a wave is skipped; a column with no cell gives no run.
+    The runs' rows, labels and waves stay int32 (waves int64 only past
+    int32's range).  Returns the distinct intervals and, per interval, its
+    row and its index among them as intp arrays: rows ascending, a row's
     intervals in ``specs`` order, each feature's by wave.
     """
     run_rows, run_labels, run_starts, run_ends = [], [], [], []
@@ -219,7 +221,7 @@ def _intervals_by_row(
     for spec_index, spec in enumerate(specs):
         name = spec.name
         column = columns.get(name)
-        if column is None:
+        if column is None or not column.row.size:
             continue
         row, wave = column.row, column.wave
         edges = edges_by_feature.get(name)
@@ -233,11 +235,12 @@ def _intervals_by_row(
             unlisted.append((int(row[first]), spec_index, column.value(first)))
             continue
         brk = np.ones(len(wave), dtype=bool)
+        # an int32 wave + 1 wraps only at MAX_WAVE, a row's last wave, where the row breaks anyway
         brk[1:] = (row[1:] != row[:-1]) | (codes[1:] != codes[:-1]) | (wave[1:] != wave[:-1] + 1)
         starts = np.flatnonzero(brk)
         ends = np.append(starts[1:], len(wave)) - 1
         run_rows.append(row[starts])
-        run_labels.append(codes[starts] + len(labels))
+        run_labels.append((codes[starts] + len(labels)).astype(np.int32))
         run_starts.append(wave[starts])
         run_ends.append(wave[ends])
         labels.extend((name, level) for level in _level_names(spec.rule))
@@ -255,7 +258,7 @@ def _intervals_by_row(
         for lb, s, e in zip(label[at].tolist(), start[at].tolist(), end[at].tolist())
     )
     order = np.argsort(row, kind="stable")
-    return table, row[order], code[order]
+    return table, row[order].astype(np.intp, copy=False), code[order]
 
 
 def build_intervals(

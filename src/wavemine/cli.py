@@ -51,7 +51,13 @@ log = logging.getLogger(__name__)
 
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's SHA-256, read 1 MiB at a time into one buffer."""
+    sha, buf = hashlib.sha256(), bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(buf):
+            sha.update(view[:n])
+    return sha.hexdigest()
 
 
 def _write_json(path: Path, payload) -> None:
@@ -269,6 +275,7 @@ def _abstract_stage(args, out: Path) -> CohortIntervals:
         cohort = parse_cohort(fh, specs, outcomes, wave_count=args.wave_count)
     cohort = carry_forward(cohort, clip_to_outcome=not args.carry_past_outcome)
     doc = abstract_cohort(cohort, specs)
+    del cohort  # its columns are done with before intervals.json is written
     with open(out, "w", encoding="utf-8") as fh:
         write_intervals_json(doc, fh)
     return doc

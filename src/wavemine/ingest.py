@@ -48,12 +48,15 @@ class Column(NamedTuple):
     """One feature's observed cells, in (row, wave) order with no (row, wave) twice.
 
     A numeric feature's ``values`` are floats; any other feature's are codes
-    into ``categories``, its distinct raw values.
+    into ``categories``, its distinct raw values.  Rows, waves and codes are
+    int32 (see ``_column``); a wave past ``MAX_WAVE``, which the parser
+    refuses but a library caller or carry-forward to a later outcome time may
+    give, makes the waves int64.
     """
 
-    row: np.ndarray  # intp: index into RawCohort.patient_ids
-    wave: np.ndarray  # int64
-    values: np.ndarray  # float64, or intp codes
+    row: np.ndarray  # int32: index into RawCohort.patient_ids
+    wave: np.ndarray  # int32, or int64 for a wave past MAX_WAVE
+    values: np.ndarray  # float64, or int32 codes
     categories: tuple | None = None
 
     def raw(self) -> list:
@@ -157,11 +160,25 @@ def series_columns(
         else:
             code_of = {v: code for code, v in enumerate(dict.fromkeys(value))}
             categories = tuple(code_of)
-            coded = np.fromiter(map(code_of.__getitem__, value), np.intp, len(value))
-        row, wave = np.array(row, dtype=np.intp), np.array(wave, dtype=np.int64)
+            coded = np.fromiter(map(code_of.__getitem__, value), np.int32, len(value))
+        row, wave = np.array(row, dtype=np.int32), np.array(wave, dtype=np.int64)
         order = np.lexsort((wave, row))  # a series need not be in wave order
-        columns[name] = Column(row[order], wave[order], coded[order], categories)
+        columns[name] = _column(row[order], wave[order], coded[order], categories)
     return columns
+
+
+def _column(row: np.ndarray, wave: np.ndarray, values: np.ndarray, categories) -> Column:
+    """A Column with int32 rows, waves and category codes; int64 waves past int32's range."""
+    if categories is not None:
+        values = values.astype(np.int32, copy=False)
+    return Column(row.astype(np.int32, copy=False), _narrow(wave), values, categories)
+
+
+def _narrow(ints: np.ndarray) -> np.ndarray:
+    """Integers as int32, or as int64 when one lies outside int32's range."""
+    if ints.size and (ints.min() < -_INT32_MAX - 1 or ints.max() > _INT32_MAX):
+        return ints.astype(np.int64, copy=False)
+    return ints.astype(np.int32, copy=False)
 
 
 def parse_outcomes(stream: IO[str]) -> dict[str, SurvivalOutcome]:
@@ -205,7 +222,7 @@ class _Cells:
     """One feature's cells as the CSV streams them: chunks of key, value and line arrays.
 
     A key packs the cell's row and wave, so keys order cells by (row, wave).
-    Category codes are int32 until ``column`` widens them to intp.
+    Category codes are int32, as the Column keeps them.
     """
 
     __slots__ = ("name", "categories", "chunks")
@@ -218,13 +235,12 @@ class _Cells:
     def column(self, ids: Sequence[str]) -> tuple[Column, tuple[int, str] | None]:
         """The cells as a Column, and the first line that repeats a cell with its message."""
         key, values, lines = (np.concatenate(arrays) for arrays in zip(*self.chunks))
+        self.chunks.clear()  # a second copy of every cell
         if not np.all(key[1:] > key[:-1]):
             order = np.argsort(key, kind="stable")
             key, values, lines = key[order], values[order], lines[order]
-        categories = None
-        if self.categories is not None:
-            categories, values = tuple(self.categories), values.astype(np.intp)
-        column = Column(key >> _ROW_SHIFT, key & ((1 << _ROW_SHIFT) - 1), values, categories)
+        categories = None if self.categories is None else tuple(self.categories)
+        column = _column(key >> _ROW_SHIFT, key & ((1 << _ROW_SHIFT) - 1), values, categories)
         repeats = np.flatnonzero(key[1:] == key[:-1]) + 1
         if not repeats.size:
             return column, None
@@ -346,7 +362,7 @@ def _code_block(text: str, line: int, coder: _Coder) -> int:
     words = np.ndarray(buf.size - 7, ">u8", buf, strides=(1,))  # the 8 bytes from each offset
     field_ids = ends[records] + np.arange(-3, 1)[:, None]  # patient, wave, feature, value
     fields = [_pack(buf, words, start[i], width[i]) for i in field_ids]
-    coder.code(fields, _lines(line + records), miscount)
+    coder.code(fields, _narrow(line + records), miscount)
     return line + ends.size
 
 
@@ -370,12 +386,6 @@ def _texts(distinct: np.ndarray) -> list[str]:
     return [field.decode("utf-8", "surrogatepass") for field in distinct.tolist()]
 
 
-def _lines(lines) -> np.ndarray:
-    """Line numbers as int32, or int64 past its range."""
-    lines = np.asarray(lines, dtype=np.int64)
-    return lines.astype(np.int32) if not lines.size or lines[-1] <= _INT32_MAX else lines
-
-
 def _code_records(records, line: int, coder: _Coder) -> int:
     """Code ``csv.reader`` records, ``_BLOCK >> 4`` at a time; the line after the last."""
     for stretch in iter(lambda: list(islice(records, max(1, _BLOCK >> 4))), []):
@@ -387,7 +397,8 @@ def _code_records(records, line: int, coder: _Coder) -> int:
             elif record:  # a blank line is skipped, but counts
                 miscount = (lineno, len(record))
                 break
-        coder.code(np.array(kept, dtype=object).reshape(-1, 4).T, _lines(lines), miscount)
+        fields = np.array(kept, dtype=object).reshape(-1, 4).T
+        coder.code(fields, _narrow(np.array(lines, dtype=np.int64)), miscount)
         line += len(stretch)
     return line
 
@@ -602,7 +613,7 @@ def _carried(column: Column, horizon: np.ndarray) -> Column | None:
     source[slots[run] + wave - wave[first][run]] = np.arange(row.size)
     np.maximum.accumulate(source, out=source)
     offset = np.repeat(slots - wave[first], counts)
-    return Column(
+    return _column(
         np.repeat(row[first], counts), np.arange(total) - offset, values[source], column.categories
     )
 

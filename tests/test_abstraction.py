@@ -355,6 +355,26 @@ def test_far_apart_waves_are_coded_apart():
     assert expected[1] == StateInterval("bmi", "Obese", far, far + 1)
 
 
+def test_an_empty_column_gives_no_intervals():
+    from wavemine.abstraction import abstract_cohort
+    from wavemine.ingest import Column, RawCohort, SurvivalOutcome
+
+    smoker = Column(np.array([0, 0, 1], dtype=np.int32), np.array([1, 2, 1], dtype=np.int32),
+                    np.array([0, 1, 0], dtype=np.int32), ("never", "daily"))
+    empty = Column(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+    outcomes = [SurvivalOutcome(2.0, True), SurvivalOutcome(1.0, False)]
+    specs = [BMI, SMOKER]
+    docs = [
+        abstract_cohort(RawCohort.from_columns(2, specs, ["p1", "p2"], outcomes, columns), specs)
+        for columns in ({"bmi": empty, "smoker": smoker}, {"smoker": smoker})
+    ]
+    assert docs[0] == docs[1]
+    assert (docs[0].table, docs[0].row.tolist(), docs[0].code.tolist()) == (
+        docs[1].table, docs[1].row.tolist(), docs[1].code.tolist()
+    )
+    assert [len(p.intervals) for p in docs[0].patients] == [2, 1]
+
+
 def test_abstract_cohort_holds_no_interval_per_occurrence():
     import tracemalloc
 

@@ -545,3 +545,20 @@ def test_only_the_cli_sets_the_collector_policy():
         if re.search(r"^\s*(import gc\b|from gc import)", path.read_text(encoding="utf-8"), re.M)
     )
     assert importers == ["cli.py"]
+
+
+def test_digest_reads_the_file_a_block_at_a_time(tmp_path):
+    import hashlib
+    import tracemalloc
+
+    data = os.urandom(1 << 22)  # 4 MiB
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = cli._digest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < 2_000_000  # reading the whole file took 4 MiB

@@ -543,7 +543,7 @@ def test_categories_are_coded_in_order_of_first_appearance(monkeypatch, block):
     column = parse_cohort(io.StringIO(data), MIXED, outcomes).columns["smoker"]
     assert column.categories == ("weekly", "daily", "never", "occasionally")
     assert column.values.tolist() == [0, 1, 0, 2, 1, 3]
-    assert column.values.dtype == np.intp
+    assert column.values.dtype == np.int32
 
 
 @pytest.mark.parametrize("block", [*BLOCKS, 1 << 18])
@@ -590,3 +590,26 @@ def test_parse_holds_one_block_at_a_time(monkeypatch):
     # one block of the whole file: over 10^5 fields packed at once
     monkeypatch.setattr(ingest, "_BLOCK", len(data))
     assert parse_cohort(io.StringIO(data), MIXED, outcomes) == cohort
+
+
+def test_filling_past_max_wave_widens_the_waves():
+    top = ingest.MAX_WAVE
+    cohort = _parse(f"patient_id,wave,feature,value\np1,{top},bmi,20\n",
+                    f"patient_id,time,event\np1,{top + 2},1\n")
+    assert cohort.columns["bmi"].wave.dtype == np.int32
+    filled = carry_forward(cohort).columns["bmi"]
+    assert filled.wave.tolist() == [top, top + 1, top + 2]
+    assert filled.row.dtype == np.int32
+
+
+def test_columns_take_at_most_16_bytes_a_cell():
+    # int32 rows and waves, and float64 values or int32 codes: 16 or 12 bytes a cell
+    # (24 with int64 rows and waves and intp codes)
+    data, outcome_text = _long_csv()
+    parsed = parse_cohort(io.StringIO(data), MIXED, parse_outcomes(io.StringIO(outcome_text)))
+    filled = carry_forward(parsed)
+    assert filled.columns["smoker"] is not parsed.columns["smoker"]  # blank cells were filled
+    for cohort in (parsed, filled):
+        columns = cohort.columns.values()
+        cells = sum(c.row.size for c in columns)
+        assert sum(c.row.nbytes + c.wave.nbytes + c.values.nbytes for c in columns) <= 16 * cells

@@ -476,6 +476,55 @@ def test_store_from_intervals_matches_sequences_on_seeded_cohorts():
             assert stats == want_stats
 
 
+def test_waves_at_the_int32_edge_from_the_csv_to_the_store():
+    from wavemine.abstraction import StateInterval, abstract_cohort
+    from wavemine.encoding import read_intervals_json, write_intervals_json
+    from wavemine.ingest import Column, RawCohort, carry_forward, parse_cohort, parse_outcomes
+
+    from test_abstraction import BMI, _reference_intervals
+
+    top = 2**31 - 1  # MAX_WAVE, the largest int32
+    outcomes = parse_outcomes(io.StringIO(f"patient_id,time,event\np1,3,1\np2,{top},0\n"))
+    cohort_csv = ("patient_id,wave,feature,value\np1,1,bmi,20.0\np1,3,bmi,31.0\n"
+                  f"p2,{top - 1},bmi,17.0\np2,{top},bmi,26.0\n")
+    parsed = parse_cohort(io.StringIO(cohort_csv), [BMI], outcomes)
+    filled = carry_forward(parsed)
+    column = filled.columns["bmi"]
+    assert column.wave.dtype == np.int32
+    assert column.wave.tolist() == [1, 2, 3, top - 1, top]  # p1's wave 2 carried forward
+    doc = abstract_cohort(filled, [BMI])
+    expected = [
+        [StateInterval("bmi", "Normal weight", 1, 2), StateInterval("bmi", "Obese", 3, 3)],
+        [StateInterval("bmi", "Underweight", top - 1, top - 1),
+         StateInterval("bmi", "Overweight", top, top)],
+    ]
+    assert [_reference_intervals(r.values, [BMI], {}) for r in filled.patients] == expected
+    assert [list(p.intervals) for p in doc.patients] == expected
+    text = io.StringIO()
+    write_intervals_json(doc, text)
+    assert text.getvalue() == json.dumps({
+        "wave_count": top,
+        "levels": {"bmi": {lv.name: lv.severity for lv in BMI.levels}},
+        "edges": {},
+        "patients": [
+            {"patient_id": pid, "time": time, "event": event,
+             "intervals": [iv._asdict() for iv in ivs]}
+            for pid, time, event, ivs in zip(("p1", "p2"), (3.0, float(top)), (1, 0), expected)
+        ],
+    }, indent=2) + "\n"
+    back = read_intervals_json(io.StringIO(text.getvalue()))
+    assert [list(p.intervals) for p in back.patients] == expected
+    assert _assert_same_store(doc) == "pairs"
+    # the miner multiplies rows into 64-bit keys, whatever the columns' dtypes
+    built = [doc, back]
+    for dtype in (np.int16, np.int32, np.int64):
+        columns = {"bmi": Column(column.row.astype(dtype), column.wave, column.values)}
+        built.append(abstract_cohort(RawCohort.from_columns(
+            top, [BMI], filled.patient_ids, filled.patient_outcomes, columns
+        ), [BMI]))
+    assert {(d.row.dtype, d.code.dtype) for d in built} == {(np.dtype(np.intp),) * 2}
+
+
 def test_carriers_prefiltered_by_token_holders_match_the_plain_scan():
     from wavemine.abstraction import abstract_cohort
     from wavemine.synth import PlantedPattern, SynthConfig, generate
