@@ -44,7 +44,6 @@ from .miner import (
     RiskStats,
     TemporalPattern,
     brute_force_mine,
-    contains,
     mine,
     odds_ratio,
     relative_risk,
@@ -88,7 +87,6 @@ __all__ = [
     "canonical_form",
     "carry_forward",
     "concordance_index",
-    "contains",
     "cross_validate",
     "encode",
     "fit_percentiles",

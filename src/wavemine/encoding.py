@@ -269,10 +269,6 @@ class CohortIntervals:
             for level, sev in by_level.items()
         }
 
-    def sequences(self) -> list[EndpointSequence]:
-        sev = self.severity_of()
-        return [encode(p.patient_id, p.intervals, sev, p.event) for p in self.patients]
-
     def outcomes(self) -> dict[str, tuple[float, bool]]:
         return dict(zip(self.ids, zip(self.times, self.events)))
 
@@ -326,12 +322,14 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
         indent=2,
     )
     texts = [_interval_text(iv) for iv in table]
-    flat = list(map(texts.__getitem__, code.tolist()))
     bounds = doc.bounds().tolist()
     stream.write(header[:-2] + ',\n  "patients": [')
     sep = "\n"
     for pid, time, event, a, b in zip(doc.ids, doc.times, doc.events, bounds, bounds[1:]):
-        intervals = "[\n" + ",\n".join(flat[a:b]) + "\n      ]" if b > a else "[]"
+        intervals = (
+            "[\n" + ",\n".join(map(texts.__getitem__, code[a:b].tolist())) + "\n      ]"
+            if b > a else "[]"
+        )
         stream.write(
             f'{sep}    {{\n      "patient_id": {json.dumps(pid)},\n'
             f'      "time": {_number(time)},\n      "event": {int(event)},\n'

@@ -9,9 +9,8 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .encoding import EndpointSequence
 from .errors import CohortValidationError, MatrixFormatError
-from .miner import PatternResult
+from .miner import PatternResult, odds_ratio, relative_risk
 
 
 @dataclass(frozen=True)
@@ -43,20 +42,18 @@ class BinaryDesignMatrix:
 
 def build_matrix(
     patterns: Sequence[PatternResult],
-    patients: Sequence[EndpointSequence | str],
+    ids: Sequence[str],
     outcomes: Mapping[str, tuple[float, bool]],
 ) -> BinaryDesignMatrix:
-    """Indicator matrix: cell(i, j) = 1 iff patient i carries pattern j.
+    """Indicator matrix: cell(i, j) = 1 iff patient ``ids[i]`` carries pattern j.
 
     The carriers are the miner's ``PatternResult.matched`` ids, so no pattern
     is searched for again; a matched id that names no row or repeats is
-    rejected, and so are two rows with one patient id.  Rows follow
-    ``patients``: patient ids, or anything with a ``patient_id`` (endpoint
-    sequences, ``CohortIntervals.patients``).  Column order follows the
-    miner's deterministic result order.  Column sums are checked against each
+    rejected, and so are two rows with one patient id.  Rows follow ``ids``,
+    such as a ``CohortIntervals``' ``ids``.  Column order follows the miner's
+    deterministic result order.  Column sums are checked against each
     pattern's reported a+b at build time.
     """
-    ids = [getattr(p, "patient_id", p) for p in patients]
     missing = [pid for pid in ids if pid not in outcomes]
     if missing:
         raise CohortValidationError(f"patients without an outcome: {sorted(missing)}")
@@ -128,8 +125,6 @@ def sidecar_payload(
     matrix: BinaryDesignMatrix, patterns: Sequence[PatternResult] | None = None
 ) -> dict:
     """Column -> canonical key mapping, plus risk stats when patterns are given."""
-    from .miner import odds_ratio, relative_risk
-
     by_key = {r.pattern.key(): r for r in patterns or ()}
     columns = []
     for name, key in zip(_column_names(len(matrix.pattern_keys)), matrix.pattern_keys):

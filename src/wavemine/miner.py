@@ -242,12 +242,6 @@ def _embeds(store: _Store, row: int, pgroups, closable: bool = False) -> bool:
     return found
 
 
-def contains(sequence: EndpointSequence, pattern) -> bool:
-    """True iff the pattern embeds into the patient's endpoint sequence."""
-    groups = pattern.groups if isinstance(pattern, TemporalPattern) else canonical_form(pattern)
-    return bool(_Store([sequence]).carriers(groups))
-
-
 # ---------------------------------------------------------------------------
 # Token-space endpoint table (shared, immutable)
 
@@ -262,8 +256,9 @@ class _Store:
     finish group, -1 for a Finish).  Row r holds groups ``row_groups[r]`` up
     to ``row_groups[r + 1]``, group g endpoints ``group_starts[g]`` up to
     ``group_starts[g + 1]``.  Per row: ``ids`` and ``event``.
-    ``_Store(sequences)`` reads each sequence's pairs;
-    ``_Store.from_intervals(doc)`` builds the same table from the intervals.
+    ``_Store.from_intervals(doc)`` builds the miner's table from the
+    intervals; ``_Store(sequences)``, the oracle's reference, builds it from
+    the pairs of each patient's ``encode``d sequence.
     """
 
     def __init__(self, db: Sequence[EndpointSequence]):
@@ -693,17 +688,10 @@ def _worker_branch(i: int):
 
 
 def mine_with_stats(
-    db: Sequence[EndpointSequence] | CohortIntervals, config: MinerConfig
+    doc: CohortIntervals, config: MinerConfig
 ) -> tuple[list[PatternResult], MiningStats]:
-    """Mine with ``config.workers`` processes and report the search counters.
-
-    ``db`` is either the endpoint sequences or the intervals they encode; a
-    ``CohortIntervals`` gives the same results without building sequences.
-    """
-    if isinstance(db, CohortIntervals):
-        store = _Store.from_intervals(db)
-    else:
-        store = _Store(db)
+    """Mine ``doc`` with ``config.workers`` processes and report the search counters."""
+    store = _Store.from_intervals(doc)
     _check_db(store.ids, store.event)
     stats = MiningStats()
     roots = _roots(store, config, stats)
@@ -727,31 +715,31 @@ def mine_with_stats(
     return _results(store, emitted), stats
 
 
-def mine(
-    db: Sequence[EndpointSequence] | CohortIntervals, config: MinerConfig
-) -> list[PatternResult]:
+def mine(doc: CohortIntervals, config: MinerConfig) -> list[PatternResult]:
     """All closed patterns reachable under the growth rules (see mine_with_stats)."""
-    return mine_with_stats(db, config)[0]
+    return mine_with_stats(doc, config)[0]
 
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 
 
-def brute_force_mine(
-    db: Sequence[EndpointSequence], config: MinerConfig
-) -> list[PatternResult]:
+def brute_force_mine(doc: CohortIntervals, config: MinerConfig) -> list[PatternResult]:
     """Reference miner: generate-and-test growth with embedding-based support.
 
     Applies the same support/risk/strict-increase rules along every growth
     path but knows nothing about projections or scan pruning; support comes
-    from direct embedding searches.  Guarded to small inputs.
+    from direct embedding searches.  Its store is built from each patient's
+    ``encode``d sequence, not by ``_Store.from_intervals``.  Guarded to small
+    inputs.
     """
-    _check_db([s.patient_id for s in db], [s.event for s in db])
+    _check_db(doc.ids, doc.events)
+    if len(doc.ids) > _GUARD_MAX_PATIENTS:
+        raise GuardError(f"brute force refuses more than {_GUARD_MAX_PATIENTS} patients")
+    severity = doc.severity_of()
+    db = [encode(p.patient_id, p.intervals, severity, p.event) for p in doc.patients]
     alphabet = sorted({ep for s in db for g in s.groups for ep in g.endpoints})
     max_wave = max((g.time for s in db for g in s.groups), default=0)
-    if len(db) > _GUARD_MAX_PATIENTS:
-        raise GuardError(f"brute force refuses more than {_GUARD_MAX_PATIENTS} patients")
     if max_wave > _GUARD_MAX_WAVE:
         raise GuardError(f"brute force refuses waves beyond {_GUARD_MAX_WAVE}")
     if len(alphabet) > _GUARD_MAX_ENDPOINTS:

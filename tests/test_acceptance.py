@@ -28,7 +28,7 @@ from wavemine.survival import concordance_index, cross_validate, cv_score_vector
 from wavemine.synth import PlantedPattern, SynthConfig, generate
 
 from test_survival import _golden_max, _matrix, _naive_penalized_ll, _toy_cox_matrix
-from util import ep, random_db, result_fingerprint, seq_from_intervals
+from util import ep, intervals_doc, random_db, result_fingerprint
 
 
 def _ok(criterion: int, message: str) -> None:
@@ -60,15 +60,15 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_duplicate_pruning():
-    db = [
-        seq_from_intervals("e1", [("A", "x", 1, 2), ("B", "x", 2, 3)], True),
-        seq_from_intervals("e2", [("A", "x", 1, 2), ("B", "x", 2, 3)], True),
-        seq_from_intervals("n1", [("A", "x", 1, 1)], False),
-        seq_from_intervals("n2", [("A", "x", 1, 2)], False),
-        seq_from_intervals("n3", [("A", "x", 1, 2), ("B", "x", 2, 2)], False),
-        seq_from_intervals("n4", [("C", "x", 1, 1)], False),
-        seq_from_intervals("n5", [("A", "x", 1, 3), ("B", "x", 2, 2)], False),
-    ]
+    db = intervals_doc(
+        ("e1", True, [("A", "x", 1, 2), ("B", "x", 2, 3)]),
+        ("e2", True, [("A", "x", 1, 2), ("B", "x", 2, 3)]),
+        ("n1", False, [("A", "x", 1, 1)]),
+        ("n2", False, [("A", "x", 1, 2)]),
+        ("n3", False, [("A", "x", 1, 2), ("B", "x", 2, 2)]),
+        ("n4", False, [("C", "x", 1, 1)]),
+        ("n5", False, [("A", "x", 1, 3), ("B", "x", 2, 2)]),
+    )
     target = pattern_key(
         [[ep("A", "x", "+")], [ep("B", "x", "+"), ep("A", "x", "-")], [ep("B", "x", "-")]]
     )
@@ -104,11 +104,11 @@ def _grid_cohort():
         planted=planted, seed=5,
     )
     cohort, specs, _ = generate(config)
-    return abstract_cohort(cohort, specs).sequences()
+    return abstract_cohort(cohort, specs)
 
 
 def test_criterion_3_threshold_monotonicity():
-    sequences = _grid_cohort()
+    doc = _grid_cohort()
     grid = {}
     for risk in (1.5, 2.0):
         for minsup in (0.01, 0.02, 0.03):
@@ -116,7 +116,7 @@ def test_criterion_3_threshold_monotonicity():
             best = math.inf
             for _ in range(3):
                 t0 = time.perf_counter()
-                results, stats = mine_with_stats(sequences, cfg)
+                results, stats = mine_with_stats(doc, cfg)
                 best = min(best, time.perf_counter() - t0)
             grid[(minsup, risk)] = (
                 {r.pattern.key() for r in results},
@@ -168,10 +168,7 @@ def test_criterion_5_planted_pattern_recovery():
     doc, manifest = _planted_cohort()
     entry = manifest["patterns"][0]
     assert entry["rr"] >= 3.0, "cohort must plant a strong pattern"
-    sequences = doc.sequences()
-    results = mine(
-        sequences, MinerConfig(minsup=0.05, minsup_scope="event_group", risk_sup=1.5)
-    )
+    results = mine(doc, MinerConfig(minsup=0.05, minsup_scope="event_group", risk_sup=1.5))
     by_key = {r.pattern.key(): r for r in results}
     assert entry["key"] in by_key
     mined_rr = relative_risk(by_key[entry["key"]].stats)
@@ -203,9 +200,8 @@ def test_criterion_6_survival_layer():
         assert model.coefficients[0] == pytest.approx(expected, abs=1e-4)
 
     doc, manifest = _planted_cohort()
-    sequences = doc.sequences()
-    results = mine(sequences, MinerConfig(minsup=0.05, risk_sup=1.5))
-    matrix = build_matrix(results, sequences, doc.outcomes())
+    results = mine(doc, MinerConfig(minsup=0.05, risk_sup=1.5))
+    matrix = build_matrix(results, doc.ids, doc.outcomes())
     rr_by_key = {r.pattern.key(): relative_risk(r.stats) for r in results}
     cox_cs, rr_cs = [], []
     for seed in (0, 1, 2):
@@ -224,11 +220,10 @@ def test_criterion_6_survival_layer():
 
 def test_criterion_7_determinism(tmp_path):
     doc, _ = _planted_cohort()
-    sequences = doc.sequences()
     serialized = []
     for workers in (1, 2, 8):
         cfg = MinerConfig(minsup=0.05, risk_sup=1.5, workers=workers)
-        results = mine(sequences, cfg)
+        results = mine(doc, cfg)
         serialized.append(
             json.dumps(
                 [

@@ -16,7 +16,7 @@ from wavemine.encoding import (
 )
 from wavemine.errors import MatrixFormatError, PairingError
 
-from util import ep
+from util import ep, sequences
 
 
 def test_encode_intervals_to_groups():
@@ -138,7 +138,7 @@ def test_pairing_sweep(groups, closed, left_open):
     """One Start/Finish sweep; each caller keeps its own result and error type."""
     from wavemine.encoding import EndpointGroup, EndpointSequence, pair_endpoints
     from wavemine.errors import ConfigError
-    from wavemine.miner import TemporalPattern, _sweep_open, contains
+    from wavemine.miner import TemporalPattern, _Store, _sweep_open
     from wavemine.synth import PlantedPattern
     from wavemine.viz import RenderPattern, render_svg
 
@@ -172,7 +172,7 @@ def test_pairing_sweep(groups, closed, left_open):
             key=lambda iv: (iv.feature, iv.level, iv.start),
         )
         assert sorted(planted.intervals()) == sorted(closed)
-        assert contains(seq, groups)
+        assert _Store([seq]).carriers(groups) == [0]
     else:
         # an ill-formed sequence cannot be built, so neither decode nor a store sees one
         with pytest.raises(PairingError, match="^p: "):
@@ -212,7 +212,7 @@ def test_intervals_json_round_trip():
     write_intervals_json(doc, buf)
     back = read_intervals_json(io.StringIO(buf.getvalue()))
     assert back == doc
-    assert [s.patient_id for s in back.sequences()] == ["p1", "p2"]
+    assert [s.patient_id for s in sequences(back)] == ["p1", "p2"]
     with pytest.raises(MatrixFormatError):
         read_intervals_json(io.StringIO("not json"))
     with pytest.raises(MatrixFormatError):

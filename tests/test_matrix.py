@@ -15,17 +15,17 @@ from wavemine.matrix import (
 )
 from wavemine.miner import MinerConfig, mine
 
-from util import seq_from_intervals
+from util import intervals_doc, sequences
 
 
 def _toy():
-    db = [
-        seq_from_intervals("e1", [("A", "hi", 1, 2)], True),
-        seq_from_intervals("e2", [("A", "hi", 1, 2)], True),
-        seq_from_intervals("n1", [], False),
-        seq_from_intervals("n2", [], False),
-        seq_from_intervals("n3", [("A", "hi", 1, 1)], False),
-    ]
+    doc = intervals_doc(
+        ("e1", True, [("A", "hi", 1, 2)]),
+        ("e2", True, [("A", "hi", 1, 2)]),
+        ("n1", False, []),
+        ("n2", False, []),
+        ("n3", False, [("A", "hi", 1, 1)]),
+    )
     outcomes = {
         "e1": (2.0, True),
         "e2": (3.0, True),
@@ -33,30 +33,30 @@ def _toy():
         "n2": (5.0, False),
         "n3": (5.0, False),
     }
-    results = mine(db, MinerConfig(minsup=0.5, risk_sup=1.5))
-    return db, outcomes, results
+    results = mine(doc, MinerConfig(minsup=0.5, risk_sup=1.5))
+    return doc.ids, outcomes, results
 
 
 def test_build_matrix_rejects_repeated_patient_rows():
-    db, outcomes, results = _toy()
+    ids, outcomes, results = _toy()
     with pytest.raises(CohortValidationError, match="duplicate patient ids"):
-        build_matrix(results, [*db, db[0]], outcomes)
+        build_matrix(results, [*ids, ids[0]], outcomes)
 
 
 def test_build_matrix_matches_miner_counts():
-    db, outcomes, results = _toy()
-    matrix = build_matrix(results, db, outcomes)
+    ids, outcomes, results = _toy()
+    matrix = build_matrix(results, ids, outcomes)
     assert matrix.shape == (5, 1)
     assert matrix.cells[:, 0].tolist() == [1, 1, 0, 0, 0]
     assert int(matrix.cells[:, 0].sum()) == results[0].stats.a + results[0].stats.b
 
 
 def test_build_matrix_rows_from_patient_ids():
-    db, outcomes, results = _toy()
-    ids = [s.patient_id for s in db]
-    assert build_matrix(results, ids, outcomes) == build_matrix(results, db, outcomes)
-    with pytest.raises(CohortValidationError, match="duplicate patient ids"):
-        build_matrix(results, [*ids, ids[0]], outcomes)
+    ids, outcomes, results = _toy()
+    matrix = build_matrix(results, ids[::-1], outcomes)
+    assert matrix.patient_ids == ids[::-1]
+    assert matrix.cells[:, 0].tolist() == [0, 0, 0, 1, 1]
+    assert matrix.times.tolist() == [5.0, 5.0, 5.0, 3.0, 2.0]
 
 
 def test_matrix_stage_on_intervals_with_int_ids(tmp_path):
@@ -74,7 +74,7 @@ def test_matrix_stage_on_intervals_with_int_ids(tmp_path):
         patient(5, 0, 1),
     ]})
     doc = read_intervals_json(io.StringIO(text))
-    results = mine(doc.sequences(), MinerConfig(minsup=0.5, risk_sup=1.5))
+    results = mine(doc, MinerConfig(minsup=0.5, risk_sup=1.5))
     matrix, _ = _matrix_stage(results, doc, tmp_path / "m.csv")
     assert matrix.patient_ids == (1, 2, 3, 4, 5)
     assert matrix.cells[:, 0].tolist() == [1, 1, 0, 0, 0]
@@ -85,25 +85,25 @@ def test_matrix_stage_on_intervals_with_int_ids(tmp_path):
 
 
 def test_build_matrix_zero_patterns():
-    db, outcomes, _ = _toy()
-    matrix = build_matrix([], db, outcomes)
+    ids, outcomes, _ = _toy()
+    matrix = build_matrix([], ids, outcomes)
     assert matrix.shape == (5, 0)
     assert matrix.times.tolist() == [2.0, 3.0, 5.0, 5.0, 5.0]
 
 
 def test_build_matrix_requires_outcomes():
-    db, outcomes, results = _toy()
+    ids, outcomes, results = _toy()
     outcomes.pop("n3")
     with pytest.raises(CohortValidationError, match="n3"):
-        build_matrix(results, db, outcomes)
+        build_matrix(results, ids, outcomes)
 
 
 def test_build_matrix_checks_column_sums():
-    db, outcomes, results = _toy()
+    ids, outcomes, results = _toy()
     bad_stats = dataclasses.replace(results[0].stats, b=3)
     bad = [dataclasses.replace(results[0], stats=bad_stats)]
     with pytest.raises(MatrixFormatError, match="a\\+b"):
-        build_matrix(bad, db, outcomes)
+        build_matrix(bad, ids, outcomes)
 
 
 def _round_trip(matrix, results):
@@ -114,8 +114,8 @@ def _round_trip(matrix, results):
 
 
 def test_matrix_csv_round_trip():
-    db, outcomes, results = _toy()
-    matrix = build_matrix(results, db, outcomes)
+    ids, outcomes, results = _toy()
+    matrix = build_matrix(results, ids, outcomes)
     assert _round_trip(matrix, results) == matrix
 
 
@@ -148,8 +148,8 @@ def test_matrix_csv_writer_matches_reference(width):
 
 
 def test_matrix_csv_writer_rejects_non_indicator_cells():
-    db, outcomes, results = _toy()
-    matrix = build_matrix(results, db, outcomes)
+    ids, outcomes, results = _toy()
+    matrix = build_matrix(results, ids, outcomes)
     bad = dataclasses.replace(matrix, cells=np.where(matrix.cells == 1, 10, 0).astype(np.int8))
     buf = io.StringIO()
     with pytest.raises(MatrixFormatError, match="0 or 1"):
@@ -158,14 +158,14 @@ def test_matrix_csv_writer_rejects_non_indicator_cells():
 
 
 def test_empty_matrix_round_trip():
-    db, outcomes, _ = _toy()
-    matrix = build_matrix([], db, outcomes)
+    ids, outcomes, _ = _toy()
+    matrix = build_matrix([], ids, outcomes)
     assert _round_trip(matrix, []) == matrix
 
 
 def test_sidecar_mismatch_rejected():
-    db, outcomes, results = _toy()
-    matrix = build_matrix(results, db, outcomes)
+    ids, outcomes, results = _toy()
+    matrix = build_matrix(results, ids, outcomes)
     buf = io.StringIO()
     write_matrix_csv(matrix, buf)
     with pytest.raises(MatrixFormatError, match="sidecar"):
@@ -182,8 +182,8 @@ def test_malformed_matrix_rejected():
 
 
 def test_sidecar_carries_risk_stats():
-    db, outcomes, results = _toy()
-    matrix = build_matrix(results, db, outcomes)
+    ids, outcomes, results = _toy()
+    matrix = build_matrix(results, ids, outcomes)
     payload = sidecar_payload(matrix, results)
     (col,) = payload["columns"]
     assert col["column"] == "P1"
@@ -193,17 +193,17 @@ def test_sidecar_carries_risk_stats():
 
 
 def test_build_matrix_rejects_unknown_or_repeated_matched_ids():
-    db, outcomes, results = _toy()
+    ids, outcomes, results = _toy()
     for matched in (("e1", "ghost"), ("e1", "e1")):
         bad = [dataclasses.replace(results[0], matched=matched)]
         with pytest.raises(MatrixFormatError, match="unknown or repeated"):
-            build_matrix(bad, db, outcomes)
+            build_matrix(bad, ids, outcomes)
 
 
 def test_matrix_columns_equal_containment():
     """The miner's carriers agree with an independent containment search."""
     from wavemine.abstraction import abstract_cohort
-    from wavemine.miner import contains
+    from wavemine.miner import _Store
     from wavemine.synth import PlantedPattern, SynthConfig, generate
 
     from util import ep
@@ -222,10 +222,12 @@ def test_matrix_columns_equal_containment():
                     planted=(chain,), seed=3)
     )
     doc = abstract_cohort(cohort, specs)
-    sequences = doc.sequences()
-    results = mine(sequences, MinerConfig(minsup=0.01, risk_sup=0.5))
+    results = mine(doc, MinerConfig(minsup=0.01, risk_sup=0.5))
     assert len(results) >= 20
     assert any(len(r.pattern.groups) > 2 for r in results)
-    matrix = build_matrix(results, sequences, doc.outcomes())
+    matrix = build_matrix(results, doc.ids, doc.outcomes())
+    reference = _Store(sequences(doc))  # built from each patient's encoded sequence
     for j, result in enumerate(results):
-        assert matrix.cells[:, j].tolist() == [int(contains(s, result.pattern)) for s in sequences]
+        column = np.zeros(len(doc.ids), dtype=np.int8)
+        column[reference.carriers(result.pattern.groups)] = 1
+        assert matrix.cells[:, j].tolist() == column.tolist()

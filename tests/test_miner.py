@@ -25,7 +25,6 @@ from wavemine.miner import (
     _scan_states,
     _Store,
     brute_force_mine,
-    contains,
     counts_stats,
     mine,
     mine_with_stats,
@@ -33,7 +32,7 @@ from wavemine.miner import (
     relative_risk,
 )
 
-from util import ep, random_db, result_fingerprint, seq_from_intervals
+from util import ep, intervals_doc, random_db, result_fingerprint, sequences
 
 # ---------------------------------------------------------------------------
 # risk measures
@@ -79,8 +78,13 @@ def test_measure_consistency_property():
 # containment
 
 
-def _abab_sequence():
-    return seq_from_intervals("p", [("A", "hi", 1, 2), ("B", "hi", 2, 4)], True)
+def _carries(intervals, pattern_groups) -> bool:
+    """Whether the miner's store finds the pattern in one patient's intervals."""
+    store = _Store.from_intervals(intervals_doc(("p", True, intervals)))
+    return store.carriers(canonical_form(pattern_groups)) == [0]
+
+
+_ABAB = [("A", "hi", 1, 2), ("B", "hi", 2, 4)]
 
 
 def test_contains_direct_embedding():
@@ -89,32 +93,30 @@ def test_contains_direct_embedding():
         [ep("A", "hi", "-"), ep("B", "hi", "+")],
         [ep("B", "hi", "-")],
     ]
-    assert contains(_abab_sequence(), pattern)
+    assert _carries(_ABAB, pattern)
 
 
 def test_contains_requires_simultaneity():
-    seq = seq_from_intervals("p", [("A", "hi", 1, 2), ("B", "hi", 3, 4)], True)
     pattern = [
         [ep("A", "hi", "+")],
         [ep("A", "hi", "-"), ep("B", "hi", "+")],
         [ep("B", "hi", "-")],
     ]
-    assert not contains(seq, pattern)
+    assert not _carries([("A", "hi", 1, 2), ("B", "hi", 3, 4)], pattern)
 
 
 def test_contains_empty_pattern_vacuous():
-    assert contains(_abab_sequence(), [])
+    assert _carries(_ABAB, [])
 
 
 def test_contains_pairs_start_and_finish_of_one_instance():
     # two single-wave instances never embed a spanning interval pattern
-    seq = seq_from_intervals("p", [("A", "hi", 1, 1), ("A", "hi", 3, 3)], True)
+    singles = [("A", "hi", 1, 1), ("A", "hi", 3, 3)]
     spanning = [[ep("A", "hi", "+")], [ep("A", "hi", "-")]]
-    assert not contains(seq, spanning)
-    assert contains(seq, [[ep("A", "hi", "+"), ep("A", "hi", "-")]])
+    assert not _carries(singles, spanning)
+    assert _carries(singles, [[ep("A", "hi", "+"), ep("A", "hi", "-")]])
     # a later multi-wave instance provides the spanning embedding
-    seq2 = seq_from_intervals("p", [("A", "hi", 1, 1), ("A", "hi", 3, 4)], True)
-    assert contains(seq2, spanning)
+    assert _carries([("A", "hi", 1, 1), ("A", "hi", 3, 4)], spanning)
 
 
 def _naive_contains(seq, pattern_groups):
@@ -162,7 +164,7 @@ def test_contains_matches_naive_enumeration():
     hits = 0
     for _ in range(120):
         db = random_db(rng, n_pat=2, waves=4)
-        donor = random_db(rng, n_pat=2, waves=4)[0]
+        donor = sequences(random_db(rng, n_pat=2, waves=4))[0]
         # probe patterns: sampled sub-multisets of a donor sequence's groups
         probes = []
         if donor.groups:
@@ -175,9 +177,11 @@ def test_contains_matches_naive_enumeration():
             except ConfigError:
                 pass
         probes.append(canonical_form([[ep("A", "hi", "+")], [ep("A", "hi", "-")]]))
-        for seq in db:
-            for probe in probes:
-                got = contains(seq, probe)
+        store, seqs = _Store.from_intervals(db), sequences(db)
+        for probe in probes:
+            carriers = store.carriers(probe)
+            for i, seq in enumerate(seqs):
+                got = i in carriers
                 assert got == _naive_contains(seq, probe)
                 hits += got
     assert hits > 10  # the probe set must exercise true embeddings
@@ -193,11 +197,11 @@ def _walk(db, start, steps=()):
 
     The root's states are every group holding ``start``; each step projects
     the hits that ``_scan_states`` finds for it.  Returns ``(store, pdb,
-    (states, last_set))``, ``pdb`` mapping patient index i (``db[i]``) to its
-    sorted states ``(g, ((fl, finish group), ...))``, groups counted within
-    the patient.
+    (states, last_set))``, ``pdb`` mapping patient index i (``db.ids[i]``) to
+    its sorted states ``(g, ((fl, finish group), ...))``, groups counted
+    within the patient.
     """
-    store = _Store(db)
+    store = _Store.from_intervals(db)
     tok = store.token(start)
     states, last_set = miner._root_states(store, tok), frozenset((tok,))
     for endpoint, site in steps:
@@ -222,17 +226,16 @@ def _support(db, start, steps=()):
     for i, key in enumerate(scan.key.tolist()):
         hits = scan.state[scan.bounds[i]:scan.bounds[i + 1]]
         merged.setdefault(store.endpoint(key >> 1), set()).update(states.pat[hits].tolist())
-    return {e: (len(p), sum(db[i].event for i in p)) for e, p in merged.items()}
+    return {e: (len(p), sum(db.events[i] for i in p)) for e, p in merged.items()}
 
 
 def _scan_db():
     # A=[1,3], B=[2,5], C=[4,5]: suffix after A+ reads (B+)(A-)(C+)... with
     # the scan stopping at A's finish.
-    seq = seq_from_intervals(
-        "p1", [("A", "x", 1, 3), ("B", "x", 2, 5), ("C", "x", 4, 5)], True
+    return intervals_doc(
+        ("p1", True, [("A", "x", 1, 3), ("B", "x", 2, 5), ("C", "x", 4, 5)]),
+        ("p2", False, []),
     )
-    other = seq_from_intervals("p2", [], False)
-    return [seq, other]
 
 
 def test_count_support_scan_stops_at_open_finish():
@@ -244,50 +247,38 @@ def test_count_support_scan_stops_at_open_finish():
 
 
 def test_count_support_empty_open_scans_whole_suffix():
-    db = [
-        seq_from_intervals("p1", [("A", "x", 1, 1), ("C", "x", 3, 3)], True),
-        seq_from_intervals("p2", [], False),
-    ]
+    db = intervals_doc(("p1", True, [("A", "x", 1, 1), ("C", "x", 3, 3)]), ("p2", False, []))
     counts = _support(db, ep("A", "x", "+"), [(ep("A", "x", "-"), 0)])
     # C- is postfix-masked (no C open in the prefix); C+ is visible to the end
     assert counts == {ep("C", "x", "+"): (1, 1)}
 
 
 def test_count_support_empty_suffix_contributes_nothing():
-    db = [
-        seq_from_intervals("p1", [("A", "x", 5, 5)], True),
-        seq_from_intervals("p2", [], False),
-    ]
+    db = intervals_doc(("p1", True, [("A", "x", 5, 5)]), ("p2", False, []))
     counts = _support(db, ep("A", "x", "+"), [(ep("A", "x", "-"), 0)])
     assert counts == {}
 
 
 def test_count_support_masks_unopened_finishes():
     # B- sits inside the scanned region but B was never opened by the prefix
-    db = [
-        seq_from_intervals("p1", [("A", "x", 1, 4), ("B", "x", 2, 3)], True),
-        seq_from_intervals("p2", [], False),
-    ]
+    db = intervals_doc(("p1", True, [("A", "x", 1, 4), ("B", "x", 2, 3)]), ("p2", False, []))
     counts = _support(db, ep("A", "x", "+"))
     assert ep("B", "x", "-") not in counts
     assert set(counts) == {ep("B", "x", "+"), ep("A", "x", "-")}
 
 
 def test_construct_projection_advances_past_match():
-    db = [
-        seq_from_intervals("p1", [("A", "x", 1, 3), ("B", "x", 2, 2)], True),
-        seq_from_intervals("p2", [], False),
-    ]
+    db = intervals_doc(("p1", True, [("A", "x", 1, 3), ("B", "x", 2, 2)]), ("p2", False, []))
     _, pdb, _ = _walk(db, ep("A", "x", "+"), [(ep("A", "x", "-"), 1)])
     # one marker for p1, at the group holding A- at t3, with nothing left open
     assert pdb == {0: [(2, ())]}
 
 
 def test_construct_projection_simultaneous_requires_same_group():
-    db = [
-        seq_from_intervals("q1", [("A", "x", 1, 2), ("B", "x", 1, 2)], True),
-        seq_from_intervals("q2", [("A", "x", 1, 2), ("B", "x", 2, 3)], False),
-    ]
+    db = intervals_doc(
+        ("q1", True, [("A", "x", 1, 2), ("B", "x", 1, 2)]),
+        ("q2", False, [("A", "x", 1, 2), ("B", "x", 2, 3)]),
+    )
     _, pdb, _ = _walk(db, ep("A", "x", "+"), [(ep("B", "x", "+"), 0)])
     assert set(pdb) == {0}  # q1
     _, pdb_later, _ = _walk(db, ep("A", "x", "+"), [(ep("B", "x", "+"), 1)])
@@ -296,10 +287,9 @@ def test_construct_projection_simultaneous_requires_same_group():
 
 def test_projection_keeps_every_viable_instance_marker():
     # two A instances: both markers must survive for completeness
-    db = [
-        seq_from_intervals("p1", [("A", "x", 1, 1), ("A", "x", 3, 4), ("B", "x", 3, 3)], True),
-        seq_from_intervals("p2", [], False),
-    ]
+    db = intervals_doc(
+        ("p1", True, [("A", "x", 1, 1), ("A", "x", 3, 4), ("B", "x", 3, 3)]), ("p2", False, [])
+    )
     _, pdb, _ = _walk(db, ep("A", "x", "+"), [(ep("A", "x", "-"), 1)])
     # only the multi-wave instance (waves 3-4, data groups 1-2) closes strictly later
     assert pdb == {0: [(2, ())]}
@@ -312,13 +302,14 @@ def test_projection_keeps_every_viable_instance_marker():
 # mine: toy databases
 
 
-def _toy_db_literal():
-    return [
-        seq_from_intervals("e1", [("A", "hi", 1, 2)], True),
-        seq_from_intervals("e2", [("A", "hi", 1, 2)], True),
-        seq_from_intervals("n1", [], False),
-        seq_from_intervals("n2", [], False),
-    ]
+def _toy_db_literal(*more):
+    return intervals_doc(
+        ("e1", True, [("A", "hi", 1, 2)]),
+        ("e2", True, [("A", "hi", 1, 2)]),
+        ("n1", False, []),
+        ("n2", False, []),
+        *more,
+    )
 
 
 def test_toy_db_strict_increase_saturates():
@@ -332,7 +323,7 @@ def test_toy_db_strict_increase_saturates():
 
 
 def test_toy_db_with_contrast_patient_recovers_interval():
-    db = _toy_db_literal() + [seq_from_intervals("n3", [("A", "hi", 1, 1)], False)]
+    db = _toy_db_literal(("n3", False, [("A", "hi", 1, 1)]))
     cfg = MinerConfig(minsup=0.5, minsup_scope="event_group", risk_sup=1.5)
     results = mine(db, cfg)
     assert result_fingerprint(results) == [("(A=hi+)->(A=hi-)", 2, 0, 0, 3)]
@@ -346,15 +337,15 @@ def _duplicate_pruning_db():
     """Two identical event carriers of A=[1,2] with B=[2,3], plus contrast
     patients that give both growth routes to the simultaneous group a
     strictly increasing risk, so the permuted regrowth reaches the seen-set."""
-    return [
-        seq_from_intervals("e1", [("A", "x", 1, 2), ("B", "x", 2, 3)], True),
-        seq_from_intervals("e2", [("A", "x", 1, 2), ("B", "x", 2, 3)], True),
-        seq_from_intervals("n1", [("A", "x", 1, 1)], False),
-        seq_from_intervals("n2", [("A", "x", 1, 2)], False),
-        seq_from_intervals("n3", [("A", "x", 1, 2), ("B", "x", 2, 2)], False),
-        seq_from_intervals("n4", [("C", "x", 1, 1)], False),
-        seq_from_intervals("n5", [("A", "x", 1, 3), ("B", "x", 2, 2)], False),
-    ]
+    return intervals_doc(
+        ("e1", True, [("A", "x", 1, 2), ("B", "x", 2, 3)]),
+        ("e2", True, [("A", "x", 1, 2), ("B", "x", 2, 3)]),
+        ("n1", False, [("A", "x", 1, 1)]),
+        ("n2", False, [("A", "x", 1, 2)]),
+        ("n3", False, [("A", "x", 1, 2), ("B", "x", 2, 2)]),
+        ("n4", False, [("C", "x", 1, 1)]),
+        ("n5", False, [("A", "x", 1, 3), ("B", "x", 2, 2)]),
+    )
 
 
 def test_duplicate_pruning_one_canonical_pattern():
@@ -379,17 +370,11 @@ def test_impossible_minsup_yields_empty():
 def test_mine_rejects_degenerate_db():
     cfg = MinerConfig()
     with pytest.raises(CohortValidationError):
-        mine([], cfg)
+        mine(intervals_doc(), cfg)
     with pytest.raises(CohortValidationError):
-        mine([seq_from_intervals("p", [("A", "hi", 1, 1)], True)], cfg)
+        mine(intervals_doc(("p", True, [("A", "hi", 1, 1)])), cfg)
     with pytest.raises(CohortValidationError, match="duplicate"):
-        mine(
-            [
-                seq_from_intervals("p", [("A", "hi", 1, 1)], True),
-                seq_from_intervals("p", [], False),
-            ],
-            cfg,
-        )
+        mine(intervals_doc(("p", True, [("A", "hi", 1, 1)]), ("p", False, [])), cfg)
 
 
 def test_unclosed_start_raises_pairing_error_naming_the_patient():
@@ -401,7 +386,8 @@ def test_unclosed_start_raises_pairing_error_naming_the_patient():
 
 
 def test_each_sequence_is_paired_once(monkeypatch):
-    # the store reads the pairs the sequence found when it was built
+    # the miner's store pairs no patient whose intervals pair plainly; the
+    # oracle's store reads the pairs each sequence found when it was encoded
     from wavemine import encoding
 
     calls = []
@@ -413,9 +399,12 @@ def test_each_sequence_is_paired_once(monkeypatch):
 
     monkeypatch.setattr(encoding, "pair_endpoints", counted)
     db = random_db(random.Random(5), n_pat=12, waves=5)
-    results, stats = mine_with_stats(db, MinerConfig(minsup=0.1, risk_sup=0.1))
+    cfg = MinerConfig(minsup=0.1, risk_sup=0.1)
+    results, stats = mine_with_stats(db, cfg)
     assert results and stats.nodes > 0
-    assert len(calls) == len(db)
+    assert calls == []
+    assert result_fingerprint(brute_force_mine(db, cfg)) == result_fingerprint(results)
+    assert len(calls) == len(db.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +420,7 @@ def _store_view(store):
 
 
 def _assert_same_store(doc):
-    """``_Store.from_intervals`` equals ``_Store(doc.sequences())``, or fails the same way.
+    """``_Store.from_intervals`` equals ``_Store(sequences(doc))``, or fails the same way.
 
     So does the store of the document built from ``doc.patients``, and of
     the one read back from ``doc``'s ``intervals.json``.
@@ -444,7 +433,7 @@ def _assert_same_store(doc):
     docs = [doc, CohortIntervals(doc.wave_count, doc.levels, doc.patients, doc.edges), back]
     assert back.patients == doc.patients
     try:
-        expected = _store_view(_Store(doc.sequences()))
+        expected = _store_view(_Store(sequences(doc)))
     except PairingError as exc:
         for built in docs:
             with pytest.raises(PairingError) as raised:
@@ -462,18 +451,10 @@ def test_store_from_intervals_matches_sequences_on_seeded_cohorts():
     from test_abstraction import RANDOM_SPECS, _random_cohort
 
     rng = random.Random(2024)  # the cohorts of test_abstract_cohort_matches_per_value_reference
-    cfg = MinerConfig(minsup=0.05, risk_sup=0.5)
     for _trial in range(40):
         cohort = _random_cohort(rng, patients=rng.randint(1, 60), waves=rng.randint(1, 8))
         doc = abstract_cohort(cohort, RANDOM_SPECS)
         assert _assert_same_store(doc) == "pairs"
-        events = {p.event for p in doc.patients}
-        if events == {True, False}:
-            got, stats = mine_with_stats(doc, cfg)
-            want, want_stats = mine_with_stats(doc.sequences(), cfg)
-            assert result_fingerprint(got) == result_fingerprint(want)
-            assert [r.matched for r in got] == [r.matched for r in want]
-            assert stats == want_stats
 
 
 def test_waves_at_the_int32_edge_from_the_csv_to_the_store():
@@ -566,25 +547,6 @@ def test_carriers_prefiltered_by_token_holders_match_the_plain_scan():
     assert store.presence.any(axis=0).all()  # every token has a holder
 
 
-def _intervals_doc(*patients, levels=None):
-    """A CohortIntervals read from intervals.json text: (id, event, intervals) per patient."""
-    from wavemine.encoding import read_intervals_json
-
-    payload = {
-        "wave_count": 6,
-        "levels": levels or {"A": {"hi": "high", "lo": "low", "ok": "normal"},
-                             "B": {"hi": "high", "ok": "normal"}},
-        "edges": {},
-        "patients": [
-            {"patient_id": pid, "time": 6.0, "event": int(event),
-             "intervals": [{"feature": f, "level": lv, "start": s, "end": e}
-                           for f, lv, s, e in intervals]}
-            for pid, event, intervals in patients
-        ],
-    }
-    return read_intervals_json(io.StringIO(json.dumps(payload)))
-
-
 _PLAIN = ("p0", True, [("A", "hi", 1, 2), ("B", "hi", 2, 4), ("A", "ok", 3, 6), ("A", "lo", 5, 5)])
 
 
@@ -605,7 +567,7 @@ _PLAIN = ("p0", True, [("A", "hi", 1, 2), ("B", "hi", 2, 4), ("A", "ok", 3, 6), 
     pytest.param([], "pairs", id="no-intervals"),
 ])
 def test_store_from_intervals_matches_sequences_on_hostile_intervals(intervals, outcome):
-    doc = _intervals_doc(_PLAIN, ("p1", False, intervals), ("p2", False, _PLAIN[2]))
+    doc = intervals_doc(_PLAIN, ("p1", False, intervals), ("p2", False, _PLAIN[2]))
     assert _assert_same_store(doc) == outcome
     if outcome == "raises":  # the error names the patient
         with pytest.raises(PairingError, match="^p1: "):
@@ -614,18 +576,17 @@ def test_store_from_intervals_matches_sequences_on_hostile_intervals(intervals, 
 
 def test_store_from_intervals_reports_the_first_unpaired_patient():
     bad = [("A", "hi", 1, 3), ("A", "hi", 2, 4)]
-    doc = _intervals_doc(_PLAIN, ("p1", False, [("B", "hi", 4, 2)]), ("p2", True, bad))
+    doc = intervals_doc(_PLAIN, ("p1", False, [("B", "hi", 4, 2)]), ("p2", True, bad))
     assert _assert_same_store(doc) == "raises"
     with pytest.raises(PairingError, match="^p1: "):
         _Store.from_intervals(doc)
 
 
 def test_mining_intervals_rejects_duplicate_patient_ids():
-    doc = _intervals_doc(_PLAIN, ("p1", False, _PLAIN[2]), ("p1", False, []))
+    doc = intervals_doc(_PLAIN, ("p1", False, _PLAIN[2]), ("p1", False, []))
     assert _assert_same_store(doc) == "pairs"
-    for db in (doc, doc.sequences()):
-        with pytest.raises(CohortValidationError, match="duplicate patient ids"):
-            mine_with_stats(db, MinerConfig())
+    with pytest.raises(CohortValidationError, match="duplicate patient ids"):
+        mine_with_stats(doc, MinerConfig())
 
 
 def test_miner_config_validation():
@@ -684,16 +645,17 @@ def test_emitted_patterns_are_sound():
     cfg = MinerConfig(minsup=0.15, risk_sup=1.2)
     for _ in range(20):
         db = random_db(rng, n_pat=10, waves=5)
-        n = len(db)
-        n_events = sum(s.event for s in db)
+        seqs = sequences(db)
+        n = len(seqs)
+        n_events = sum(db.events)
         for r in mine(db, cfg):
             assert r.pattern.closed
             from wavemine.miner import _sweep_open
 
             assert _sweep_open(r.pattern.groups) == frozenset()
-            carriers = {s.patient_id for s in db if contains(s, r.pattern)}
+            carriers = {s.patient_id for s in seqs if _naive_contains(s, r.pattern.groups)}
             assert carriers == set(r.matched)
-            a = sum(1 for s in db if s.event and s.patient_id in carriers)
+            a = sum(1 for s in seqs if s.event and s.patient_id in carriers)
             assert (a, len(carriers) - a) == (r.stats.a, r.stats.b)
             assert r.stats.a + r.stats.b + r.stats.c + r.stats.d == n
             assert r.stats.support_event == pytest.approx(a / n_events)
@@ -748,10 +710,7 @@ def test_brute_force_guard():
     too_many = random_db(rng, n_pat=26, waves=3)
     with pytest.raises(GuardError):
         brute_force_mine(too_many, MinerConfig(minsup=0.5, risk_sup=1.5))
-    long_waves = [
-        seq_from_intervals("p1", [("A", "hi", 1, 6)], True),
-        seq_from_intervals("p2", [], False),
-    ]
+    long_waves = intervals_doc(("p1", True, [("A", "hi", 1, 6)]), ("p2", False, []))
     with pytest.raises(GuardError):
         brute_force_mine(long_waves, MinerConfig(minsup=0.5, risk_sup=1.5))
 
@@ -779,13 +738,13 @@ def test_mining_frees_its_store_by_reference_counting(monkeypatch):
     # commands run with the cyclic collector paused, so nothing the search
     # builds may sit in a reference cycle
     stores = []
-    build = _Store.__init__
+    build = _Store._build
 
-    def tracked(self, db):
-        build(self, db)
+    def tracked(self, *args):
+        build(self, *args)
         stores.append(weakref.ref(self))
 
-    monkeypatch.setattr(_Store, "__init__", tracked)
+    monkeypatch.setattr(_Store, "_build", tracked)
     db = random_db(random.Random(3), n_pat=12, waves=5)
     cfg = MinerConfig(minsup=0.1, risk_sup=0.1)
     was_enabled = gc.isenabled()

@@ -419,9 +419,8 @@ def test_block_fit_matches_reference_fit_on_synth_cohort(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "intervals.json")]) == 0
     with open(tmp_path / "intervals.json", encoding="utf-8") as fh:
         doc = read_intervals_json(fh)
-    sequences = doc.sequences()
-    results = mine(sequences, MinerConfig(minsup=0.01, risk_sup=0.5))
-    matrix = build_matrix(results, sequences, doc.outcomes())
+    results = mine(doc, MinerConfig(minsup=0.01, risk_sup=0.5))
+    matrix = build_matrix(results, doc.ids, doc.outcomes())
     assert matrix.cells.shape[1] >= 20
     new = survival.cross_validate(matrix, k=5, seed=0)
     monkeypatch.setattr(

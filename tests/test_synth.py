@@ -6,10 +6,10 @@ import pytest
 from wavemine.abstraction import abstract_cohort
 from wavemine.errors import ConfigError
 from wavemine.ingest import write_cohort_csv, write_outcomes_csv
-from wavemine.miner import MinerConfig, contains, counts_stats, mine, relative_risk
+from wavemine.miner import MinerConfig, _Store, counts_stats, mine, relative_risk
 from wavemine.synth import PlantedPattern, SynthConfig, generate, parse_synth_config
 
-from util import ep
+from util import ep, sequences
 
 SPAN_PATTERN = PlantedPattern(
     groups=((ep("F01", "H", "+"),), (ep("F01", "H", "-"),)),
@@ -51,10 +51,10 @@ def test_generate_deterministic_for_seed():
 def test_manifest_counts_match_containment_recount():
     cohort, specs, manifest = generate(_config(noise_rate=0.1))
     doc = abstract_cohort(cohort, specs)
-    sequences = doc.sequences()
     entry = manifest["patterns"][0]
-    carriers = {s.patient_id for s in sequences if contains(s, SPAN_PATTERN.groups)}
-    a = sum(1 for s in sequences if s.event and s.patient_id in carriers)
+    # the reference store, built from each patient's encoded sequence
+    carriers = _Store(sequences(doc)).carriers(SPAN_PATTERN.groups)
+    a = sum(doc.events[i] for i in carriers)
     assert entry["a"] == a
     assert entry["a"] + entry["b"] == len(carriers)
     assert entry["rr"] == pytest.approx(
@@ -96,7 +96,7 @@ def test_miner_recovers_planted_key():
         )
     )
     doc = abstract_cohort(cohort, specs)
-    results = mine(doc.sequences(), MinerConfig(minsup=0.1, risk_sup=1.2))
+    results = mine(doc, MinerConfig(minsup=0.1, risk_sup=1.2))
     keys = {r.pattern.key() for r in results}
     assert manifest["patterns"][0]["key"] in keys
 
