@@ -44,7 +44,7 @@ from .matrix import (
 )
 from .miner import MinerConfig, MiningStats, PatternResult, RiskStats, TemporalPattern, mine_with_stats, odds_ratio, relative_risk
 from .survival import DEFAULT_LAMBDA_GRID, _check_folds, _check_penalty, _heldout_c, cross_validate, rank_patterns, rr_score
-from .synth import SynthConfig, generate, parse_synth_config
+from .synth import generate, parse_synth_config
 from .viz import RenderPattern, RenderSpec, render_svg
 
 log = logging.getLogger(__name__)
@@ -173,13 +173,20 @@ MINE_DEFAULTS = {
 }
 EVAL_DEFAULTS = {"k": 5, "seed": 0, "lambda_grid": ",".join(str(x) for x in DEFAULT_LAMBDA_GRID)}
 RENDER_DEFAULTS = {"top": 10}
+SYNTH_FLAGS = ("patients", "waves", "features", "event_rate", "noise_rate", "seed")
+
+
+def _config_file(args) -> dict:
+    """The settings of the ``--config`` file, if one is given: a JSON object."""
+    doc = _read_json(Path(args.config)) if getattr(args, "config", None) else {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{args.config}: a config file must hold a JSON object")
+    return doc
 
 
 def _effective(args, defaults: dict) -> dict:
     """Flag > config file > built-in default."""
-    doc = _read_json(Path(args.config)) if getattr(args, "config", None) else {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{args.config}: a config file must hold a JSON object")
+    doc = _config_file(args)
     out = {}
     for name, default in defaults.items():
         value = getattr(args, name, None)
@@ -230,19 +237,9 @@ def _render_config(eff: dict) -> dict:
 
 def _cmd_synth(args) -> int:
     t0 = time.perf_counter()
-    if args.config:
-        config = parse_synth_config(_read_json(Path(args.config)))
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-    else:
-        config = SynthConfig(
-            patients=args.patients,
-            waves=args.waves,
-            features=args.features,
-            event_rate=args.event_rate,
-            noise_rate=args.noise_rate,
-            seed=args.seed if args.seed is not None else 0,
-        )
+    # flag > config file > SynthConfig's default
+    flags = {name: value for name in SYNTH_FLAGS if (value := getattr(args, name)) is not None}
+    config = parse_synth_config({**_config_file(args), **flags})
     cohort, specs, manifest = generate(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -528,11 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic cohort with planted patterns")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="synth config JSON (incl. planted patterns)")
-    p.add_argument("--patients", type=int, default=200)
-    p.add_argument("--waves", type=int, default=5)
-    p.add_argument("--features", type=int, default=5)
-    p.add_argument("--event-rate", type=float, default=0.15)
-    p.add_argument("--noise-rate", type=float, default=0.05)
+    # defaults of None let a --config file fill unset flags, and SynthConfig the rest
+    p.add_argument("--patients", type=int, default=None)
+    p.add_argument("--waves", type=int, default=None)
+    p.add_argument("--features", type=int, default=None)
+    p.add_argument("--event-rate", type=float, default=None)
+    p.add_argument("--noise-rate", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_synth)
 

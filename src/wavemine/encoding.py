@@ -80,16 +80,22 @@ def encode(
 ) -> EndpointSequence:
     """Convert state intervals into the canonical endpoint sequence.
 
-    Normal-severity levels are dropped (normal-pruning).  A single-wave
-    interval places its Start and Finish in the same group.
+    Normal-severity levels are dropped (normal-pruning) and identical
+    intervals collapse.  A single-wave interval places its Start and Finish
+    in the same group.  Abstraction merges a level's consecutive waves, so
+    an interval that ends before it starts, or overlaps the previous one of
+    its (feature, level), raises PairingError naming the patient.
     """
-    ends: set[tuple[int, bool, str, str]] = set()
-    for iv in intervals:
-        feature, level = iv.feature, iv.level
-        if severity_of.get((feature, level), "other") == "normal":
-            continue
-        ends.add((iv.start, False, feature, level))
-        ends.add((iv.end, True, feature, level))
+    shown = sorted({
+        (iv.feature, iv.level, iv.start, iv.end) for iv in intervals
+        if severity_of.get((iv.feature, iv.level), "other") != "normal"
+    })
+    ends: list[tuple[int, bool, str, str]] = []
+    for prev, (feature, level, start, end) in zip([None, *shown], shown):
+        if end < start or prev is not None and prev[:2] == (feature, level) and start <= prev[3]:
+            crossed = "an interval ends before it starts" if end < start else "intervals overlap"
+            raise PairingError(f"{patient_id}: {(feature, level)} {crossed}")
+        ends += [(start, False, feature, level), (end, True, feature, level)]
     # sorting (time, is_finish, feature, level) orders by time, then by group_order
     groups = tuple([
         EndpointGroup(time, tuple([Endpoint(f, lv, fin) for _, fin, f, lv in block]))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import IO, Mapping, Sequence
@@ -145,7 +146,10 @@ def write_sidecar_json(payload: dict, stream: IO[str]) -> None:
 
 
 def read_matrix_csv(stream: IO[str], sidecar: dict | None = None) -> BinaryDesignMatrix:
-    """Read the matrix CSV back; the sidecar restores canonical pattern keys."""
+    """Read the matrix CSV back; the sidecar restores canonical pattern keys.
+
+    A time must be finite and >= 1, and a patient id must not repeat.
+    """
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or header[:3] != ["patient_id", "time", "event"]:
@@ -157,7 +161,7 @@ def read_matrix_csv(stream: IO[str], sidecar: dict | None = None) -> BinaryDesig
         if not isinstance(columns, list) or [c.get("column") for c in columns] != names:
             raise MatrixFormatError("sidecar columns do not match the matrix header")
         keys = [c["key"] for c in columns]
-    ids: list[str] = []
+    ids: dict[str, None] = {}  # in row order
     times: list[float] = []
     events: list[bool] = []
     rows: list[list[int]] = []
@@ -174,9 +178,13 @@ def read_matrix_csv(stream: IO[str], sidecar: dict | None = None) -> BinaryDesig
             cells = [int(v) for v in row[3:]]
         except ValueError as exc:
             raise MatrixFormatError(f"line {lineno}: bad value ({exc})") from None
+        if not (math.isfinite(times[-1]) and times[-1] >= 1):
+            raise MatrixFormatError(f"line {lineno}: time must be finite and >= 1, got {row[1]!r}")
         if any(v not in (0, 1) for v in cells):
             raise MatrixFormatError(f"line {lineno}: indicator cells must be 0 or 1")
-        ids.append(row[0])
+        if row[0] in ids:
+            raise MatrixFormatError(f"line {lineno}: duplicate patient id {row[0]!r}")
+        ids[row[0]] = None
         rows.append(cells)
     cells_arr = (
         np.array(rows, dtype=np.int8) if rows else np.zeros((0, len(names)), dtype=np.int8)

@@ -264,53 +264,38 @@ class _Store:
     def __init__(self, db: Sequence[EndpointSequence]):
         pairs = [(r, *pair) for r, seq in enumerate(db) for pair in seq.pairs]
         self._index({(f, lv) for _, f, lv, _, _ in pairs})
-        self._build([s.patient_id for s in db], [s.event for s in db], *self._quadruples(pairs).T)
+        quadruples = np.array(
+            [(r, 2 * self.fl_index[f, lv], gs, ge) for r, f, lv, gs, ge in pairs], dtype=np.intp
+        ).reshape(-1, 4)
+        self._build([s.patient_id for s in db], [s.event for s in db], *quadruples.T)
 
     @classmethod
     def from_intervals(cls, doc: CohortIntervals) -> "_Store":
         """The store of ``doc``'s sequences, built from its intervals with no pairing sweep.
 
         Normal levels are dropped and identical intervals collapse, as in
-        ``encode``.  Where each (feature, level)'s intervals have start <= end
-        and each starts after the previous one ends, every interval is a
-        Start token at its start wave and a Finish token at its end wave, and
-        the Start's partner is its own interval's end.  A patient with any
-        other intervals is encoded, so it pairs, or raises PairingError, as
-        its ``EndpointSequence`` does, and its pairs join the table.
+        ``encode``.  Every interval is a Start token at its start wave and a
+        Finish token at its end wave, and the Start's partner is its own
+        interval's end.  A patient whose intervals of one (feature, level)
+        end before they start or overlap is rejected: the first such patient
+        goes through ``encode``, which raises its PairingError.
         """
         severity = doc.severity_of()
         keys, row, kid, start, end = _shown_intervals(doc, severity)
         crossed = start > end  # or starting where the key's previous interval is still open
         crossed[1:] |= (row[1:] == row[:-1]) & (kid[1:] == kid[:-1]) & (start[1:] <= end[:-1])
-        odd = sorted(set(row[crossed].tolist()))
-        pairs = [
-            (r, *pair)
-            for r in odd
-            for pair in encode(doc.ids[r], doc.intervals_of(r), severity, doc.events[r]).pairs
-        ]
-        plain = ~np.isin(row, odd)
-        row, kid, start, end = row[plain], kid[plain], start[plain], end[plain]
-
+        if crossed.any():
+            r = int(row[crossed.argmax()])
+            encode(doc.ids[r], doc.intervals_of(r), severity, doc.events[r])  # raises
+        held = np.unique(kid)
         store = cls.__new__(cls)
-        store._index(
-            {keys[k] for k in np.unique(kid).tolist()} | {(f, lv) for _, f, lv, _, _ in pairs}
-        )
-        token = np.array([2 * store.fl_index.get(key, -1) for key in keys], dtype=np.intp)
-        store._build(
-            doc.ids, doc.events,
-            *map(np.concatenate, zip((row, token[kid], start, end), store._quadruples(pairs).T)),
-        )
+        store._index([keys[k] for k in held.tolist()])
+        store._build(doc.ids, doc.events, row, 2 * np.searchsorted(held, kid), start, end)
         return store
 
     def _index(self, fl_pairs) -> None:
         self.fl_pairs = sorted(fl_pairs)
         self.fl_index = {p: i for i, p in enumerate(self.fl_pairs)}
-
-    def _quadruples(self, pairs) -> np.ndarray:
-        """(row, start token, start, end) rows of (row, feature, level, start, end) pairs."""
-        return np.array(
-            [(r, 2 * self.fl_index[f, lv], gs, ge) for r, f, lv, gs, ge in pairs], dtype=np.intp
-        ).reshape(-1, 4)
 
     def _build(self, ids, events, row, start_token, start, end) -> None:
         """The table of intervals given as (row, start token, start, end) quadruples.

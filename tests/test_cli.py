@@ -370,6 +370,19 @@ def test_missing_file_fails_cleanly(mined, tmp_path, capsys, content, command):
         main(["mine", "--intervals", "x", "--out", "y", "--bogus"])
 
 
+def test_mine_rejects_crossed_intervals_naming_the_patient(tmp_path, capsys):
+    # abstraction never writes two F01=H intervals of one patient that overlap
+    doc = _intervals_with_levels({"F01": {"H": "high"}})
+    doc["patients"][1]["intervals"] = [
+        {"feature": "F01", "level": "H", "start": s, "end": e} for s, e in ((1, 3), (1, 5), (4, 5))
+    ]
+    path = tmp_path / "intervals.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["mine", "--intervals", str(path), "--out", str(tmp_path / "p.json")]) == 1
+    assert re.search(r"^error: p2: .*intervals overlap", capsys.readouterr().err, re.M)
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_mine_config_file_supplies_defaults(tmp_path):
     data = _make_cohort(tmp_path)
     work = tmp_path / "cfg"
@@ -410,6 +423,20 @@ def test_synth_from_flags_without_config(tmp_path):
     assert len(lines) == 51  # header + one outcome per patient
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["patients"] == 50 and manifest["patterns"] == []
+    # with --config, a flag wins over the file, the file over SynthConfig's default
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"patients": 50, "features": 2, "seed": 4}), encoding="utf-8")
+    out = tmp_path / "both"
+    assert main([
+        "synth", "--out-dir", str(out), "--config", str(cfg), "--patients", "80", "--waves", "3",
+    ]) == 0
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config == {"seed": 4, "patients": 80, "waves": 3, "features": 2,
+                      "event_rate": 0.15, "noise_rate": 0.05}
+    assert len((out / "outcomes.csv").read_text().strip().splitlines()) == 81
+    assert json.loads((out / "features.json").read_text())[-1]["name"] == "F02"
+    assert max(int(line.split(",")[1])
+               for line in (out / "cohort.csv").read_text().splitlines()[1:]) == 3
 
 
 def test_continuous_features_end_to_end(tmp_path):

@@ -179,6 +179,12 @@ def test_malformed_matrix_rejected():
         read_matrix_csv(io.StringIO("patient_id,time,event,P1\np1,2.0,1,7\n"))
     with pytest.raises(MatrixFormatError):
         read_matrix_csv(io.StringIO("patient_id,time,event,P1\np1,2.0,1\n"))
+    # times below 1 or not finite, and a repeated patient id, name their line
+    for time in ("0", "-3", "0.5", "nan", "inf", "-inf"):
+        with pytest.raises(MatrixFormatError, match="^line 3: time must be finite and >= 1"):
+            read_matrix_csv(io.StringIO(f"patient_id,time,event,P1\np1,2.0,1,1\np2,{time},0,0\n"))
+    with pytest.raises(MatrixFormatError, match="^line 3: duplicate patient id 'p1'"):
+        read_matrix_csv(io.StringIO("patient_id,time,event,P1\np1,2.0,1,1\np1,3.0,0,0\n"))
 
 
 def test_sidecar_carries_risk_stats():

@@ -386,8 +386,8 @@ def test_unclosed_start_raises_pairing_error_naming_the_patient():
 
 
 def test_each_sequence_is_paired_once(monkeypatch):
-    # the miner's store pairs no patient whose intervals pair plainly; the
-    # oracle's store reads the pairs each sequence found when it was encoded
+    # the miner's store pairs no patient; the oracle's store reads the pairs
+    # each sequence found when it was encoded
     from wavemine import encoding
 
     calls = []
@@ -558,7 +558,9 @@ _PLAIN = ("p0", True, [("A", "hi", 1, 2), ("B", "hi", 2, 4), ("A", "ok", 3, 6), 
     pytest.param([("A", "hi", 1, 2), ("A", "hi", 3, 4)], "pairs", id="abutting-waves"),
     pytest.param([("A", "hi", 3, 1)], "raises", id="start-after-end"),
     pytest.param([("A", "hi", 1, 2), ("A", "hi", 3, 2)], "raises", id="start-after-end-left-open"),
-    pytest.param([("A", "hi", 1, 4), ("A", "hi", 3, 2)], "pairs", id="start-after-end-repaired"),
+    pytest.param([("A", "hi", 1, 4), ("A", "hi", 3, 2)], "raises", id="start-after-end-repaired"),
+    pytest.param([("A", "hi", 1, 3), ("A", "hi", 1, 5), ("A", "hi", 4, 5)], "raises",
+                 id="same-start-and-nested"),
     pytest.param([("A", "hi", 1, 2), ("A", "hi", 1, 2), ("B", "hi", 2, 2)], "pairs",
                  id="repeated"),
     pytest.param([("A", "mid", 1, 2), ("C", "hi", 2, 3)], "pairs", id="level-not-in-levels"),
