@@ -3,7 +3,8 @@
 import os
 
 # The Cox fits solve systems of a few hundred columns at most, where a second
-# OpenBLAS thread only spins between calls; ``--workers`` is the parallelism.
+# OpenBLAS thread only spins between calls.  Mining runs in the calling process
+# too: its branches are too small to pay for a worker pool's start-up.
 # This must run before numpy is first imported, and a thread count set in the
 # environment is kept.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -506,7 +506,8 @@ def _add_mine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--measure", choices=("rr", "or"), default=None)
     p.add_argument("--max-length", type=int, default=None)
     p.add_argument("--config", default=None, help="JSON file with default parameter values")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted for compatibility; mining runs in this process")
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -582,7 +583,9 @@ def main(argv=None) -> int:
     """Run one command with the cyclic garbage collector paused.
 
     Reference counting frees everything a command builds, so full collections
-    would only walk it again; forked miner workers inherit the pause.
+    would only walk it again.  Every command, ``--workers`` or not, runs in
+    this one process: mining starts no worker, because no pool was cheaper
+    than its few milliseconds per root branch.
     """
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()

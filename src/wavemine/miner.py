@@ -16,26 +16,27 @@ risk over its parent.  Pruning strategies:
 
 The store is one endpoint table sorted by (row, group, token), with groups
 numbered across the table, so a patient's endpoints are one contiguous run.
-A projected database is a table of states: per state the patient, an
-embedding's last matched group, and the finish group of each interval it
-holds open.  Every state of a pattern holds the same intervals open, so the
-finish groups form one matrix with a column per open interval.  A patient
+The search runs depth by depth: every live node of a depth, of every root
+branch, has its states in one table.  A state is a node, a patient, an
+embedding's last matched group and the finish groups of the node's open
+intervals, in columns padded to the depth's widest open set.  A patient
 keeps every distinct state, which makes projections independent of growth
-order and support counts equal to true containment counts.  A scan expands
-each state's window of endpoints in numpy, masks out what the growth rule
-forbids, and sorts the hits by candidate ``(endpoint, site)`` and patient:
-site 0 extends a state in its last matched group, site 1 in a later one.
-Support counts the distinct (candidate, patient) pairs.  Projecting a
-candidate selects its hits, inserts or drops one column and removes repeated
-states; it tests nothing again.
+order and support counts equal to true containment counts.  The table is
+cut into blocks of whole nodes that scan at most as many endpoints as the
+store holds.  A block is expanded once in numpy, masked by the growth rule,
+sorted by (node, candidate ``(endpoint, site)``, patient) and counted: site
+0 extends a state in its last matched group, site 1 in a later one.  The
+gate runs in numpy too, so Python sees only the candidates that pass it.
+Projecting them builds the next depth's table and tests nothing again.
+
+Mining runs in the calling process whatever ``MinerConfig.workers`` says:
+a root branch is a few milliseconds of work, less than a worker pool costs
+to start.
 """
 from __future__ import annotations
 
-import bisect
 import math
-import multiprocessing
-from concurrent import futures
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -95,7 +96,7 @@ class MinerConfig:
     risk_sup: float = 1.5
     measure: str = "relative_risk"  # or "odds_ratio"
     max_length: int | None = None
-    workers: int = 1
+    workers: int = 1  # checked, but mining runs in the calling process (module docstring)
 
     def __post_init__(self):
         if not 0.0 < self.minsup <= 1.0:
@@ -158,10 +159,6 @@ class MiningStats:
     emitted: int = 0
     duplicates: int = 0
     undefined_risk: int = 0
-
-    def merge(self, other: "MiningStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -410,28 +407,35 @@ def _group_key(tokens: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(tokens, key=lambda t: (t & 1, t >> 1)))
 
 
-class _States(NamedTuple):
-    """A projected database: the states of every patient that carries a pattern.
+_PAD = np.iinfo(np.int32).max  # a finish column past a node's open intervals
+_ANY, _NEVER, _LATER = -1, -2, -3  # how a token may extend a node's states (see _scan)
 
-    State i is an embedding into patient ``pat[i]`` whose last matched group
-    is ``last[i]``.  Every state of a pattern holds the same intervals open,
-    ``open`` (fl ids, ascending), and the instance of ``open[j]`` finishes in
-    group ``fin[i, j]``.  Groups are the store's, and no two states are equal.
+
+class _Level(NamedTuple):
+    """The live search nodes of one depth, of every root branch.
+
+    Node k is ``nodes[k] = (key, open, root, risk)``: its token groups, the
+    fl ids of its open intervals, its root branch and its risk.  Its states
+    are the contiguous rows i with ``node[i] == k``: an embedding into
+    patient ``pat[i]`` whose last matched group is ``last[i]`` and whose
+    ``open[j]`` finishes in group ``fin[i, j]`` (_PAD past ``open``).  No two
+    states of a node are equal.
     """
 
+    node: np.ndarray
     pat: np.ndarray
     last: np.ndarray
     fin: np.ndarray
-    open: tuple[int, ...]
+    nodes: list
 
 
 class _Scan(NamedTuple):
-    """The candidates ``(token, site)`` that extend some state of a projected database.
+    """The candidates that extend some state of a block of a level's nodes.
 
-    Candidate i is ``key[i] = token * 2 + site``, keys ascending; ``ab[i]``
-    patients hold it, ``a[i]`` of them with the event.  Its hits are
-    ``state[bounds[i]:bounds[i + 1]]`` and ``endpoint[...]``: the state each
-    extends and the extending endpoint, ordered by patient.
+    Candidate i is ``key[i] = (node * n_tokens + token) * 2 + site``, keys
+    ascending; ``ab[i]`` patients hold it, ``a[i]`` of them with the event.
+    Its hits are ``state[bounds[i]:bounds[i + 1]]`` and ``endpoint[...]``:
+    the row each extends and the extending endpoint, ordered by patient.
     """
 
     key: np.ndarray
@@ -442,97 +446,122 @@ class _Scan(NamedTuple):
     endpoint: np.ndarray
 
 
-def _root_states(store: _Store, tok: int) -> _States:
-    """The projected database of the Start ``tok`` alone: one state per group that holds it."""
-    endpoint = np.flatnonzero(store.tok == tok)
+def _root_level(store: _Store, roots: list[int], risks: list[float]) -> _Level:
+    """One node per branch root: a state per group that holds the root's Start."""
+    node_of = np.full(2 * len(store.fl_pairs), -1)
+    node_of[roots] = np.arange(len(roots))
+    node = node_of[store.tok]
+    endpoint = np.flatnonzero(node >= 0)
+    endpoint = endpoint[np.argsort(node[endpoint], kind="stable")]
     last = store.grp[endpoint]
     pat = np.searchsorted(store.row_groups, last, "right") - 1
-    return _States(pat, last, store.partner[endpoint][:, None], (tok >> 1,))
+    return _Level(
+        node[endpoint].astype(np.int32), pat.astype(np.int32), last.astype(np.int32),
+        store.partner[endpoint, None].astype(np.int32),
+        [(((tok,),), (tok >> 1,), r, risk) for r, (tok, risk) in enumerate(zip(roots, risks))],
+    )
 
 
-def _scan_states(store: _Store, states: _States, last_set) -> _Scan:
-    """Every candidate ``(token, site)`` that extends a state of ``states``, with its hits.
+def _scan(store: _Store, level: _Level, bound: int):
+    """Every candidate ``(token, site)`` that extends a state of ``level``: one _Scan per block.
 
     This is the growth rule, and the only place it is tested.  A token extends
     the state ``(g, open)`` in group ``g`` (site 0) unless the pattern's last
     group already holds it, or in a later group (site 1) up to the earliest
     open finish (scan-pruning).  A Start qualifies only while its interval is
     closed, a Finish only at exactly its open instance's finish group (point-
-    and postfix-pruning fall out of the pairing structure).
+    and postfix-pruning fall out of the pairing structure).  A block is one
+    node or a run of nodes whose windows hold at most ``bound`` endpoints.
     """
-    pat, last, fin, open_ = states
+    n_nodes, n_tokens = len(level.nodes), 2 * len(store.fl_pairs)
+    node, pat, last, fin, nodes = level
     # each state's window of endpoints, from its last group to its earliest open finish
-    stop = fin.min(axis=1) if open_ else store.row_groups[pat + 1] - 1
+    stop = np.minimum(store.row_groups[pat + 1] - 1, fin.min(axis=1, initial=_PAD))
     lo = store.group_starts[last]
     size = store.group_starts[stop + 1] - lo
-    state = np.arange(pat.size).repeat(size)
-    endpoint = np.arange(state.size) + (lo - size.cumsum() + size).repeat(size)
-    tok, group = store.tok[endpoint], store.grp[endpoint]
-    site = group > last[state]
-    # per token: a Start of a closed interval, the column of an open interval's
-    # Finish, and whether the pattern's last group holds it
-    n_tokens = 2 * len(store.fl_pairs)
-    fresh = np.zeros(n_tokens, dtype=bool)
-    fresh[0::2] = True
-    column = np.full(n_tokens, -1)
-    for j, fl in enumerate(open_):
-        fresh[2 * fl] = False
-        column[2 * fl + 1] = j
-    in_last = np.zeros(n_tokens, dtype=bool)
-    in_last[list(last_set)] = True
-    ok = fresh[tok]
-    if open_:
-        col = column[tok]
-        ok |= (col >= 0) & (fin[state, col] == group)
-    ok &= site | ~in_last[tok]
-    if not ok.any():
-        none = np.zeros(0, dtype=np.intp)
-        return _Scan(none, none, none, np.zeros(1, dtype=np.intp), none, none)
+    # per (node, token) where the token may extend a state: a Start of a closed
+    # interval anywhere (_ANY) or, if the last group holds it, in later groups
+    # (_LATER); a Finish of an open one where column j finishes (j); else _NEVER
+    rule = np.tile(np.array([_ANY, _NEVER], dtype=np.int32), n_nodes * n_tokens // 2)
+    rule[[k * n_tokens + tok for k, (key, *_) in enumerate(nodes) for tok in key[-1]
+          if not tok & 1]] = _LATER
+    start = np.array([k * n_tokens + 2 * fl for k, (_, open_, *_) in enumerate(nodes)
+                      for fl in open_], dtype=np.intp)
+    rule[start] = _NEVER
+    rule[start + 1] = [j for _, open_, *_ in nodes for j in range(len(open_))]
+    first_row = np.searchsorted(node, np.arange(n_nodes + 1))
+    scanned = np.append(0, size.cumsum())[first_row]  # endpoints in the windows before node k
+    k1 = 0
+    while k1 < n_nodes:  # block: nodes k0 to k1 - 1
+        k0, k1 = k1, max(k1 + 1, int(np.searchsorted(scanned, scanned[k1] + bound, "right")) - 1)
+        rows, n = np.arange(first_row[k0], first_row[k1]), size[first_row[k0]:first_row[k1]]
+        state = rows.repeat(n)
+        endpoint = np.arange(state.size) + (lo[rows] - n.cumsum() + n).repeat(n)
+        group = store.grp[endpoint]
+        code = node[rows].astype(np.intp).repeat(n) * n_tokens + store.tok[endpoint]
+        site = group > last[rows].repeat(n)
+        r = rule[code]
+        ok = (r == _ANY) | ((r == _LATER) & site)
+        held = np.flatnonzero(r >= 0)
+        ok[held] = fin[state[held], r[held]] == group[held]
+        if not ok.any():
+            continue
+        state, endpoint = state[ok], endpoint[ok]
+        key = (code[ok] * 2 + site[ok]) * store.n + pat[state]
+        del group, code, site, r, ok, held  # the expansion, before the hits are sorted
+        order = key.argsort()  # by (candidate, patient)
+        key = key[order]
+        first = np.ones(key.size, dtype=bool)  # the first hit of its (candidate, patient)
+        first[1:] = key[1:] != key[:-1]
+        candidate = key // store.n
+        bounds = np.flatnonzero(np.concatenate(([True], candidate[1:] != candidate[:-1], [True])))
+        starts = bounds[:-1]
+        ab = np.add.reduceat(first, starts, dtype=np.intp)
+        a = np.add.reduceat(first & store.event[key % store.n], starts, dtype=np.intp)
+        yield _Scan(candidate[starts], ab, a, bounds, state[order], endpoint[order])
 
-    state, endpoint = state[ok], endpoint[ok]
-    key = (tok[ok] * 2 + site[ok]) * store.n + pat[state]  # (candidate, patient)
-    order = key.argsort(kind="stable")
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)  # the first hit of its (candidate, patient)
-    first[1:] = key[1:] != key[:-1]
-    candidate = key // store.n
-    bounds = np.flatnonzero(np.concatenate(([True], candidate[1:] != candidate[:-1], [True])))
-    starts = bounds[:-1]
-    ab = np.add.reduceat(first, starts, dtype=np.intp)
-    a = np.add.reduceat(first & store.event[key % store.n], starts, dtype=np.intp)
-    return _Scan(candidate[starts], ab, a, bounds, state[order], endpoint[order])
 
+def _child(key, open_, tok: int, site: int):
+    """A node's child by ``tok`` at ``site``: its key, its open fl ids, ``put`` and ``take``.
 
-def _project(store: _Store, states: _States, scan: _Scan, i: int) -> _States:
-    """The projected database after extending candidate ``i``'s hits by its endpoint.
-
-    It applies the scan's hits and tests nothing again.
+    A Start's finish groups go into a new last column ``put`` (``take`` is
+    -1); a Finish's column ``put`` takes the last column ``take``, dropped.
     """
-    hits = slice(scan.bounds[i], scan.bounds[i + 1])
-    state, endpoint = scan.state[hits], scan.endpoint[hits]
-    tok, site = divmod(int(scan.key[i]), 2)
-    fl = tok >> 1
-    fin = states.fin[state]
-    if tok & 1:  # a Finish closes its interval: drop its column
-        j = states.open.index(fl)
-        fin = fin[:, [c for c in range(len(states.open)) if c != j]]
-        open_ = states.open[:j] + states.open[j + 1:]
-    else:  # a Start opens one: a column of its finish groups
-        j = bisect.bisect(states.open, fl)
-        fin = np.concatenate((fin[:, :j], store.partner[endpoint, None], fin[:, j:]), axis=1)
-        open_ = states.open[:j] + (fl,) + states.open[j:]
-    pat, last = states.pat[state], store.grp[endpoint]
-    if site:
+    new_key = key + ((tok,),) if site else key[:-1] + (_group_key(key[-1] + (tok,)),)
+    if not tok & 1:
+        return new_key, open_ + (tok >> 1,), len(open_), -1
+    j = open_.index(tok >> 1)
+    return new_key, (open_[:j] + open_[-1:] + open_[j + 1:])[:-1], j, len(open_) - 1
+
+
+def _project(store: _Store, level: _Level, scan: _Scan, picked, put, take, first_node: int):
+    """``(node, pat, last, fin)`` of the children ``first_node, ...`` by ``scan``'s ``picked``.
+
+    Each hit extends its state by its endpoint, columns moved as ``_child``
+    says, in a ``fin`` one column wider than the level's.
+    """
+    picked = np.asarray(picked)
+    n = np.diff(scan.bounds)[picked]
+    hit = np.arange(n.sum()) + (scan.bounds[picked] - n.cumsum() + n).repeat(n)
+    state, endpoint = scan.state[hit], scan.endpoint[hit]
+    node = (first_node + np.arange(picked.size)).repeat(n)
+    pat, last = level.pat[state], store.grp[endpoint]
+    fin = np.full((hit.size, level.fin.shape[1] + 1), _PAD, dtype=np.int32)
+    fin[:, :-1] = level.fin[state]
+    put, take, rows = np.repeat(put, n), np.repeat(take, n), np.arange(hit.size)
+    fin[rows, put] = np.where(take < 0, store.partner[endpoint], fin[rows, take])
+    fin[rows[take >= 0], take[take >= 0]] = _PAD
+    later = np.flatnonzero((scan.key[picked] & 1).astype(bool).repeat(n))
+    if later.size:
         # states that part only before this group extend to the same state;
         # in the last group each state has at most one hit, and keeps its own
-        table = np.column_stack((last, fin))
+        table = np.column_stack((node[later], last[later], fin[later]))
         order = np.lexsort(table.T[::-1])
         table = table[order]
-        distinct = np.ones(len(table), dtype=bool)
-        distinct[1:] = (table[1:] != table[:-1]).any(axis=1)
-        keep = order[distinct]
-        pat, last, fin = pat[keep], last[keep], fin[keep]
-    return _States(pat, last, fin, open_)
+        keep = np.ones(hit.size, dtype=bool)
+        keep[later[order[1:][(table[1:] == table[:-1]).all(axis=1)]]] = False
+        node, pat, last, fin = node[keep], pat[keep], last[keep], fin[keep]
+    return node, pat, last, fin
 
 
 def _sweep_open(groups) -> frozenset | None:
@@ -547,85 +576,74 @@ def _sweep_open(groups) -> frozenset | None:
 # Growth
 
 
-def _gate(store: _Store, config: MinerConfig, ab: int, a: int, parent_risk: float,
-          stats: MiningStats):
-    """Support, risk and strict-increase test of ``ab`` carriers, ``a`` of them with the event.
+def _gate(store: _Store, config: MinerConfig, ab: np.ndarray, a: np.ndarray,
+          parent_risk: np.ndarray, stats: MiningStats) -> tuple[np.ndarray, np.ndarray]:
+    """Support, risk and strict-increase test of candidates: ``ab`` carriers, ``a`` with the event.
 
-    Returns ``((a, b, c, d), risk)`` for a pattern that clears ``minsup``,
-    ``risk_sup`` and its parent's risk, else None.  Branch roots pass a parent
-    risk of 0.0, which both (always positive) measures clear.
+    Returns the indices and risks of those that clear ``minsup``, ``risk_sup``
+    and ``parent_risk``, the risks in _risk_value's float operations.  A
+    frequent candidate's risk is undefined only if every patient carries it:
+    those count in ``stats.undefined_risk``.  Branch roots pass a parent risk
+    of 0.0, which both (always positive) measures clear.
     """
     support = a / store.n_events if config.minsup_scope == "event_group" else ab / store.n
-    if not support > config.minsup:
-        return None
-    b = ab - a
-    c = store.n_events - a
-    d = store.n - ab - c
-    try:
-        risk = _risk_value(a, b, c, d, config.measure)
-    except UndefinedRiskError:
-        stats.undefined_risk += 1
-        return None
-    if not (risk > config.risk_sup and risk > parent_risk):
-        return None
-    return (a, b, c, d), risk
+    frequent = support > config.minsup
+    stats.undefined_risk += int(np.count_nonzero(frequent & (ab == store.n)))
+    i = np.flatnonzero(frequent & (ab < store.n))
+    a, ab = a[i], ab[i]
+    cells = np.stack((a, ab - a, store.n_events - a, store.n - ab - store.n_events + a))
+    cells = cells + 0.5 * (cells.min(axis=0) == 0)  # as in _risk_value
+    a, b, c, d = cells
+    risk = (a / (a + b)) / (c / (c + d)) if config.measure == "relative_risk" else (a * d) / (b * c)
+    keep = (risk > config.risk_sup) & (risk > parent_risk[i])
+    return i[keep], risk[keep]
 
 
-def _roots(store: _Store, config: MinerConfig, stats: MiningStats) -> list[tuple[int, float]]:
-    """Frequent high-risk Start tokens: the branch roots, with their risks."""
-    ab = store.presence.sum(axis=0).tolist()
-    a = store.presence[store.event].sum(axis=0).tolist()
-    roots = []
-    for tok in range(0, len(ab), 2):  # only starting endpoints seed growth
-        gated = _gate(store, config, ab[tok], a[tok], 0.0, stats)
-        if gated is not None:
-            roots.append((tok, gated[1]))
-    return roots
+def _roots(store: _Store, config: MinerConfig, stats: MiningStats):
+    """Frequent high-risk Start tokens, the branch roots, and their risks."""
+    ab = store.presence.sum(axis=0)[0::2]  # only starting endpoints seed growth
+    a = store.presence[store.event].sum(axis=0)[0::2]
+    i, risk = _gate(store, config, ab, a, np.zeros(ab.size), stats)
+    return 2 * i, risk
 
 
-def _grow_branch(store: _Store, config: MinerConfig, root: int, root_risk: float):
-    """Mine every pattern whose growth starts at the given Start endpoint.
+def _grow_level(store: _Store, config: MinerConfig, level: _Level, bound: int, seen, emitted,
+                stats: MiningStats) -> _Level | None:
+    """The next depth: the gated children of ``level`` not in their branch's ``seen`` set.
 
-    Returns the branch's ``(groups, counts, pids, risk)`` emissions and its
-    search counters.
+    A closed child is appended to ``emitted`` as ``(groups, counts, pids,
+    risk)``.  Returns None if no node has a child.
     """
-    seen: set = set()
-    emitted: list = []
-    stats = MiningStats()
-
-    def grow(key, last_set, states, risk, n_tokens):
-        stats.nodes += 1
-        if config.max_length is not None and n_tokens >= config.max_length:
-            return
-        scan = _scan_states(store, states, last_set)
-        stats.candidates += len(scan.key)
-        for i, (cand, ab, a) in enumerate(zip(scan.key.tolist(), scan.ab.tolist(),
-                                              scan.a.tolist())):
-            gated = _gate(store, config, ab, a, risk, stats)
-            if gated is None:
-                continue
-            tok, site = divmod(cand, 2)
-            if site == 0:
-                new_last = last_set | {tok}
-                new_key = key[:-1] + (_group_key(new_last),)
-            else:
-                new_last = frozenset((tok,))
-                new_key = key + ((tok,),)
-            if new_key in seen:
+    risks = np.array([risk for *_, risk in level.nodes])
+    parts, nodes = [], []
+    for scan in _scan(store, level, bound):
+        stats.candidates += scan.key.size
+        node, code = np.divmod(scan.key, 4 * len(store.fl_pairs))  # code: (token, site)
+        gated, gated_risk = _gate(store, config, scan.ab, scan.a, risks[node], stats)
+        moves = []  # (candidate, put, take) per child
+        for i, k, c, risk in zip(gated.tolist(), node[gated].tolist(), code[gated].tolist(),
+                                 gated_risk.tolist()):
+            key, open_, root, _ = level.nodes[k]
+            new_key, new_open, put, take = _child(key, open_, *divmod(c, 2))
+            if new_key in seen[root]:
                 stats.duplicates += 1
                 continue
-            seen.add(new_key)
-            counts, new_risk = gated
-            if tok & 1 and len(states.open) == 1:  # it closes the last open interval
-                pids = np.unique(states.pat[scan.state[scan.bounds[i]:scan.bounds[i + 1]]])
+            seen[root].add(new_key)
+            if not new_open:  # it closes the last open interval
+                ab, a = int(scan.ab[i]), int(scan.a[i])
+                counts = (a, ab - a, store.n_events - a, store.n - ab - store.n_events + a)
+                pids = np.unique(level.pat[scan.state[scan.bounds[i]:scan.bounds[i + 1]]])
                 groups = tuple(tuple(store.endpoint(t) for t in g) for g in new_key)
-                emitted.append((groups, counts, tuple(pids.tolist()), new_risk))
-                stats.emitted += 1
-            grow(new_key, new_last, _project(store, states, scan, i), new_risk, n_tokens + 1)
-
-    grow(((root,),), frozenset((root,)), _root_states(store, root), root_risk, 1)
-    del grow  # the closure refers to itself: without this the cycle would keep the store alive
-    return emitted, stats
+                emitted.append((groups, counts, tuple(pids.tolist()), risk))
+            moves.append((i, put, take))
+            nodes.append((new_key, new_open, root, risk))
+        if moves:
+            parts.append(_project(store, level, scan, *zip(*moves), len(nodes) - len(moves)))
+    if not parts:
+        return None
+    node, pat, last, fin = (np.concatenate(column) for column in zip(*parts))
+    width = max(len(open_) for _, open_, *_ in nodes)
+    return _Level(node.astype(np.int32), pat, last.astype(np.int32), fin[:, :width], nodes)
 
 
 def _check_db(ids: Sequence[str], events) -> None:
@@ -659,44 +677,29 @@ def _results(store: _Store, emitted) -> list[PatternResult]:
     return results
 
 
-_WORKER_STATE: tuple[_Store, MinerConfig, list[tuple[int, float]]] | None = None
-
-
-def _worker_init(store, config, roots):
-    global _WORKER_STATE
-    _WORKER_STATE = (store, config, roots)
-
-
-def _worker_branch(i: int):
-    store, config, roots = _WORKER_STATE
-    return _grow_branch(store, config, *roots[i])
-
-
 def mine_with_stats(
-    doc: CohortIntervals, config: MinerConfig
+    doc: CohortIntervals, config: MinerConfig, *, _block_endpoints: int | None = None
 ) -> tuple[list[PatternResult], MiningStats]:
-    """Mine ``doc`` with ``config.workers`` processes and report the search counters."""
+    """Mine ``doc`` in this process and report the search counters.
+
+    ``config.workers`` starts nothing (see the module docstring); tests pass
+    ``_block_endpoints`` in place of the block bound, the store's size.
+    """
     store = _Store.from_intervals(doc)
     _check_db(store.ids, store.event)
     stats = MiningStats()
-    roots = _roots(store, config, stats)
-    if config.workers == 1 or len(roots) <= 1:
-        branches = [_grow_branch(store, config, *root) for root in roots]
-    else:
-        # forked workers inherit the store's arrays and the roots, so only
-        # root indices are sent; a failing worker fails the whole run, and
-        # pool.map re-raises the worker's own exception as the diagnostic
-        with futures.ProcessPoolExecutor(
-            max_workers=min(config.workers, len(roots)),
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_worker_init,
-            initargs=(store, config, roots),
-        ) as pool:
-            branches = list(pool.map(_worker_branch, range(len(roots))))
+    bound = store.tok.size if _block_endpoints is None else _block_endpoints
+    roots, risks = _roots(store, config, stats)
+    seen: list[set] = [set() for _ in range(roots.size)]
     emitted: list = []
-    for branch_emitted, branch_stats in branches:
-        emitted.extend(branch_emitted)
-        stats.merge(branch_stats)
+    level, depth = _root_level(store, roots.tolist(), risks.tolist()), 1
+    while level is not None:
+        stats.nodes += len(level.nodes)
+        if config.max_length is not None and depth >= config.max_length:
+            break
+        level = _grow_level(store, config, level, bound, seen, emitted, stats)
+        depth += 1
+    stats.emitted = len(emitted)
     return _results(store, emitted), stats
 
 
@@ -733,7 +736,6 @@ def brute_force_mine(doc: CohortIntervals, config: MinerConfig) -> list[PatternR
     store = _Store(db)
     events = store.event.tolist()
     carrier_cache: dict = {}
-    uncounted = MiningStats()  # the oracle reports no search counters
 
     def gate(groups, parent_risk):
         pids = carrier_cache.get(groups)
@@ -741,9 +743,16 @@ def brute_force_mine(doc: CohortIntervals, config: MinerConfig) -> list[PatternR
             tgroups = [[store.token(ep) for ep in g] for g in groups]
             pids = tuple(i for i in range(store.n) if _embeds(store, i, tgroups, closable=True))
             carrier_cache[groups] = pids
-        a = sum(events[i] for i in pids)
-        gated = _gate(store, config, len(pids), a, parent_risk, uncounted)
-        return None if gated is None else (pids, *gated)
+        ab, a = len(pids), sum(events[i] for i in pids)
+        support = a / store.n_events if config.minsup_scope == "event_group" else ab / store.n
+        if not support > config.minsup:
+            return None
+        counts = (a, ab - a, store.n_events - a, store.n - ab - store.n_events + a)
+        try:
+            risk = _risk_value(*counts, config.measure)
+        except UndefinedRiskError:
+            return None
+        return (pids, counts, risk) if risk > config.risk_sup and risk > parent_risk else None
 
     seen: set = set()
     emitted: list = []
@@ -780,5 +789,5 @@ def brute_force_mine(doc: CohortIntervals, config: MinerConfig) -> list[PatternR
         res = gate(base, 0.0)
         if res is not None:
             grow(base, res[2], 1)
-    del grow  # as in _grow_branch: the closure refers to itself
+    del grow  # the closure refers to itself: without this the cycle would outlive the call
     return _results(store, emitted)

@@ -3,7 +3,10 @@ import gc
 import io
 import itertools
 import json
+import os
 import random
+import threading
+import types
 import weakref
 
 import numpy as np
@@ -20,9 +23,10 @@ from wavemine.errors import (
 )
 from wavemine.miner import (
     MinerConfig,
+    MiningStats,
     TemporalPattern,
     _project,
-    _scan_states,
+    _scan,
     _Store,
     brute_force_mine,
     counts_stats,
@@ -57,6 +61,22 @@ def test_risk_undefined_margins():
         relative_risk(counts_stats(10, 10, 0, 0))
     with pytest.raises(UndefinedRiskError):
         odds_ratio(counts_stats(0, 0, 10, 10))
+
+
+def test_batched_gate_computes_risk_value_bit_for_bit():
+    # every 2x2 table of 20 patients, 7 with the event; only the margins are undefined
+    store = types.SimpleNamespace(n=20, n_events=7)
+    ab, a = np.array([(ab, a) for ab in range(21) for a in range(8) if 0 <= ab - a <= 13]).T
+    for measure in ("relative_risk", "odds_ratio"):
+        cfg = MinerConfig(minsup=1e-9, minsup_scope="population", risk_sup=1e-9, measure=measure)
+        stats = MiningStats()
+        gated, risk = miner._gate(store, cfg, ab, a, np.zeros(ab.size), stats)
+        assert stats.undefined_risk == np.count_nonzero(ab == 20)
+        assert gated.tolist() == np.flatnonzero((ab > 0) & (ab < 20)).tolist()
+        counts = [(int(a[i]), int(ab[i] - a[i])) for i in gated]  # Python ints, as mined
+        assert risk.tolist() == [
+            miner._risk_value(x, y, 7 - x, 13 - y, measure) for x, y in counts
+        ]
 
 
 def test_measure_consistency_property():
@@ -196,36 +216,35 @@ def _walk(db, start, steps=()):
     own helpers (site 0: the last group, site 1: a later group).
 
     The root's states are every group holding ``start``; each step projects
-    the hits that ``_scan_states`` finds for it.  Returns ``(store, pdb,
-    (states, last_set))``, ``pdb`` mapping patient index i (``db.ids[i]``) to
-    its sorted states ``(g, ((fl, finish group), ...))``, groups counted
-    within the patient.
+    the hits that ``_scan`` finds for it.  Returns ``(store, pdb, level)``,
+    ``pdb`` mapping patient index i (``db.ids[i]``) to its sorted states
+    ``(g, ((fl, finish group), ...))``, groups counted within the patient.
     """
     store = _Store.from_intervals(db)
-    tok = store.token(start)
-    states, last_set = miner._root_states(store, tok), frozenset((tok,))
+    level = miner._root_level(store, [store.token(start)], [0.0])
     for endpoint, site in steps:
         tok = store.token(endpoint)
-        scan = _scan_states(store, states, last_set)
+        (scan,) = _scan(store, level, store.tok.size)
         (i,) = np.flatnonzero(scan.key == tok * 2 + site)  # the step must extend some state
-        states = _project(store, states, scan, i)
-        last_set = last_set | {tok} if site == 0 else frozenset((tok,))
+        key, open_, put, take = miner._child(*level.nodes[0][:2], tok, site)
+        states = _project(store, level, scan, [i], [put], [take], 0)
+        level = miner._Level(*states, [(key, open_, 0, 0.0)])
     pdb = {}
-    for p, g, fin in zip(states.pat.tolist(), states.last.tolist(), states.fin.tolist()):
+    for p, g, fin in zip(level.pat.tolist(), level.last.tolist(), level.fin.tolist()):
         first = int(store.row_groups[p])
-        opened = tuple((fl, f - first) for fl, f in zip(states.open, fin))
+        opened = tuple(sorted((fl, f - first) for fl, f in zip(level.nodes[0][1], fin)))
         pdb.setdefault(p, []).append((g - first, opened))
-    return store, {p: sorted(marks) for p, marks in pdb.items()}, (states, last_set)
+    return store, {p: sorted(marks) for p, marks in pdb.items()}, level
 
 
 def _support(db, start, steps=()):
     """Candidate extensions: endpoint -> (population, events) over both sites."""
-    store, _, (states, last_set) = _walk(db, start, steps)
-    scan = _scan_states(store, states, last_set)
+    store, _, level = _walk(db, start, steps)
     merged = {}
-    for i, key in enumerate(scan.key.tolist()):
-        hits = scan.state[scan.bounds[i]:scan.bounds[i + 1]]
-        merged.setdefault(store.endpoint(key >> 1), set()).update(states.pat[hits].tolist())
+    for scan in _scan(store, level, store.tok.size):
+        for i, key in enumerate(scan.key.tolist()):
+            hits = scan.state[scan.bounds[i]:scan.bounds[i + 1]]
+            merged.setdefault(store.endpoint(key >> 1), set()).update(level.pat[hits].tolist())
     return {e: (len(p), sum(db.events[i] for i in p)) for e, p in merged.items()}
 
 
@@ -680,24 +699,64 @@ def test_threshold_monotonicity_property():
         assert tighter_risk <= base
 
 
-def test_parallel_matches_sequential():
+def test_blocks_of_one_node_match_one_block_per_depth(monkeypatch):
     dbs = [
         (random_db(random.Random(62), n_pat=20, waves=5), MinerConfig(minsup=0.1, risk_sup=1.1)),
         (random_db(random.Random(62), n_pat=40, waves=5), MinerConfig(minsup=0.1, risk_sup=1.05)),
         (_duplicate_pruning_db(), MinerConfig(minsup=0.1, risk_sup=1.1)),
     ]
+    blocks = []  # (depth, nodes with a candidate) per block scanned
+    scan = miner._scan
+
+    def recording(store, level, bound):
+        for block in scan(store, level, bound):
+            nodes = np.unique(block.key // (4 * len(store.fl_pairs)))
+            blocks.append((sum(map(len, level.nodes[0][0])), nodes.size))
+            yield block
+
+    monkeypatch.setattr(miner, "_scan", recording)
+    shared = False  # some block holds several nodes' candidates
     for db, cfg in dbs:
-        sequential, sequential_stats = mine_with_stats(db, cfg)
-        for workers in (2, 4):
-            parallel_cfg = dataclasses.replace(cfg, workers=workers)
-            parallel = mine(db, parallel_cfg)
-            assert [(r.pattern, r.stats, r.matched) for r in parallel] == [
-                (r.pattern, r.stats, r.matched) for r in sequential
-            ]
-            # roots are gated in the parent, branch counters merged from the workers
-            assert mine_with_stats(db, parallel_cfg)[1] == sequential_stats
+        blocks.clear()
+        whole, whole_stats = mine_with_stats(db, cfg, _block_endpoints=2 ** 62)
+        depths = [depth for depth, _ in blocks]
+        assert len(set(depths)) == len(depths)
+        shared |= any(n > 1 for _, n in blocks)
+        blocks.clear()
+        single, single_stats = mine_with_stats(db, cfg, _block_endpoints=1)
+        assert all(n == 1 for _, n in blocks)
+        assert [(r.pattern, r.stats, r.matched) for r in single] == [
+            (r.pattern, r.stats, r.matched) for r in whole
+        ]
+        assert single_stats == whole_stats
     # the last input mines patterns and prunes a permuted regrowth
-    assert sequential and sequential_stats.duplicates >= 1
+    assert shared and whole and whole_stats.duplicates >= 1
+
+
+def test_undefined_risk_is_counted_after_support():
+    # A and B: every patient carries them, so their risk is undefined
+    db = intervals_doc(*(
+        (f"p{i}", i % 2 == 0, [("A", "hi", 1, 2), ("B", "hi", 3, 4)] + [("C", "hi", 1, 4)] * (i < 3))
+        for i in range(6)
+    ))
+    for measure in ("relative_risk", "odds_ratio"):
+        cfg = MinerConfig(minsup=0.1, risk_sup=0.5, measure=measure)
+        results, stats = mine_with_stats(db, cfg)
+        assert stats == MiningStats(nodes=1, candidates=3, emitted=0, duplicates=0,
+                                    undefined_risk=2)
+        assert result_fingerprint(results) == result_fingerprint(brute_force_mine(db, cfg))
+
+
+def test_workers_start_no_process_or_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mining started a process or a thread")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    db = random_db(random.Random(62), n_pat=40, waves=5)
+    cfg = MinerConfig(minsup=0.1, risk_sup=1.05)
+    results, stats = mine_with_stats(db, dataclasses.replace(cfg, workers=2))
+    assert results and stats == mine_with_stats(db, cfg)[1]
 
 
 def test_no_frequent_endpoints_no_work():
