@@ -3,8 +3,8 @@
 import os
 
 # The Cox fits solve systems of a few hundred columns at most, where a second
-# OpenBLAS thread only spins between calls.  Mining runs in the calling process
-# too: its branches are too small to pay for a worker pool's start-up.
+# OpenBLAS thread only spins between calls, and the rest of the package runs in
+# the calling thread.
 # This must run before numpy is first imported, and a thread count set in the
 # environment is kept.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -108,16 +108,12 @@ def _evaluate_metrics(cv) -> dict:
 def _mine_config_payload(config: MinerConfig) -> dict:
     return {"minsup": config.minsup, "minsup_scope": config.minsup_scope,
             "risk_threshold": config.risk_sup, "measure": config.measure,
-            "max_length": config.max_length, "workers": config.workers}
+            "max_length": config.max_length}
 
 
 def _patterns_payload(results, config: MinerConfig, doc: CohortIntervals):
-    # deliberately excludes runtime knobs (workers): the artifact is identical
-    # for any degree of parallelism
-    config_payload = _mine_config_payload(config)
-    del config_payload["workers"]
     return {
-        "config": config_payload,
+        "config": _mine_config_payload(config),
         "total_patients": len(doc.ids),
         "total_events": sum(1 for event in doc.events if event),
         "levels": {f: dict(by) for f, by in sorted(doc.levels.items())},
@@ -169,7 +165,6 @@ MINE_DEFAULTS = {
     "risk_threshold": 1.5,
     "measure": "rr",
     "max_length": None,
-    "workers": 1,
 }
 EVAL_DEFAULTS = {"k": 5, "seed": 0, "lambda_grid": ",".join(str(x) for x in DEFAULT_LAMBDA_GRID)}
 RENDER_DEFAULTS = {"top": 10}
@@ -207,7 +202,6 @@ def _miner_config(eff: dict) -> MinerConfig:
         risk_sup=typed_setting(float, "risk_threshold", eff["risk_threshold"]),
         measure={"rr": "relative_risk", "or": "odds_ratio"}[measure],
         max_length=None if max_length is None else typed_setting(int, "max_length", max_length),
-        workers=typed_setting(int, "workers", eff["workers"]),
     )
 
 
@@ -216,7 +210,7 @@ def _miner_config(eff: dict) -> MinerConfig:
 
 
 def _abstract_config(args) -> dict:
-    return {"wave_count": args.wave_count, "carry_past_outcome": args.carry_past_outcome}
+    return {"wave_count": args.wave_count}
 
 
 def _eval_config(eff: dict) -> dict:
@@ -270,7 +264,7 @@ def _abstract_stage(args, out: Path) -> CohortIntervals:
         outcomes = parse_outcomes(fh)
     with open(args.cohort, "r", encoding="utf-8") as fh:
         cohort = parse_cohort(fh, specs, outcomes, wave_count=args.wave_count)
-    cohort = carry_forward(cohort, clip_to_outcome=not args.carry_past_outcome)
+    cohort = carry_forward(cohort)
     doc = abstract_cohort(cohort, specs)
     del cohort  # its columns are done with before intervals.json is written
     with open(out, "w", encoding="utf-8") as fh:
@@ -494,8 +488,6 @@ def _add_abstract_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outcomes", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--wave-count", type=int, default=None)
-    p.add_argument("--carry-past-outcome", action="store_true",
-                   help="keep and carry values past the outcome wave (default: drop)")
 
 
 def _add_mine_flags(p: argparse.ArgumentParser) -> None:
@@ -506,8 +498,8 @@ def _add_mine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--measure", choices=("rr", "or"), default=None)
     p.add_argument("--max-length", type=int, default=None)
     p.add_argument("--config", default=None, help="JSON file with default parameter values")
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility; mining runs in this process")
+    # accepted and never read: the benchmark's command lines still pass it
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -580,12 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command with the cyclic garbage collector paused.
+    """Run one command, in this one process, with the cyclic garbage collector paused.
 
     Reference counting frees everything a command builds, so full collections
-    would only walk it again.  Every command, ``--workers`` or not, runs in
-    this one process: mining starts no worker, because no pool was cheaper
-    than its few milliseconds per root branch.
+    would only walk it again.
     """
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()

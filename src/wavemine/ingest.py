@@ -568,21 +568,19 @@ def _wave(wave_s: str, wave_count: int | None, lineno: int) -> int:
     return wave
 
 
-def carry_forward(cohort: RawCohort, clip_to_outcome: bool = True) -> RawCohort:
+def carry_forward(cohort: RawCohort) -> RawCohort:
     """Fill missing waves with the most recent prior value (LOCF).
 
     Filling runs from each feature's first observed wave to the patient's
-    observation horizon: min(outcome wave, cohort wave count) by default,
-    the full wave count with ``clip_to_outcome=False``.  Observations after
-    the horizon are dropped, and so is a series with none at or before it.
-    Waves before the first observation stay missing; observed values up to
-    the horizon are never changed.  A column with nothing to fill or drop is
-    shared with the input cohort, not copied.
+    observation horizon, min(outcome wave, cohort wave count), so no value
+    from after the outcome wave is used.  Observations after the horizon are
+    dropped, and so is a series with none at or before it.  Waves before the
+    first observation stay missing; observed values up to the horizon are
+    never changed.  A column with nothing to fill or drop is shared with the
+    input cohort, not copied.
     """
-    horizon = np.full(len(cohort.patient_ids), cohort.wave_count, dtype=np.int64)
-    if clip_to_outcome and horizon.size:
-        times = np.array([o.time for o in cohort.patient_outcomes], dtype=float)
-        horizon = np.minimum(np.floor(times), horizon).astype(np.int64)
+    times = np.array([o.time for o in cohort.patient_outcomes], dtype=float)
+    horizon = np.minimum(np.floor(times), cohort.wave_count).astype(np.int64)
     columns = {}
     for name, column in cohort.columns.items():
         filled = _carried(column, horizon)

@@ -157,8 +157,11 @@ def read_matrix_csv(stream: IO[str], sidecar: dict | None = None) -> BinaryDesig
     names = header[3:]
     keys: list[str] = list(names)
     if sidecar is not None:
-        columns = sidecar.get("columns")
-        if not isinstance(columns, list) or [c.get("column") for c in columns] != names:
+        columns = sidecar.get("columns") if isinstance(sidecar, dict) else None
+        if not (isinstance(columns, list) and all(isinstance(c, dict) and "key" in c
+                                                  for c in columns)):
+            raise MatrixFormatError("the sidecar must hold a list of column objects with keys")
+        if [c.get("column") for c in columns] != names:
             raise MatrixFormatError("sidecar columns do not match the matrix header")
         keys = [c["key"] for c in columns]
     ids: dict[str, None] = {}  # in row order

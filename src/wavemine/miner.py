@@ -12,7 +12,8 @@ risk over its parent.  Pruning strategies:
 * postfix-pruning  -- Finish endpoints without an open Start are invisible
                       in suffix scans,
 * risk-pruning     -- threshold plus strict-increase gate,
-* duplicate-pruning-- canonical-form seen set cuts permuted regrowth.
+* duplicate-pruning-- one canonical-form seen set, across all root
+                      branches, cuts permuted regrowth.
 
 The store is one endpoint table sorted by (row, group, token), with groups
 numbered across the table, so a patient's endpoints are one contiguous run.
@@ -28,10 +29,6 @@ sorted by (node, candidate ``(endpoint, site)``, patient) and counted: site
 0 extends a state in its last matched group, site 1 in a later one.  The
 gate runs in numpy too, so Python sees only the candidates that pass it.
 Projecting them builds the next depth's table and tests nothing again.
-
-Mining runs in the calling process whatever ``MinerConfig.workers`` says:
-a root branch is a few milliseconds of work, less than a worker pool costs
-to start.
 """
 from __future__ import annotations
 
@@ -96,7 +93,6 @@ class MinerConfig:
     risk_sup: float = 1.5
     measure: str = "relative_risk"  # or "odds_ratio"
     max_length: int | None = None
-    workers: int = 1  # checked, but mining runs in the calling process (module docstring)
 
     def __post_init__(self):
         if not 0.0 < self.minsup <= 1.0:
@@ -109,8 +105,6 @@ class MinerConfig:
             raise ConfigError(f"unknown measure {self.measure!r}")
         if self.max_length is not None and self.max_length < 1:
             raise ConfigError("max_length must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -414,12 +408,11 @@ _ANY, _NEVER, _LATER = -1, -2, -3  # how a token may extend a node's states (see
 class _Level(NamedTuple):
     """The live search nodes of one depth, of every root branch.
 
-    Node k is ``nodes[k] = (key, open, root, risk)``: its token groups, the
-    fl ids of its open intervals, its root branch and its risk.  Its states
-    are the contiguous rows i with ``node[i] == k``: an embedding into
-    patient ``pat[i]`` whose last matched group is ``last[i]`` and whose
-    ``open[j]`` finishes in group ``fin[i, j]`` (_PAD past ``open``).  No two
-    states of a node are equal.
+    Node k is ``nodes[k] = (key, open, risk)``: its token groups, the fl ids
+    of its open intervals and its risk.  Its states are the contiguous rows i
+    with ``node[i] == k``: an embedding into patient ``pat[i]`` whose last
+    matched group is ``last[i]`` and whose ``open[j]`` finishes in group
+    ``fin[i, j]`` (_PAD past ``open``).  No two states of a node are equal.
     """
 
     node: np.ndarray
@@ -458,7 +451,7 @@ def _root_level(store: _Store, roots: list[int], risks: list[float]) -> _Level:
     return _Level(
         node[endpoint].astype(np.int32), pat.astype(np.int32), last.astype(np.int32),
         store.partner[endpoint, None].astype(np.int32),
-        [(((tok,),), (tok >> 1,), r, risk) for r, (tok, risk) in enumerate(zip(roots, risks))],
+        [(((tok,),), (tok >> 1,), risk) for tok, risk in zip(roots, risks)],
     )
 
 
@@ -483,12 +476,12 @@ def _scan(store: _Store, level: _Level, bound: int):
     # interval anywhere (_ANY) or, if the last group holds it, in later groups
     # (_LATER); a Finish of an open one where column j finishes (j); else _NEVER
     rule = np.tile(np.array([_ANY, _NEVER], dtype=np.int32), n_nodes * n_tokens // 2)
-    rule[[k * n_tokens + tok for k, (key, *_) in enumerate(nodes) for tok in key[-1]
+    rule[[k * n_tokens + tok for k, (key, _, _) in enumerate(nodes) for tok in key[-1]
           if not tok & 1]] = _LATER
-    start = np.array([k * n_tokens + 2 * fl for k, (_, open_, *_) in enumerate(nodes)
+    start = np.array([k * n_tokens + 2 * fl for k, (_, open_, _) in enumerate(nodes)
                       for fl in open_], dtype=np.intp)
     rule[start] = _NEVER
-    rule[start + 1] = [j for _, open_, *_ in nodes for j in range(len(open_))]
+    rule[start + 1] = [j for _, open_, _ in nodes for j in range(len(open_))]
     first_row = np.searchsorted(node, np.arange(n_nodes + 1))
     scanned = np.append(0, size.cumsum())[first_row]  # endpoints in the windows before node k
     k1 = 0
@@ -609,12 +602,12 @@ def _roots(store: _Store, config: MinerConfig, stats: MiningStats):
 
 def _grow_level(store: _Store, config: MinerConfig, level: _Level, bound: int, seen, emitted,
                 stats: MiningStats) -> _Level | None:
-    """The next depth: the gated children of ``level`` not in their branch's ``seen`` set.
+    """The next depth: the gated children of ``level`` not in ``seen``, which gains them.
 
     A closed child is appended to ``emitted`` as ``(groups, counts, pids,
     risk)``.  Returns None if no node has a child.
     """
-    risks = np.array([risk for *_, risk in level.nodes])
+    risks = np.array([risk for _, _, risk in level.nodes])
     parts, nodes = [], []
     for scan in _scan(store, level, bound):
         stats.candidates += scan.key.size
@@ -623,12 +616,12 @@ def _grow_level(store: _Store, config: MinerConfig, level: _Level, bound: int, s
         moves = []  # (candidate, put, take) per child
         for i, k, c, risk in zip(gated.tolist(), node[gated].tolist(), code[gated].tolist(),
                                  gated_risk.tolist()):
-            key, open_, root, _ = level.nodes[k]
+            key, open_, _ = level.nodes[k]
             new_key, new_open, put, take = _child(key, open_, *divmod(c, 2))
-            if new_key in seen[root]:
+            if new_key in seen:
                 stats.duplicates += 1
                 continue
-            seen[root].add(new_key)
+            seen.add(new_key)
             if not new_open:  # it closes the last open interval
                 ab, a = int(scan.ab[i]), int(scan.a[i])
                 counts = (a, ab - a, store.n_events - a, store.n - ab - store.n_events + a)
@@ -636,13 +629,13 @@ def _grow_level(store: _Store, config: MinerConfig, level: _Level, bound: int, s
                 groups = tuple(tuple(store.endpoint(t) for t in g) for g in new_key)
                 emitted.append((groups, counts, tuple(pids.tolist()), risk))
             moves.append((i, put, take))
-            nodes.append((new_key, new_open, root, risk))
+            nodes.append((new_key, new_open, risk))
         if moves:
             parts.append(_project(store, level, scan, *zip(*moves), len(nodes) - len(moves)))
     if not parts:
         return None
     node, pat, last, fin = (np.concatenate(column) for column in zip(*parts))
-    width = max(len(open_) for _, open_, *_ in nodes)
+    width = max(len(open_) for _, open_, _ in nodes)
     return _Level(node.astype(np.int32), pat, last.astype(np.int32), fin[:, :width], nodes)
 
 
@@ -660,18 +653,14 @@ def _check_db(ids: Sequence[str], events) -> None:
 
 
 def _results(store: _Store, emitted) -> list[PatternResult]:
-    """Sorted, deduplicated PatternResults from ``(groups, counts, pids, risk)`` emissions."""
-    by_groups: dict = {}
-    for groups, counts, pids, risk in emitted:
-        if by_groups.setdefault(groups, (counts, pids, risk))[0] != counts:
-            raise AssertionError(f"duplicate pattern with conflicting stats: {groups}")
+    """Sorted PatternResults from ``(groups, counts, pids, risk)`` emissions, one per pattern."""
     results = [
         PatternResult(
             pattern=TemporalPattern(groups),
             stats=counts_stats(*counts, risk),
             matched=tuple(sorted(store.ids[p] for p in pids)),
         )
-        for groups, (counts, pids, risk) in by_groups.items()
+        for groups, counts, pids, risk in emitted
     ]
     results.sort(key=lambda r: (-r.stats.risk, r.pattern.groups))
     return results
@@ -682,15 +671,15 @@ def mine_with_stats(
 ) -> tuple[list[PatternResult], MiningStats]:
     """Mine ``doc`` in this process and report the search counters.
 
-    ``config.workers`` starts nothing (see the module docstring); tests pass
-    ``_block_endpoints`` in place of the block bound, the store's size.
+    Tests pass ``_block_endpoints`` in place of the block bound, the store's
+    size.
     """
     store = _Store.from_intervals(doc)
     _check_db(store.ids, store.event)
     stats = MiningStats()
     bound = store.tok.size if _block_endpoints is None else _block_endpoints
     roots, risks = _roots(store, config, stats)
-    seen: list[set] = [set() for _ in range(roots.size)]
+    seen: set = set()
     emitted: list = []
     level, depth = _root_level(store, roots.tolist(), risks.tolist()), 1
     while level is not None:

@@ -114,19 +114,16 @@ def parse_cohort(stream, features, outcomes, wave_count=None):
     return wave_count, records
 
 
-def carry_forward(wave_count, records, clip_to_outcome=True):
+def carry_forward(wave_count, records):
     """Fill missing waves with the most recent prior value (LOCF), record by record.
 
     Filling runs from each feature's first observed wave to the patient's
-    horizon: min(outcome wave, wave count), or the wave count with
-    ``clip_to_outcome=False``.  Observations after the horizon are dropped,
-    and so is a series with none at or before it.
+    horizon: min(outcome wave, wave count).  Observations after the horizon
+    are dropped, and so is a series with none at or before it.
     """
     out = []
     for record in records:
-        horizon = wave_count
-        if clip_to_outcome:
-            horizon = min(horizon, int(math.floor(record.outcome.time)))
+        horizon = min(wave_count, int(math.floor(record.outcome.time)))
         values = {}
         for feature, series in record.values.items():
             filled = {}

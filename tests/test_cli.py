@@ -161,7 +161,7 @@ def test_stage_by_stage_matches_pipeline(tmp_path):
         stage = json.loads((work / f"{manifest}.manifest.json").read_text())
         stage_configs.update(stage["config"])
     assert run["config"] == stage_configs
-    assert {"wave_count", "carry_past_outcome", "minsup", "k", "top"} <= set(stage_configs)
+    assert {"wave_count", "minsup", "k", "top"} <= set(stage_configs)
 
 
 def test_manifests_time_the_search_apart_from_writing_patterns(tmp_path, monkeypatch):
@@ -345,10 +345,12 @@ _BAD_INPUTS = [
      "synth --out-dir {tmp}/synth --config {bad}"),
     ("synth-config-patients-bool", {"patients": True},
      "synth --out-dir {tmp}/synth --config {bad}"),
-    ("config-workers-bool", {"workers": True},
-     "mine --intervals {work}/intervals.json --out {tmp}/p.json --config {bad}"),
     ("matrix-intervals-repeated-patient", _intervals_repeating_p1(),
      "matrix --intervals {bad} --patterns {bad} --out {tmp}/m.csv"),
+    ("evaluate-sidecar-list", [1, 2],
+     "evaluate --matrix {work}/matrix.csv --sidecar {bad} --out {tmp}/r.json"),
+    ("evaluate-sidecar-column-not-object", {"columns": [1]},
+     "evaluate --matrix {work}/matrix.csv --sidecar {bad} --out {tmp}/r.json"),
 ]
 
 
@@ -504,11 +506,12 @@ def test_continuous_features_end_to_end(tmp_path):
 
 
 def test_workers_flag_does_not_change_output(tmp_path):
+    # --workers is accepted, for the benchmark's command lines, and ignored
     data = _make_cohort(tmp_path)
     one = _run_pipeline(tmp_path, data, "w1", workers=1)
     two = _run_pipeline(tmp_path, data, "w2", workers=2)
     assert (one / "patterns.json").read_bytes() == (two / "patterns.json").read_bytes()
-    # the search counters too, although each root's hits travel to a worker
+    # the search counters too
     counters = [
         json.loads((out / "run_manifest.json").read_text())["metrics"]["mining"]
         for out in (one, two)

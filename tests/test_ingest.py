@@ -149,22 +149,16 @@ def test_carry_forward_unobserved_feature_stays_missing():
 def test_carry_forward_clips_at_outcome_wave():
     cohort = carry_forward(_cohort_one({1: 26.1}, time=2.0, event=True, wave_count=4))
     assert cohort.patients[0].values["bmi"] == {1: 26.1, 2: 26.1}
-    full = carry_forward(
-        _cohort_one({1: 26.1}, time=2.0, event=True, wave_count=4), clip_to_outcome=False
-    )
-    assert full.patients[0].values["bmi"] == {1: 26.1, 2: 26.1, 3: 26.1, 4: 26.1}
 
 
 def test_carry_forward_drops_observations_after_outcome_wave():
     gapped = _cohort_one({1: 26.1, 4: 31.0}, time=2.0, event=True, wave_count=4)
     assert carry_forward(gapped).patients[0].values["bmi"] == {1: 26.1, 2: 26.1}
-    full = {1: 26.1, 2: 27.0, 3: 28.2, 4: 31.0}
-    observed = _cohort_one(dict(full), time=2.0, event=True, wave_count=4)
+    observed = _cohort_one({1: 26.1, 2: 27.0, 3: 28.2, 4: 31.0}, time=2.0, event=True,
+                           wave_count=4)
     assert carry_forward(observed).patients[0].values["bmi"] == {1: 26.1, 2: 27.0}
     late = _cohort_one({3: 28.2, 4: 31.0}, time=2.0, event=True, wave_count=4)
     assert carry_forward(late).patients[0].values == {}
-    kept = carry_forward(observed, clip_to_outcome=False)
-    assert kept.patients[0].values["bmi"] == full
 
 
 def test_carry_forward_idempotent_and_preserves_observed():
@@ -269,14 +263,12 @@ def test_carry_forward_matches_reference_fill():
         time = float(rng.randint(1, waves))
         record = PatientRecord("p1", values, SurvivalOutcome(time, rng.random() < 0.5))
         cohort = RawCohort(waves, tuple(SPECS), (record,))
-        for clip in (True, False):
-            horizon = min(waves, int(time)) if clip else waves
-            got = carry_forward(cohort, clip_to_outcome=clip).patients[0].values
-            expected = _reference_locf(values, horizon)
-            assert got == expected
-            assert [list(s.items()) for s in got.values()] == [
-                list(s.items()) for s in expected.values()
-            ]
+        got = carry_forward(cohort).patients[0].values
+        expected = _reference_locf(values, min(waves, int(time)))
+        assert got == expected
+        assert [list(s.items()) for s in got.values()] == [
+            list(s.items()) for s in expected.values()
+        ]
 
 
 # --- the columnar ingest against the dict-based one it replaced
@@ -367,11 +359,10 @@ def test_columnar_ingest_matches_dict_reference(seed):
     ref_count, ref = reference.parse_cohort(io.StringIO(data), MIXED, outcomes, wave_count)
     assert cohort.wave_count == ref_count
     assert _in_order(cohort.patients) == _in_order(ref)
-    for clip in (True, False):
-        filled = carry_forward(cohort, clip_to_outcome=clip)
-        expected = reference.carry_forward(ref_count, ref, clip)
-        assert _in_order(filled.patients) == _in_order(expected)
-        assert filled == carry_forward(filled, clip_to_outcome=clip)
+    filled = carry_forward(cohort)
+    expected = reference.carry_forward(ref_count, ref)
+    assert _in_order(filled.patients) == _in_order(expected)
+    assert filled == carry_forward(filled)
 
 
 def _first_fault(parse, data, outcomes, wave_count):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import io
 import itertools
@@ -228,7 +227,7 @@ def _walk(db, start, steps=()):
         (i,) = np.flatnonzero(scan.key == tok * 2 + site)  # the step must extend some state
         key, open_, put, take = miner._child(*level.nodes[0][:2], tok, site)
         states = _project(store, level, scan, [i], [put], [take], 0)
-        level = miner._Level(*states, [(key, open_, 0, 0.0)])
+        level = miner._Level(*states, [(key, open_, 0.0)])
     pdb = {}
     for p, g, fin in zip(level.pat.tolist(), level.last.tolist(), level.fin.tolist()):
         first = int(store.row_groups[p])
@@ -379,6 +378,30 @@ def test_duplicate_pruning_one_canonical_pattern():
     assert result_fingerprint(brute_force_mine(_duplicate_pruning_db(), cfg)) == (
         result_fingerprint(results)
     )
+
+
+def test_pattern_reached_from_two_roots_is_grown_and_emitted_once():
+    # (A+,B+)(A-,B-) opens with two Starts, so the A+ and the B+ root both
+    # reach (A+,B+); each step of the way strictly raises the risk
+    # (4.2 -> 6.2 -> 9 -> 12.6): n1 and n2 hold one Start, n3 and n4 stop
+    # holding the pattern at its third and fourth endpoint
+    db = intervals_doc(
+        *((f"e{i}", True, [("A", "x", 1, 3), ("B", "x", 1, 3)]) for i in range(4)),
+        ("n1", False, [("A", "x", 1, 3)]),
+        ("n2", False, [("B", "x", 1, 3)]),
+        ("n3", False, [("A", "x", 1, 4), ("B", "x", 1, 3)]),
+        ("n4", False, [("A", "x", 1, 3), ("B", "x", 1, 4)]),
+        ("n5", False, []),
+        ("n6", False, []),
+    )
+    cfg = MinerConfig(minsup=0.1, risk_sup=1.5)
+    results, stats = mine_with_stats(db, cfg)
+    target = pattern_key([[ep("A", "x", "+"), ep("B", "x", "+")],
+                          [ep("A", "x", "-"), ep("B", "x", "-")]])
+    assert [r.pattern.key() for r in results] == [target]
+    assert stats.emitted == len(results)
+    assert stats.duplicates >= 1  # the second root's (A+,B+) was cut
+    assert result_fingerprint(results) == result_fingerprint(brute_force_mine(db, cfg))
 
 
 def test_impossible_minsup_yields_empty():
@@ -625,8 +648,6 @@ def test_miner_config_validation():
     with pytest.raises(ConfigError):
         MinerConfig(minsup_scope="both")
     with pytest.raises(ConfigError):
-        MinerConfig(workers=0)
-    with pytest.raises(ConfigError):
         MinerConfig(max_length=0)
 
 
@@ -656,9 +677,9 @@ def test_mine_equals_brute_force_on_random_instances():
             measure=rng.choice(["relative_risk", "odds_ratio"]),
             max_length=rng.choice([3, 5, None]),
         )
-        assert result_fingerprint(mine(db, cfg)) == result_fingerprint(
-            brute_force_mine(db, cfg)
-        )
+        results, stats = mine_with_stats(db, cfg)
+        assert result_fingerprint(results) == result_fingerprint(brute_force_mine(db, cfg))
+        assert stats.emitted == len(results)  # each pattern is emitted once
 
 
 def test_emitted_patterns_are_sound():
@@ -755,7 +776,7 @@ def test_workers_start_no_process_or_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     db = random_db(random.Random(62), n_pat=40, waves=5)
     cfg = MinerConfig(minsup=0.1, risk_sup=1.05)
-    results, stats = mine_with_stats(db, dataclasses.replace(cfg, workers=2))
+    results, stats = mine_with_stats(db, cfg)
     assert results and stats == mine_with_stats(db, cfg)[1]
 
 
