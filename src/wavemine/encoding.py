@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
@@ -297,13 +298,18 @@ def _interval_text(iv: StateInterval) -> str:
     )
 
 
+_CHUNK = 1000  # patients rendered per write
+
+
 def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
     """Write ``doc`` as ``json.dump(payload, stream, indent=2)`` plus a newline would.
 
-    The layout is fixed, so the header goes through ``json``, each table
-    entry's text is rendered once from a template, and each patient's entry
-    joins the texts of its codes, one ``write`` per patient; strings are
-    escaped by ``json`` itself.  What
+    The layout is fixed, so the header goes through ``json`` and each table
+    entry's text is rendered once from a template.  The patients follow
+    ``_CHUNK`` at a time: an object array of text pieces (each patient's
+    fields between constant pieces, then its intervals' texts, picked by
+    code, between separators) joined by one ``"".join`` and one ``write``;
+    strings are escaped as ``json`` escapes them.  What
     ``read_intervals_json`` would refuse raises its ``MatrixFormatError``
     before anything is written: a bad event or time, then a wave that is no
     integer (a bool, or a float such as 1.5), checked once per table entry
@@ -327,22 +333,47 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
         },
         indent=2,
     )
-    texts = [_interval_text(iv) for iv in table]
-    bounds = doc.bounds().tolist()
     stream.write(header[:-2] + ',\n  "patients": [')
-    sep = "\n"
-    for pid, time, event, a, b in zip(doc.ids, doc.times, doc.events, bounds, bounds[1:]):
-        intervals = (
-            "[\n" + ",\n".join(map(texts.__getitem__, code[a:b].tolist())) + "\n      ]"
-            if b > a else "[]"
-        )
-        stream.write(
-            f'{sep}    {{\n      "patient_id": {json.dumps(pid)},\n'
-            f'      "time": {_number(time)},\n      "event": {int(event)},\n'
-            f'      "intervals": {intervals}\n    }}'
-        )
-        sep = ",\n"
+    texts = np.array([_interval_text(iv) for iv in table], dtype=object)
+    # after an interval: another one, or the end of the patient's entry
+    close = np.array([",\n", "\n      ]\n    }"], dtype=object)
+    # after "event": the event, then the intervals' opening; index 2 event + (any intervals)
+    opening = np.array([f'{event},\n      "intervals": {bracket}'
+                        for event in (0, 1) for bracket in ("[]\n    }", "[\n")], dtype=object)
+    bounds = doc.bounds()
+    for a in range(0, len(doc.ids), _CHUNK):
+        b = min(a + _CHUNK, len(doc.ids))
+        lo, hi = int(bounds[a]), int(bounds[b])
+        counts = np.diff(bounds[a:b + 1])
+        # a patient's six pieces, then two per interval: patient i's start after
+        # the 6 i pieces of the patients before it and their intervals' pieces
+        first = 6 * np.arange(b - a) + 2 * (bounds[a:b] - lo)
+        pieces = np.empty(6 * (b - a) + 2 * (hi - lo), dtype=object)
+        pieces[first] = ',\n    {\n      "patient_id": '
+        pieces[first + 1] = _strings(doc.ids[a:b])
+        pieces[first + 2] = ',\n      "time": '
+        pieces[first + 3] = list(map(_number, doc.times[a:b]))
+        pieces[first + 4] = ',\n      "event": '
+        events = np.array(doc.events[a:b], dtype=np.intp)
+        pieces[first + 5] = opening[2 * events + (counts > 0)]
+        if hi > lo:
+            at = 6 * (doc.row[lo:hi] - a + 1) + 2 * np.arange(hi - lo)
+            pieces[at] = texts[code[lo:hi]]
+            last = np.zeros(hi - lo, dtype=np.intp)
+            last[np.cumsum(counts[counts > 0]) - 1] = 1
+            pieces[at + 1] = close[last]
+        if a == 0:
+            pieces[0] = '\n    {\n      "patient_id": '
+        stream.write("".join(pieces.tolist()))
     stream.write("\n  ]\n}\n" if doc.ids else "]\n}\n")
+
+
+def _strings(ids) -> list[str]:
+    """Each id as ``json.dumps`` writes it; the C escaper it uses when all are strs."""
+    try:
+        return list(map(encode_basestring_ascii, ids))
+    except TypeError:
+        return list(map(json.dumps, ids))
 
 
 def _integral(x) -> bool:

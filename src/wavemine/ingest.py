@@ -182,7 +182,11 @@ def _narrow(ints: np.ndarray) -> np.ndarray:
 
 
 def parse_outcomes(stream: IO[str]) -> dict[str, SurvivalOutcome]:
-    """Parse the outcome CSV into a patient_id -> SurvivalOutcome map."""
+    """Parse the outcome CSV into a patient_id -> SurvivalOutcome map.
+
+    Each distinct (time, event) pair of cells is checked once, and the
+    patients that share it share its SurvivalOutcome.
+    """
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or tuple(h.strip() for h in header) != OUTCOME_HEADER:
@@ -190,23 +194,27 @@ def parse_outcomes(stream: IO[str]) -> dict[str, SurvivalOutcome]:
             f"outcome header must be exactly {','.join(OUTCOME_HEADER)}", line=1
         )
     out: dict[str, SurvivalOutcome] = {}
+    outcome_of: dict[tuple[str, str], SurvivalOutcome] = {}  # checked (time, event) cells
     for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
         if len(row) != 3:
+            if not row:
+                continue
             raise CohortParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-        pid, time_s, event_s = (f.strip() for f in row)
+        pid, time_s, event_s = map(str.strip, row)
         if pid in out:
             raise CellConflictError(f"line {lineno}: duplicate outcome for patient {pid!r}")
-        try:
-            time = float(time_s)
-        except ValueError:
-            raise CohortParseError(f"bad time value {time_s!r}", line=lineno) from None
-        if not math.isfinite(time) or time < 1:
-            raise CohortParseError(f"time must be >= 1, got {time_s!r}", line=lineno)
-        if event_s not in ("0", "1"):
-            raise CohortParseError(f"event must be 0 or 1, got {event_s!r}", line=lineno)
-        out[pid] = SurvivalOutcome(time=time, event=event_s == "1")
+        outcome = outcome_of.get((time_s, event_s))
+        if outcome is None:
+            try:
+                time = float(time_s)
+            except ValueError:
+                raise CohortParseError(f"bad time value {time_s!r}", line=lineno) from None
+            if not math.isfinite(time) or time < 1:
+                raise CohortParseError(f"time must be >= 1, got {time_s!r}", line=lineno)
+            if event_s not in ("0", "1"):
+                raise CohortParseError(f"event must be 0 or 1, got {event_s!r}", line=lineno)
+            outcome = outcome_of[time_s, event_s] = SurvivalOutcome(time, event_s == "1")
+        out[pid] = outcome
     return out
 
 
@@ -214,8 +222,10 @@ _ROW_SHIFT = 32  # a cell's key is row << _ROW_SHIFT | wave
 _BLOCK = 1 << 18  # characters read at a time; a block is then completed to a whole line
 _WIDE = 64  # bytes: a block with a wider field is split by csv.reader
 _INT32_MAX = 2**31 - 1
-# _MASKS[n] keeps the first n bytes of a big-endian 8-byte word
-_MASKS = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], dtype=np.uint64)
+_VOCAB_BYTES = 1 << 20  # a field's vocabulary stops growing at this size
+_SCAN = 16  # a vocabulary of at most this many keys is searched by comparing with each
+# _MASKS[n] keeps the first n bytes in memory of an 8-byte word
+_MASKS = np.frombuffer(b"".join(bytes(n * [255] + (8 - n) * [0]) for n in range(9)), np.uint64)
 
 
 class _Cells:
@@ -234,13 +244,19 @@ class _Cells:
 
     def column(self, ids: Sequence[str]) -> tuple[Column, tuple[int, str] | None]:
         """The cells as a Column, and the first line that repeats a cell with its message."""
-        key, values, lines = (np.concatenate(arrays) for arrays in zip(*self.chunks))
+        keys, chunk_values, chunk_lines = zip(*self.chunks)
         self.chunks.clear()  # a second copy of every cell
-        if not np.all(key[1:] > key[:-1]):
+        key, values = np.concatenate(keys), np.concatenate(chunk_values)
+        del keys, chunk_values
+        categories = None if self.categories is None else tuple(self.categories)
+        ordered = np.all(key[1:] > key[:-1])  # in (row, wave) order, no cell twice
+        if not ordered:
+            lines = np.concatenate(chunk_lines)
             order = np.argsort(key, kind="stable")
             key, values, lines = key[order], values[order], lines[order]
-        categories = None if self.categories is None else tuple(self.categories)
         column = _column(key >> _ROW_SHIFT, key & ((1 << _ROW_SHIFT) - 1), values, categories)
+        if ordered:
+            return column, None
         repeats = np.flatnonzero(key[1:] == key[:-1]) + 1
         if not repeats.size:
             return column, None
@@ -275,12 +291,13 @@ def parse_cohort(
 
     The rows are the outcome map's patients, sorted by id; a data patient
     without an outcome is a validation error.  The stream is read a block
-    of lines at a time; each distinct field of a block is checked once and
-    its cells coded into the feature's arrays: numeric values as floats,
-    which must be finite, others as codes into the feature's distinct
-    values.  One sort per feature then orders its cells by (patient, wave)
-    and finds duplicate cells.  Of several faults, the one on the earliest
-    line is reported.
+    of lines at a time, and its cells coded into the feature's arrays:
+    numeric values as floats, which must be finite, others as codes into
+    the feature's distinct values.  Each distinct field is checked once per
+    parse, not once per block: checked fields are kept in vocabularies (see
+    ``_Coder``) that later blocks look their fields up in.  One sort per
+    feature then orders its cells by (patient, wave) and finds duplicate
+    cells.  Of several faults, the one on the earliest line is reported.
     """
     by_name = {spec.name: spec for spec in features}
     header = next(csv.reader(stream), None)
@@ -336,41 +353,52 @@ def _stream(stream: IO[str], coder: _Coder) -> None:
 def _code_block(text: str, line: int, coder: _Coder) -> int:
     """Code a block of lines split at every comma and newline; the next block's first line.
 
-    Each field goes into ``np.unique`` as one item: up to 8 bytes packed in
-    a uint64, a wider field in a fixed-width bytes array.  A block with a
-    field wider than ``_WIDE`` bytes goes through ``csv.reader`` instead.
+    Each field is packed as one item (see ``_pack``).  A block with a field
+    wider than ``_WIDE`` bytes goes through ``csv.reader`` instead.
     """
     data = text.encode("utf-8", "surrogatepass")  # lone surrogates round-trip
     if not data.endswith(b"\n"):
         data += b"\n"  # the stream's last line
     buf = np.frombuffer(data + bytes(_WIDE), np.uint8)  # room to read past the last field
-    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    start = np.empty_like(sep)
-    start[0], start[1:] = 0, sep[:-1] + 1
-    width = sep - start
-    if width.max() > _WIDE:
+    end = np.flatnonzero(buf == ord("\n"))  # each line's end
+    comma = np.flatnonzero(buf == ord(","))
+    begin = np.empty_like(end)  # each line's start
+    begin[0] = 0
+    np.add(end[:-1], 1, out=begin[1:])
+    records, miscount = slice(None), None
+    if comma.size == 3 * end.size and (comma[2::3] < end).all() and (comma[3::3] > end[:-1]).all():
+        cut = comma.reshape(-1, 3)  # every line is a record
+    else:
+        upto = np.searchsorted(comma, end)  # the commas before each line's end
+        commas = np.diff(upto, prepend=0)
+        blank = (commas == 0) & (end == begin)  # csv.reader skips it; it still counts
+        wrong = np.flatnonzero((commas != 3) & ~blank)
+        n_lines = int(wrong[0]) if wrong.size else end.size
+        if wrong.size:  # code the records before the first miscounted line
+            miscount = (line + n_lines, int(commas[n_lines]) + 1)
+        records = np.flatnonzero(commas[:n_lines] == 3)
+        cut = comma[upto[records, None] + np.arange(-3, 0)]
+    starts = (begin[records], *(cut.T + 1))  # patient, wave, feature, value
+    widths = [stop - start for start, stop in zip(starts, (*cut.T, end[records]))]
+    if max(int(width.max(initial=0)) for width in widths) > _WIDE:
         return _code_records(csv.reader(io.StringIO(text)), line, coder)
-    ends = np.flatnonzero(buf[sep] == ord("\n"))  # each line's last field
-    counts = np.diff(ends, prepend=-1)
-    blank = (counts == 1) & (width[ends] == 0)  # csv.reader skips it; it still counts
-    wrong = np.flatnonzero((counts != 4) & ~blank)
-    n_lines, miscount = ends.size, None
-    if wrong.size:  # code the records before the first miscounted line
-        n_lines = int(wrong[0])
-        miscount = (line + n_lines, int(counts[n_lines]))
-    records = np.flatnonzero(counts[:n_lines] == 4)
-    words = np.ndarray(buf.size - 7, ">u8", buf, strides=(1,))  # the 8 bytes from each offset
-    field_ids = ends[records] + np.arange(-3, 1)[:, None]  # patient, wave, feature, value
-    fields = [_pack(buf, words, start[i], width[i]) for i in field_ids]
-    coder.code(fields, _narrow(line + records), miscount)
-    return line + ends.size
+    words = np.ndarray(buf.size - 7, np.uint64, buf, strides=(1,))  # the 8 bytes from each offset
+    fields = [_pack(buf, words, start, width) for start, width in zip(starts, widths)]
+    numbers = np.arange(line, line + end.size)[records]
+    coder.code(fields, _narrow(numbers), miscount)
+    return line + end.size
 
 
 def _pack(buf: np.ndarray, words: np.ndarray, start: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """The fields as sortable items: uint64 words left-aligned and zero-padded, or bytes."""
+    """The fields as items: uint64 words holding the field's bytes and zeros, or bytes.
+
+    A word's memory holds the field's bytes in order, so ``_texts`` reads them back.
+    """
     widest = int(width.max(initial=0))
     if widest <= 8:
-        return np.bitwise_and(words[start], _MASKS[width], dtype=np.uint64)  # native order
+        packed = words[start]
+        packed &= _MASKS[width]
+        return packed
     offsets = np.arange(widest)
     packed = buf[start[:, None] + offsets]
     packed[offsets >= width[:, None]] = 0
@@ -382,7 +410,7 @@ def _texts(distinct: np.ndarray) -> list[str]:
     if distinct.dtype == object:
         return distinct.tolist()
     if distinct.dtype == np.uint64:
-        distinct = distinct.astype(">u8").view("S8")  # a bytes item drops its zero padding
+        distinct = distinct.view("S8")  # a bytes item drops its zero padding
     return [field.decode("utf-8", "surrogatepass") for field in distinct.tolist()]
 
 
@@ -403,42 +431,143 @@ def _code_records(records, line: int, coder: _Coder) -> int:
     return line
 
 
-class _Coder:
-    """Codes records into each feature's _Cells, checking each distinct field once.
+class _Vocab:
+    """The distinct fields of one packing that passed their check, with their values.
 
-    ``base_of_id`` maps each patient id to its row shifted into a key, and
-    gains a row for each patient found without an outcome, in order of first
-    appearance.  Raw feature, wave and patient cells are cached once checked.
+    The fields sit in sorted runs of packed fields (uint64 words, ``S{w}``
+    bytes, or strs), each with what its fields code to; a run holds more
+    than twice as many as the next, newer one.  A block's new fields join as
+    a run that merges with the newer runs it outgrows, so a field is copied
+    O(log n) times over the parse, and a lookup searches O(log n) runs.  The
+    vocabulary takes no more runs once it holds ``_VOCAB_BYTES``, so a
+    column of all-distinct numbers costs a block no more than checking them.
+    """
+
+    __slots__ = ("runs", "nbytes", "dtype")
+
+    def __init__(self, dtype):
+        self.runs: list[tuple[np.ndarray, np.ndarray]] = []  # (sorted keys, values), oldest first
+        self.nbytes, self.dtype = 0, dtype
+
+    def find(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each item's value (arbitrary if missing), and whether it is there."""
+        if not self.runs:
+            return np.empty(items.size, self.dtype), np.zeros(items.size, dtype=bool)
+        (keys, values), *newer = self.runs
+        at = _search(keys, items)
+        hit = keys.take(at) == items
+        values = values.take(at)
+        for keys, run_values in newer:
+            missed = np.flatnonzero(~hit)
+            if not missed.size:
+                break
+            at = _search(keys, items[missed])
+            found = keys.take(at) == items[missed]
+            values[missed[found]] = run_values.take(at[found])
+            hit[missed[found]] = True
+        return values, hit
+
+    def add(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Add sorted new keys and their values as a run, while there is room."""
+        if self.nbytes >= _VOCAB_BYTES or not keys.size:
+            return
+        self.nbytes += keys.nbytes + values.nbytes
+        while self.runs and self.runs[-1][0].size <= 2 * keys.size:
+            old_keys, old_values = self.runs.pop()
+            if keys.dtype.itemsize > old_keys.dtype.itemsize:  # a wider S{w} block
+                old_keys = old_keys.astype(keys.dtype)
+            at = np.searchsorted(old_keys, keys)
+            keys, values = np.insert(old_keys, at, keys), np.insert(old_values, at, values)
+        self.runs.append((keys, values))
+
+
+def _search(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Where each item is or would go in the sorted ``keys``, clipped to a valid index."""
+    if keys.size <= _SCAN:  # a binary search would mispredict a branch at every step
+        at = np.zeros(items.size, dtype=np.uint8)
+        for key in keys[:-1]:
+            at += items > key
+        return at
+    at = np.searchsorted(keys, items)
+    at[at == keys.size] = 0
+    return at
+
+
+class _Coder:
+    """Codes records into each feature's _Cells, checking each distinct field once per parse.
+
+    Each field (the patient, the wave, the feature, and each feature's value)
+    keeps a ``_Vocab`` per packing for the whole parse.  A block looks its
+    fields up there; only fields not in it are checked, each once, in order
+    of first appearance, and those that pass join it.  ``base_of_id`` maps
+    each patient id to its row shifted into a key, and gains a row for each
+    patient found without an outcome, in order of first appearance; its
+    outcome ids fill the patient vocabularies from the start.
     """
 
     def __init__(self, by_name, wave_count, base_of_id, cells: dict[str, _Cells]):
         self.by_name, self.wave_count = by_name, wave_count
         self.base_of_id, self.cells = base_of_id, cells
-        self.feature_of: dict[str, _Cells] = {}  # feature cell -> its feature's cells
-        self.wave_of: dict[str, int] = {}  # wave cell -> validated wave index
-        self.base_of: dict[str, int] = {}  # patient cell -> shifted row
+        self.named: list[_Cells] = []  # the feature vocabulary's values index it
+        # small ints index ``named``, so that argsort sorts them by radix
+        self.slot_type = np.min_scalar_type(-len(by_name) - 1)
+        self.vocabs: dict[tuple, _Vocab] = {}  # (field, packing kind) -> its vocabulary
+        self.faults: list = []  # the block's (line, rank on its line, error)
+        self._seed_patients()
+
+    def _seed_patients(self) -> None:
+        """Fill the packed patient vocabularies with the outcome ids, as ``_bases`` codes them.
+
+        Only when every id is a field that a block packs as itself: not empty,
+        without surrounding whitespace, a NUL or a newline, at most ``_WIDE``
+        bytes.  Otherwise every id goes through the checks when first met.
+        """
+        ids = list(self.base_of_id)
+        try:
+            text = "\n".join(ids)
+        except TypeError:  # a library caller's id that is no str
+            return
+        if not ids or "" in self.base_of_id or "\0" in text or list(map(str.strip, ids)) != ids:
+            return
+        fields = text.encode("utf-8", "surrogatepass").split(b"\n")
+        widths = np.fromiter(map(len, fields), np.intp, len(fields))
+        if len(fields) != len(ids) or widths.max() > _WIDE:  # a newline, or too wide
+            return
+        bases = np.fromiter(self.base_of_id.values(), np.int64, len(ids))
+        packed = np.array(fields, dtype=f"S{max(8, widths.max())}")  # zero-padded, as _pack packs
+        short = widths <= 8
+        for keys, values in ((packed[short].astype("S8").view(np.uint64), bases[short]),
+                             (packed, bases)):
+            order = np.argsort(keys)
+            vocab = self.vocabs["patient", keys.dtype.kind] = _Vocab(np.int64)
+            vocab.add(keys[order], values[order])
 
     def code(self, fields, lines: np.ndarray, miscount: tuple[int, int] | None) -> None:
         """Append the records' cells; raise the fault on the earliest line, if any.
 
         ``fields`` are the patient, wave, feature and value of each record, as
-        arrays ``np.unique`` can sort; ``lines`` are the records' increasing
-        line numbers; ``miscount`` is the (line, field count) of a record
-        right after them without 4 fields.  Cells on lines before a fault
-        are appended first.  Of faults on one line, an unknown feature comes
-        before a bad wave, and a bad wave before a bad value.
+        packed arrays (see ``_pack``) or arrays of strs; ``lines`` are the
+        records' increasing line numbers; ``miscount`` is the (line, field
+        count) of a record right after them without 4 fields.  Cells on lines
+        before a fault are appended first.  Of faults on one line, an unknown
+        feature comes before a bad wave, and a bad wave before a bad value.
         """
         pid, wave, feature, value = fields
-        faults = []  # (line, rank on its line, error)
+        self.faults = faults = []
         if miscount is not None:
             line, n = miscount
             faults.append((line, 0, CohortParseError(f"expected 4 fields, got {n}", line=line)))
-        features = self._features(feature, lines, faults)
-        wave_at = self._waves(wave, lines, faults)
+        named = self._coded("feature", feature, lines, self._feature, self.slot_type, 1, -1)
+        wave_at = self._coded("wave", wave, lines, self._wave_index, np.int64, 2)
+        order = np.argsort(named, kind="stable")  # records grouped by feature, in line order
+        bounds = np.searchsorted(named[order], np.arange(-1, len(self.named) + 1)).tolist()
         coded = []  # each feature's cells, the records with a value, and their values
-        for cells, records in features:
-            kept, values = self._values(cells, value[records], lines[records], faults)
-            coded.append((cells, records[kept], values))
+        for cells, a, b in zip(self.named, bounds[1:], bounds[2:]):
+            if a < b:
+                records = order[a:b]
+                values = self._values(cells, value[records], lines[records])
+                kept = values >= 0 if cells.categories is not None else ~np.isnan(values)
+                coded.append((cells, records[kept], values[kept]))
         fault = min(faults, key=lambda f: f[:2], default=None)
         if fault is not None:  # keep the cells on earlier lines only
             end = np.searchsorted(lines, fault[0])
@@ -449,7 +578,7 @@ class _Coder:
             with_cell[records] = True
         at = np.flatnonzero(with_cell)
         key = np.zeros(lines.size, dtype=np.int64)
-        key[at] = self._bases(pid[at])
+        key[at] = self._bases(pid[at], lines[at])
         key += wave_at
         for cells, records, values in coded:
             if records.size:
@@ -457,83 +586,75 @@ class _Coder:
         if fault is not None:
             raise fault[2]
 
-    def _features(self, feature, lines, faults) -> list[tuple[_Cells, np.ndarray]]:
-        """Each configured feature's cells and the records that name it."""
-        distinct, first, feature_at = _unique(feature)
-        named: dict[_Cells, list[int]] = {}
-        for k, (raw, i) in enumerate(zip(_texts(distinct), first.tolist())):
-            cells = self.feature_of.get(raw)
-            if cells is None:
-                name = raw.strip()
-                if name not in self.by_name:
-                    line = int(lines[i])
-                    faults.append((line, 1, CohortValidationError(
-                        f"line {line}: feature {name!r} is not defined in the config"
-                    )))
-                    continue
-                if name not in self.cells:
-                    self.cells[name] = _Cells(name, self.by_name[name].kind in NUMERIC_KINDS)
-                cells = self.feature_of[raw] = self.cells[name]
-            named.setdefault(cells, []).append(k)
-        return [(cells, np.flatnonzero(np.isin(feature_at, ks))) for cells, ks in named.items()]
+    def _coded(self, field, items, lines, check, dtype, rank=0, refused=0) -> np.ndarray:
+        """Each item's value: from ``field``'s vocabulary, else ``check(raw, line)``.
 
-    def _waves(self, wave, lines, faults) -> np.ndarray:
-        """Each record's wave index; 0 for a bad wave, which is a fault."""
-        distinct, first, wave_at = _unique(wave)
-        index = np.zeros(distinct.size, dtype=np.int64)
-        for k, (raw, i) in enumerate(zip(_texts(distinct), first.tolist())):
-            if raw not in self.wave_of:
-                try:
-                    self.wave_of[raw] = _wave(raw, self.wave_count, int(lines[i]))
-                except WaveMineError as fault:
-                    faults.append((int(lines[i]), 2, fault))
-                    continue
-            index[k] = self.wave_of[raw]
-        return index[wave_at]
-
-    def _values(self, cells: _Cells, value, lines, faults) -> tuple[np.ndarray, np.ndarray]:
-        """Which of one feature's records hold a value, and those values.
-
-        A numeric value is a float; any other is a code into the feature's
-        categories, which grow in order of first appearance.
+        Each distinct item the vocabulary lacks is checked once, in order of
+        first appearance, at the line of its first appearance.  An item whose
+        check raises gets ``refused`` and stays out of the vocabulary; its
+        error joins the block's faults with ``rank`` for its line.
         """
-        distinct, first, value_at = _unique(value)
-        raws = _texts(distinct)
-        categories = cells.categories
-        coded = np.zeros(len(raws), dtype=float if categories is None else np.int32)
+        vocab = self.vocabs.get((field, items.dtype.kind))
+        if vocab is None:
+            vocab = self.vocabs[field, items.dtype.kind] = _Vocab(dtype)
+        values, hit = vocab.find(items)
+        if hit.all():
+            return values
+        missed = np.flatnonzero(~hit)
+        distinct, first, missed_at = np.unique(
+            items[missed], return_index=True, return_inverse=True)
+        raws, first_lines = _texts(distinct), lines[missed[first]].tolist()
+        checked, passed = [refused] * len(raws), [True] * len(raws)
         for k in np.argsort(first, kind="stable").tolist():
-            raw = raws[k]
-            if not raw:
-                continue  # explicit missing cell
-            if categories is not None:
-                coded[k] = categories.setdefault(raw, len(categories))
-                continue
             try:
-                coded[k] = _number(raw, cells.name, int(lines[first[k]]))
-            except CohortParseError as fault:
-                faults.append((fault.line, 3, fault))
-        # the empty string sorts first
-        kept = value_at > 0 if raws and not raws[0] else np.ones(value_at.size, dtype=bool)
-        return kept, coded[value_at[kept]]
+                checked[k] = check(raws[k], first_lines[k])
+            except WaveMineError as fault:
+                self.faults.append((first_lines[k], rank, fault))
+                passed[k] = False
+        checked = np.array(checked, dtype)
+        values[missed] = checked[missed_at]
+        vocab.add(distinct[passed], checked[passed])
+        return values
 
-    def _bases(self, pid) -> np.ndarray:
-        """Each cell's patient row shifted into a key; a new patient gets the next row."""
-        distinct, first, pid_at = _unique(pid)
-        raws = _texts(distinct)
-        bases = np.zeros(len(raws), dtype=np.int64)
-        for k in np.argsort(first, kind="stable").tolist():  # new rows by first appearance
-            base = self.base_of.get(raws[k])
-            if base is None:
-                base = self.base_of[raws[k]] = self.base_of_id.setdefault(
-                    raws[k].strip(), len(self.base_of_id) << _ROW_SHIFT
-                )
-            bases[k] = base
-        return bases[pid_at]
+    def _feature(self, raw: str, line: int) -> int:
+        """The index in ``named`` of the configured feature a feature cell names."""
+        name = raw.strip()
+        if name not in self.by_name:
+            raise CohortValidationError(
+                f"line {line}: feature {name!r} is not defined in the config")
+        if name not in self.cells:
+            self.cells[name] = _Cells(name, self.by_name[name].kind in NUMERIC_KINDS)
+            self.named.append(self.cells[name])
+        return self.named.index(self.cells[name])
 
+    def _wave_index(self, raw: str, line: int) -> int:
+        return _wave(raw, self.wave_count, line)
 
-def _unique(items: np.ndarray):
-    """The distinct items, the first index of each, and each item's distinct index."""
-    return np.unique(items, return_index=True, return_inverse=True)
+    def _values(self, cells: _Cells, value, lines) -> np.ndarray:
+        """One feature's values: floats, NaN for a blank cell; or category codes, -1 for one.
+
+        Categories grow in order of first appearance.
+        """
+        categories = cells.categories
+        if categories is None:
+            def number(raw, line):
+                return _number(raw, cells.name, line) if raw else math.nan
+            return self._coded(cells, value, lines, number, float, 3)
+
+        def code(raw, line):
+            return categories.setdefault(raw, len(categories)) if raw else -1
+        return self._coded(cells, value, lines, code, np.int32, 3)
+
+    def _bases(self, pid, lines) -> np.ndarray:
+        """Each cell's patient row shifted into a key, looked up once per run of one patient."""
+        new_run = np.ones(pid.size, dtype=bool)
+        new_run[1:] = pid[1:] != pid[:-1]
+        heads = np.flatnonzero(new_run)
+
+        def base(raw, line):
+            return self.base_of_id.setdefault(raw.strip(), len(self.base_of_id) << _ROW_SHIFT)
+        bases = self._coded("patient", pid[heads], lines[heads], base, np.int64)
+        return np.repeat(bases, np.diff(np.append(heads, pid.size)))
 
 
 def _number(raw: str, feature: str, line: int) -> float:

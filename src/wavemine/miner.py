@@ -310,8 +310,8 @@ class _Store:
         ep_group = ep_group[order]
         opens = np.ones(2 * m, dtype=bool)  # the endpoint opens a group
         opens[1:] = ep_group[1:] != ep_group[:-1]
-        self.tok = ep_key[order] % n_tokens
-        self.grp = np.cumsum(opens) - 1
+        self.tok = (ep_key[order] % n_tokens).astype(_int_type(n_tokens))
+        self.grp = (np.cumsum(opens) - 1).astype(_int_type(2 * m))
         self.group_starts = np.append(np.flatnonzero(opens), 2 * m)
         self.row_groups = np.searchsorted(ep_group[opens] // n_pos, np.arange(self.n + 1))
         place = np.empty(2 * m, dtype=np.intp)  # each endpoint's index in the table
@@ -455,6 +455,11 @@ def _root_level(store: _Store, roots: list[int], risks: list[float]) -> _Level:
     )
 
 
+def _int_type(bound: int) -> type:
+    """int32 if it holds every integer of magnitude below ``bound``, else int64."""
+    return np.int32 if bound <= 2**31 - 1 else np.int64
+
+
 def _scan(store: _Store, level: _Level, bound: int):
     """Every candidate ``(token, site)`` that extends a state of ``level``: one _Scan per block.
 
@@ -468,6 +473,9 @@ def _scan(store: _Store, level: _Level, bound: int):
     """
     n_nodes, n_tokens = len(level.nodes), 2 * len(store.fl_pairs)
     node, pat, last, fin, nodes = level
+    # int32 where the values fit: a block expands to several ints per scanned endpoint
+    state_type, code_type = _int_type(node.size), _int_type(n_nodes * n_tokens)
+    key_type = _int_type(2 * n_nodes * n_tokens * store.n)
     # each state's window of endpoints, from its last group to its earliest open finish
     stop = np.minimum(store.row_groups[pat + 1] - 1, fin.min(axis=1, initial=_PAD))
     lo = store.group_starts[last]
@@ -488,10 +496,12 @@ def _scan(store: _Store, level: _Level, bound: int):
     while k1 < n_nodes:  # block: nodes k0 to k1 - 1
         k0, k1 = k1, max(k1 + 1, int(np.searchsorted(scanned, scanned[k1] + bound, "right")) - 1)
         rows, n = np.arange(first_row[k0], first_row[k1]), size[first_row[k0]:first_row[k1]]
-        state = rows.repeat(n)
-        endpoint = np.arange(state.size) + (lo[rows] - n.cumsum() + n).repeat(n)
+        state = rows.astype(state_type).repeat(n)
+        index = _int_type(state.size + store.tok.size)  # bounds every term of ``endpoint``
+        endpoint = (np.arange(state.size, dtype=index)
+                    + (lo[rows] - n.cumsum() + n).astype(index).repeat(n))
         group = store.grp[endpoint]
-        code = node[rows].astype(np.intp).repeat(n) * n_tokens + store.tok[endpoint]
+        code = node[rows].astype(code_type).repeat(n) * n_tokens + store.tok[endpoint]
         site = group > last[rows].repeat(n)
         r = rule[code]
         ok = (r == _ANY) | ((r == _LATER) & site)
@@ -500,7 +510,7 @@ def _scan(store: _Store, level: _Level, bound: int):
         if not ok.any():
             continue
         state, endpoint = state[ok], endpoint[ok]
-        key = (code[ok] * 2 + site[ok]) * store.n + pat[state]
+        key = (code[ok].astype(key_type) * 2 + site[ok]) * store.n + pat[state]
         del group, code, site, r, ok, held  # the expansion, before the hits are sorted
         order = key.argsort()  # by (candidate, patient)
         key = key[order]

@@ -7,6 +7,7 @@ stratified k-fold cross-validation, and sum-of-ranks pattern ranking.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -235,12 +236,28 @@ def fit_ridge_cox(
 
 
 def rr_score(matrix: BinaryDesignMatrix, rr_by_key: Mapping[str, float]) -> np.ndarray:
-    """Model-free baseline: score_i = sum_j cell(i, j) * log(rr_j)."""
+    """Model-free baseline: score_i = sum_j cell(i, j) * log(rr_j).
+
+    Each rr must be a real number (not a bool), finite and > 0; any other
+    value is a ConfigError naming its column.
+    """
     missing = [k for k in matrix.pattern_keys if k not in rr_by_key]
     if missing:
         raise ConfigError(f"missing relative risk for columns: {missing[:3]}")
-    weights = np.log([rr_by_key[k] for k in matrix.pattern_keys])
+    weights = np.log([_relative_risk(k, rr_by_key[k]) for k in matrix.pattern_keys])
     return _row_sums(matrix.cells, weights)
+
+
+def _relative_risk(key: str, rr) -> float:
+    """``rr`` as a float, if it is a finite number > 0."""
+    if isinstance(rr, (int, float, np.integer, np.floating)) and not isinstance(rr, bool):
+        try:
+            value = float(rr)
+        except OverflowError:  # an int past float's range
+            value = math.inf
+        if 0 < value < math.inf:  # NaN fails both comparisons
+            return value
+    raise ConfigError(f"relative risk for column {key!r} must be a finite number > 0, got {rr!r}")
 
 
 def _row_sums(cells: np.ndarray, weights) -> np.ndarray:

@@ -592,3 +592,19 @@ def test_digest_reads_the_file_a_block_at_a_time(tmp_path):
         tracemalloc.stop()
     assert digest == hashlib.sha256(data).hexdigest()
     assert peak < 2_000_000  # reading the whole file took 4 MiB
+
+
+@pytest.mark.parametrize("rr", ['"abc"', "null", "true", "0", "-1", "Infinity", "NaN", "1e999999"])
+def test_evaluate_rejects_a_bad_sidecar_relative_risk_naming_its_column(mined, tmp_path, capsys, rr):
+    _, work = mined
+    sidecar = json.loads((work / "matrix.csv.cols.json").read_text(encoding="utf-8"))
+    key = sidecar["columns"][0]["key"]
+    sidecar["columns"][0]["rr"] = "RR"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(sidecar).replace('"RR"', rr), encoding="utf-8")
+    argv = ["evaluate", "--matrix", str(work / "matrix.csv"), "--sidecar", str(bad),
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: relative risk for column {key!r} must be a finite number > 0" in err
+    assert not (tmp_path / "r.json").exists()

@@ -474,3 +474,39 @@ def test_read_intervals_json_shares_equal_intervals():
     assert (back.ids, back.times, back.events) == (("p1", "p2", "p3"), (4.0,) * 3, (True,) * 3)
     empty = read_intervals_json(io.StringIO(json.dumps({**doc, "patients": []})))
     assert (empty.table, empty.row.size, empty.patients) == ((), 0, ())
+
+
+def _many_patients(n=23):
+    """Patients with 0 to 3 intervals each, the first and last with none, int and float times."""
+    from wavemine.encoding import CohortIntervals, PatientIntervals
+
+    rng = random.Random(5)
+    patients = tuple(
+        PatientIntervals(
+            f"p{i:02d}", rng.choice([2, 3.5, 6.0]), rng.random() < 0.5,
+            () if i in (0, n - 1) else tuple(
+                StateInterval(rng.choice("AB"), rng.choice(["x", "y"]), w, w + rng.randint(0, 2))
+                for w in range(1, rng.randint(1, 4))
+            ),
+        )
+        for i in range(n)
+    )
+    return CohortIntervals(6, {"A": {"x": "high", "y": "low"}, "B": {"x": "high"}}, patients, {})
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 1000])
+def test_intervals_json_writer_chunks_join_as_one(monkeypatch, chunk):
+    import io
+
+    from wavemine import encoding
+
+    monkeypatch.setattr(encoding, "_CHUNK", chunk)
+    many = _many_patients()
+    int_ids = dataclasses.replace(many, patients=tuple(
+        dataclasses.replace(p, patient_id=i) for i, p in enumerate(many.patients)))
+    cases = {**_writer_cases(), "many patients": many, "int ids": int_ids}
+    for name, doc in cases.items():
+        if name not in _REFUSED:
+            buf = io.StringIO()
+            encoding.write_intervals_json(doc, buf)
+            assert buf.getvalue() == _reference_intervals_json(doc), name

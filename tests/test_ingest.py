@@ -551,6 +551,130 @@ def test_faults_on_one_line_keep_their_order(monkeypatch, block, row):
     assert _first_fault(parse_cohort, data, outcomes, 4) == expected
 
 
+# --- the coder's vocabularies, which carry checked fields from block to block
+
+HEADER = "patient_id,wave,feature,value\n"
+
+
+def _same_as_reference(data, outcome_text, wave_count=None):
+    """The parse's first fault (type, message), or None; checked against the reference."""
+    outcomes = parse_outcomes(io.StringIO(outcome_text))
+    expected = _first_fault(reference.parse_cohort, data, outcomes, wave_count)
+    assert _first_fault(parse_cohort, data, outcomes, wave_count) == expected
+    if expected is None:
+        got, want = _both(data, outcome_text, wave_count)
+        assert got == want
+    return expected
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_a_category_of_one_feature_is_a_bad_number_of_another_in_a_later_block(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    head = "p1,1,smoker,abc\np1,2,smoker,7\np1,1,gait,7\np1,2,gait,3\n"
+    outcome = "patient_id,time,event\np1,2,0\np2,2,1\n"
+    assert _same_as_reference(HEADER + head + "p2,1,gait,abc\np2,2,smoker,abc\n", outcome) == (
+        CohortParseError, "line 6: bad numeric value 'abc' for feature 'gait'")
+    assert _same_as_reference(HEADER + head + "p2,1,smoker,7\np2,2,gait,7\n", outcome) is None
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_a_patient_split_across_blocks_is_one_row(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    rows = ["p2,1,bmi,20", "p1,2,bmi,21", "p3,1,smoker,never"] + [
+        f"p{i},{w},gait,{w}" for i in (3, 2) for w in (1, 2, 3)] + [
+        "p1,1,bmi,19", "p2,2,smoker,daily", "p1,3,smoker,never", "p1,2,bmi,22"]
+    outcome = "patient_id,time,event\np1,3,0\np2,3,1\np3,2,0\n"
+    assert _same_as_reference(HEADER + "\n".join(rows[:-1]) + "\n", outcome) is None
+    assert _same_as_reference(HEADER + "\n".join(rows) + "\n", outcome) == (
+        CellConflictError, "line 14: duplicate cell ('p1', 'bmi', wave 2)")
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_a_patient_without_an_outcome_after_the_vocabulary_is_full(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    monkeypatch.setattr(ingest, "_VOCAB_BYTES", 64)  # full after a few ids
+    known = [f"p{i:02d}" for i in range(20)]
+    rows = [f"{pid},{w},bmi,{20 + w}" for pid in known for w in (1, 2)]
+    outcome = "patient_id,time,event\n" + "".join(f"{pid},2,0\n" for pid in known)
+    data = HEADER + "\n".join(rows) + "\nq8,1,bmi,\np05,1,gait,4\n"  # q8: a blank cell only
+    assert _same_as_reference(data, outcome) is None
+    assert _same_as_reference(data + "q9,2,smoker,never\nq7,1,bmi,\n", outcome) == (
+        CohortValidationError, "patients without an outcome: ['q9']")
+
+
+@pytest.mark.parametrize("block", [*BLOCKS, 1 << 18])
+def test_bytes_blocks_and_a_csv_reader_takeover_after_word_blocks(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    rows = ["p1,1,smoker,never", "p1,1,bmi,20", "p1,2,smoker,daily",  # fields of 8 bytes at most
+            "participant-1,1,smoker,occasionally", "participant-1,2,bmi,21.5",  # wider: S{w}
+            "p1,3,smoker,never", 'p1,4,smoker,"never"', "participant-1,3,smoker,dáily",
+            "p1,5,smoker,daily", "p1,2,bmi,20"]  # from the quote on: csv.reader
+    outcome = "patient_id,time,event\np1,5,0\nparticipant-1,3,1\n"
+    assert _same_as_reference(HEADER + "\n".join(rows) + "\n", outcome) is None
+    column = parse_cohort(io.StringIO(HEADER + "\n".join(rows)), MIXED,
+                          parse_outcomes(io.StringIO(outcome))).columns["smoker"]
+    assert column.categories == ("never", "daily", "occasionally", "dáily")
+    assert column.values.tolist() == [0, 1, 0, 0, 1, 2, 3]
+    assert _same_as_reference(HEADER + "\n".join(rows + ["p1,3,bmi,x"]), outcome) == (
+        CohortParseError, "line 12: bad numeric value 'x' for feature 'bmi'")
+
+
+@pytest.mark.parametrize("vocab_bytes", [64, 1 << 20])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_a_numeric_column_of_distinct_values(monkeypatch, block, vocab_bytes):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    monkeypatch.setattr(ingest, "_VOCAB_BYTES", vocab_bytes)
+    rng = random.Random(9)
+    rows = [f"p{i},{w},bmi,{rng.uniform(15, 40):.6f}" for i in range(30) for w in (1, 2, 3)]
+    outcome = "patient_id,time,event\n" + "".join(f"p{i},3,{i % 2}\n" for i in range(30))
+    data = HEADER + "\n".join(rows) + "\n"
+    assert _same_as_reference(data, outcome) is None
+    assert len(set(parse_cohort(io.StringIO(data), MIXED, parse_outcomes(io.StringIO(outcome)))
+                   .columns["bmi"].values.tolist())) == 90
+    assert _same_as_reference(data + "p3,1,bmi,1e999\n", outcome) == (
+        CohortParseError, "line 92: non-finite numeric value '1e999' for feature 'bmi'")
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("odd", ["p1 ", " p1", "", "p\n1", "p\x001", "p" * 65, "患者"])
+def test_outcome_ids_are_matched_as_the_checks_match_them(monkeypatch, block, odd):
+    # the outcome map of a library caller may hold ids no parsed outcome CSV gives
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    outcomes = {odd: SurvivalOutcome(2.0, True), "p2": SurvivalOutcome(2.0, False)}
+    raw = "p9" if "\n" in odd or "\0" in odd else odd
+    for data in (HEADER + f"{raw},1,bmi,20\np2,1,bmi,21\n",
+                 HEADER + f"p2,1,bmi,21\n{raw},1,bmi,20\n{raw},1,bmi,22\n"):
+        expected = _first_fault(reference.parse_cohort, data, outcomes, None)
+        assert _first_fault(parse_cohort, data, outcomes, None) == expected
+        if expected is None:
+            ref_count, ref = reference.parse_cohort(io.StringIO(data), MIXED, outcomes)
+            cohort = parse_cohort(io.StringIO(data), MIXED, outcomes)
+            assert (cohort.wave_count, _in_order(cohort.patients)) == (ref_count, _in_order(ref))
+
+
+def test_outcome_ids_that_are_no_strs_match_no_cell():
+    outcomes = {1: SurvivalOutcome(2.0, True)}
+    data = HEADER + "1,1,bmi,20\n"
+    expected = _first_fault(reference.parse_cohort, data, outcomes, None)
+    assert expected == (CohortValidationError, "patients without an outcome: ['1']")
+    assert _first_fault(parse_cohort, data, outcomes, None) == expected
+
+
+def test_vocabulary_runs_shrink_geometrically_and_find_every_key():
+    rng = np.random.default_rng(4)
+    vocab, held = ingest._Vocab(np.int64), np.empty(0, dtype=np.uint64)
+    for size in rng.integers(1, 60, 40).tolist():
+        new = np.setdiff1d(rng.integers(0, 10**6, size).astype(np.uint64), held)  # sorted
+        vocab.add(new, new.astype(np.int64) * 3)
+        held = np.union1d(held, new)
+        sizes = [keys.size for keys, _ in vocab.runs]
+        assert all(older > 2 * newer for older, newer in zip(sizes, sizes[1:]))
+    assert 1 < len(vocab.runs) <= 1 + int(np.log2(held.size))
+    values, hit = vocab.find(np.append(held, np.uint64(10**7)))
+    assert hit.tolist() == [True] * held.size + [False]
+    assert values[:-1].tolist() == (held.astype(np.int64) * 3).tolist()
+
+
 def _long_csv(patients=12_500, waves=6):
     """225,000 rows (4 MB): three features at every wave, one with blank cells."""
     rng = random.Random(5)
