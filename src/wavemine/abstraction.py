@@ -137,9 +137,25 @@ def fit_percentiles(values: Iterable[float], points: Sequence[float]) -> np.ndar
         raise FitError("cannot fit percentiles on non-finite values")
     if vals[0] == vals[-1]:
         raise DegenerateDistributionError("all values identical: zero spread")
-    edges = np.percentile(vals, points, method="linear")
+    edges = _linear_percentiles(vals, points)
     if any(e2 <= e1 for e1, e2 in zip(edges, edges[1:])):
         raise DegenerateDistributionError("percentile edges collapsed: empty bin")
+    return edges
+
+
+def _linear_percentiles(vals: np.ndarray, points: Sequence[float]) -> np.ndarray:
+    """``np.percentile(vals, points, method="linear")`` of sorted ``vals``, op for op.
+
+    numpy's own call imports ``numpy.ma`` (about 10 ms) through ``np.unique``.
+    """
+    n = vals.size
+    at = (n - 1) * np.true_divide(points, 100)
+    low = np.minimum(np.floor(at), n - 1).astype(np.intp)
+    a, b = vals[low], vals[np.minimum(low + 1, n - 1)]
+    gamma = at - low
+    diff = b - a
+    edges = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=edges, where=gamma >= 0.5)
     return edges
 
 

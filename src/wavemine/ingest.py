@@ -220,7 +220,8 @@ def parse_outcomes(stream: IO[str]) -> dict[str, SurvivalOutcome]:
 
 _ROW_SHIFT = 32  # a cell's key is row << _ROW_SHIFT | wave
 _BLOCK = 1 << 18  # characters read at a time; a block is then completed to a whole line
-_WIDE = 64  # bytes: a block with a wider field is split by csv.reader
+_WIDE = 256  # bytes: a block with a wider field is split by csv.reader
+_PACKED = 1 << 20  # bytes: the most one field's packed items take; a block packs in parts
 _INT32_MAX = 2**31 - 1
 _VOCAB_BYTES = 1 << 20  # a field's vocabulary stops growing at this size
 _SCAN = 16  # a vocabulary of at most this many keys is searched by comparing with each
@@ -353,8 +354,10 @@ def _stream(stream: IO[str], coder: _Coder) -> None:
 def _code_block(text: str, line: int, coder: _Coder) -> int:
     """Code a block of lines split at every comma and newline; the next block's first line.
 
-    Each field is packed as one item (see ``_pack``).  A block with a field
-    wider than ``_WIDE`` bytes goes through ``csv.reader`` instead.
+    Each field is packed as one item (see ``_pack``), at most ``_PACKED``
+    bytes of items a field at a time: a block with wide fields is coded in
+    parts of fewer records.  A block with a field wider than ``_WIDE`` bytes
+    goes through ``csv.reader`` instead.
     """
     data = text.encode("utf-8", "surrogatepass")  # lone surrogates round-trip
     if not data.endswith(b"\n"):
@@ -380,12 +383,16 @@ def _code_block(text: str, line: int, coder: _Coder) -> int:
         cut = comma[upto[records, None] + np.arange(-3, 0)]
     starts = (begin[records], *(cut.T + 1))  # patient, wave, feature, value
     widths = [stop - start for start, stop in zip(starts, (*cut.T, end[records]))]
-    if max(int(width.max(initial=0)) for width in widths) > _WIDE:
+    widest = max(int(width.max(initial=0)) for width in widths)
+    if widest > _WIDE:
         return _code_records(csv.reader(io.StringIO(text)), line, coder)
     words = np.ndarray(buf.size - 7, np.uint64, buf, strides=(1,))  # the 8 bytes from each offset
-    fields = [_pack(buf, words, start, width) for start, width in zip(starts, widths)]
     numbers = np.arange(line, line + end.size)[records]
-    coder.code(fields, _narrow(numbers), miscount)
+    step = _PACKED // max(widest, 8)
+    for lo in range(0, numbers.size or 1, step):  # the last part carries the miscount
+        part = slice(lo, lo + step)
+        fields = [_pack(buf, words, at[part], width[part]) for at, width in zip(starts, widths)]
+        coder.code(fields, _narrow(numbers[part]), miscount if lo + step >= numbers.size else None)
     return line + end.size
 
 
@@ -399,10 +406,11 @@ def _pack(buf: np.ndarray, words: np.ndarray, start: np.ndarray, width: np.ndarr
         packed = words[start]
         packed &= _MASKS[width]
         return packed
-    offsets = np.arange(widest)
-    packed = buf[start[:, None] + offsets]
-    packed[offsets >= width[:, None]] = 0
-    return packed.view(f"S{widest}").ravel()
+    n_words = -(-widest // 8)
+    spans = np.ndarray((buf.size - 8 * n_words + 1, n_words), np.uint64, buf, strides=(1, 8))
+    packed = spans[start]  # the n_words words from each field's start
+    packed &= _MASKS[np.clip(width[:, None] - 8 * np.arange(n_words), 0, 8)]
+    return packed.view(f"S{8 * n_words}").ravel()
 
 
 def _texts(distinct: np.ndarray) -> list[str]:

@@ -39,6 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._kernels import distinct
 from .encoding import (
     CohortIntervals,
     Endpoint,
@@ -278,7 +279,7 @@ class _Store:
         if crossed.any():
             r = int(row[crossed.argmax()])
             encode(doc.ids[r], doc.intervals_of(r), severity, doc.events[r])  # raises
-        held = np.unique(kid)
+        held = distinct(kid)
         store = cls.__new__(cls)
         store._index([keys[k] for k in held.tolist()])
         store._build(doc.ids, doc.events, row, 2 * np.searchsorted(held, kid), start, end)
@@ -375,10 +376,10 @@ def _shown_intervals(doc: CohortIntervals, severity):
     order and equality are all the store needs of a wave.  Table entries
     that are equal (a wave 2 and a wave 2.0) are one interval.
     """
-    distinct = sorted(set(doc.table))
-    rank_of = {iv: i for i, iv in enumerate(distinct)}
+    entries = sorted(set(doc.table))
+    rank_of = {iv: i for i, iv in enumerate(entries)}
     rank = np.array([rank_of[iv] for iv in doc.table], dtype=np.intp)  # per table entry
-    features, levels, starts, ends = zip(*distinct) if distinct else ((), (), (), ())
+    features, levels, starts, ends = zip(*entries) if entries else ((), (), (), ())
     keys = sorted(set(zip(features, levels)))
     key_id = {key: i for i, key in enumerate(keys)}
     kid = np.array([key_id[key] for key in zip(features, levels)], dtype=np.intp)
@@ -386,11 +387,11 @@ def _shown_intervals(doc: CohortIntervals, severity):
         [severity.get(key, "other") != "normal" for key in zip(features, levels)], dtype=bool
     )
     # one number per (row, distinct interval): sorted, each kept once
-    n = max(len(distinct), 1)
+    n = max(len(entries), 1)
     coded = np.sort(doc.row * n + rank[doc.code])
     coded = coded[shown[coded % n] & np.append(True, coded[1:] != coded[:-1])]
     rank = coded % n
-    waves = np.unique(np.asarray(starts + ends))
+    waves = distinct(np.asarray(starts + ends))
     start = np.searchsorted(waves, np.asarray(starts))[rank]
     end = np.searchsorted(waves, np.asarray(ends))[rank]
     return keys, coded // n, kid[rank], start, end
@@ -635,7 +636,7 @@ def _grow_level(store: _Store, config: MinerConfig, level: _Level, bound: int, s
             if not new_open:  # it closes the last open interval
                 ab, a = int(scan.ab[i]), int(scan.a[i])
                 counts = (a, ab - a, store.n_events - a, store.n - ab - store.n_events + a)
-                pids = np.unique(level.pat[scan.state[scan.bounds[i]:scan.bounds[i + 1]]])
+                pids = distinct(level.pat[scan.state[scan.bounds[i]:scan.bounds[i + 1]]])
                 groups = tuple(tuple(store.endpoint(t) for t in g) for g in new_key)
                 emitted.append((groups, counts, tuple(pids.tolist()), risk))
             moves.append((i, put, take))

@@ -31,6 +31,29 @@ def test_percentiles_of_two_points_midpoint():
     assert fit_percentiles([0, 100], (50,))[0] == pytest.approx(50.0, abs=1e-12)
 
 
+def test_percentile_edges_equal_numpy_bit_for_bit():
+    # fit_percentiles interpolates directly (numpy's call imports numpy.ma);
+    # its edges must be numpy's linear percentiles to the last bit
+    rng = np.random.default_rng(8)
+    for trial in range(2000):
+        n = int(rng.integers(2, 200))
+        if trial % 3:
+            values = rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 4))
+        else:
+            values = rng.integers(0, 6, size=n).astype(float)  # tied order statistics
+        points = np.sort(rng.uniform(0, 100, size=int(rng.integers(1, 6))))
+        if trial % 5 == 0:
+            points = np.r_[0, points, 100]
+        if trial % 7 == 0:
+            points = np.unique(rng.integers(0, 101, size=4))  # whole-number points
+        expected = np.percentile(values, points, method="linear")
+        try:
+            edges = fit_percentiles(values, points)
+        except DegenerateDistributionError:  # zero spread or a collapsed bin
+            continue
+        assert edges.tobytes() == expected.tobytes()
+
+
 def test_zero_spread_is_degenerate():
     with pytest.raises(DegenerateDistributionError):
         fit_percentiles([7.0] * 12, (5, 25, 75, 95))

@@ -540,6 +540,36 @@ def test_importing_the_cli_loads_no_optional_or_network_module():
     assert done.stdout.strip() == "[]"
 
 
+def test_a_pipeline_run_loads_no_numpy_ma(tmp_path):
+    # numpy 2 imports numpy.ma (about 10 ms) on a plain np.unique or
+    # np.percentile; numpy 1.x imports it with numpy itself, which is allowed
+    config = {"patients": 400, "waves": 6, "features": 8, "event_rate": 0.2,
+              "noise_rate": 0.08, "seed": 4}
+    (tmp_path / "synth.json").write_text(json.dumps(config), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--config", str(tmp_path / "synth.json")]) == 0
+    probe = (
+        "import sys, numpy\n"
+        "def ma():\n"
+        "    return {m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')}\n"
+        "before = ma()\n"
+        "from wavemine.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted(ma() - before))\n"
+    )
+    src = str(Path(wavemine.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "pipeline", "--cohort", str(data / "cohort.csv"),
+         "--outcomes", str(data / "outcomes.csv"), "--features", str(data / "features.json"),
+         "--out-dir", str(tmp_path / "run"), "--minsup", "0.01", "--risk-threshold", "0.5"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["cox"]["fold_c"]
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("outcome", ["returns", "fails", "raises"])
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys, outcome, enabled):

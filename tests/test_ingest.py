@@ -689,6 +689,39 @@ def _long_csv(patients=12_500, waves=6):
             "patient_id,time,event\n" + outcome)
 
 
+def _wide_csv(patients=60):
+    """``_long_csv`` with every patient id widened to 72 bytes."""
+    data, outcome_text = _long_csv(patients)
+    return tuple(text.replace("\np", "\n" + "q" * 66 + "p") for text in (data, outcome_text))
+
+
+@pytest.mark.parametrize("packed", [1 << 20, 600])  # bytes of one field's items per part
+@pytest.mark.parametrize("block", [7, 1 << 18])
+def test_72_byte_ids_stay_on_the_packed_route(monkeypatch, block, packed):
+    # a field wider than 64 bytes used to send its whole block to csv.reader
+    def refused(*args):
+        raise AssertionError("a block of fields at most _WIDE bytes wide went to csv.reader")
+
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    monkeypatch.setattr(ingest, "_PACKED", packed)
+    monkeypatch.setattr(ingest, "_code_records", refused)
+    data, outcome_text = _wide_csv()
+    assert len(data.splitlines()[1].split(",")[0]) == 72
+    got, expected = _both(data, outcome_text)
+    assert got == expected
+    # a fault in a later part of a block, and a miscounted line after the block's records
+    lines = data.splitlines(keepends=True)
+    at = next(i for i in range(2 * len(lines) // 3, len(lines)) if ",bmi," in lines[i])
+    bad_value = "".join(lines[:at]) + lines[at].replace(",bmi,", ",bmi,x") + "".join(lines[at + 1:])
+    for broken in (bad_value, data + "q" * 80 + ",1,bmi,2,3\n"):
+        with pytest.raises(CohortParseError) as got_error:
+            parse_cohort(io.StringIO(broken), MIXED, parse_outcomes(io.StringIO(outcome_text)))
+        with pytest.raises(CohortParseError) as expected_error:
+            reference.parse_cohort(io.StringIO(broken), MIXED,
+                                   parse_outcomes(io.StringIO(outcome_text)), None)
+        assert str(got_error.value) == str(expected_error.value)
+
+
 def test_parse_holds_one_block_at_a_time(monkeypatch):
     # the per-row csv.reader parse peaked at 11,532,288 traced bytes on this
     # file (Python 3.11, numpy 2.4); splitting the whole file at once, 76 MB

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavemine._kernels import backend_name, concordance_counts
+from wavemine._kernels import backend_name, concordance_counts, distinct
 
 
 def _pairwise_counts(scores, times, events):
@@ -47,6 +47,27 @@ def test_concordance_counts_match_pairwise_reference():
             scores, times, events = _random_case(rng, kind)
             expected = _pairwise_counts(scores, times, events)
             assert concordance_counts(scores, times, events) == expected, kind
+
+
+def test_weighted_counts_equal_the_expanded_entries():
+    # entry i stands for weights[i] patients; a weight of zero drops it
+    rng = np.random.default_rng(1)
+    for kind in ("waves", "continuous", "score-ties", "single", "no-events", "equal-time-pairs"):
+        for _ in range(25):
+            scores, times, events = _random_case(rng, kind)
+            weights = rng.integers(0, 4, size=scores.size)
+            expanded = [np.repeat(a, weights) for a in (scores, times, events)]
+            counts = concordance_counts(scores, times, events, weights)
+            assert counts == concordance_counts(*expanded) == _pairwise_counts(*expanded), kind
+            assert all(type(c) is int for c in counts)
+
+
+def test_distinct_matches_unique():
+    rng = np.random.default_rng(2)
+    for n in (0, 1, 2, 50):
+        values = rng.integers(0, 6, size=n).astype(float)
+        assert np.array_equal(distinct(values), np.unique(values))
+    assert np.array_equal(distinct(np.array([[3, 1], [1, 2]])), [1, 2, 3])
 
 
 def test_backend_name_is_numpy():

@@ -305,9 +305,9 @@ def _ref_hessian(X, times, events, beta, lam):
     return hess
 
 
-def _ref_fit_cox(X, times, events, lam, tol, max_iter):
-    """The same Newton loop and line search over the reference sums."""
-    beta = np.zeros(X.shape[1])
+def _ref_fit_cox(X, times, events, lam, tol, max_iter, beta=None):
+    """The same Newton loop and line search over the reference sums, from ``beta``."""
+    beta = np.zeros(X.shape[1]) if beta is None else beta
     ll, grad = _ref_objective(X, times, events, beta, lam)
     path, converged, iterations = [ll], False, 0
     for iterations in range(1, max_iter + 1):
@@ -400,11 +400,80 @@ def test_block_hessian_matches_finite_difference_of_gradient():
         _close(hess, fd, 1e-6)
 
 
-def _dense(risk):
-    """The risk set's nonzero cells as the dense matrix they hold."""
+def test_weighted_table_matches_reference_on_expanded_rows():
+    # each distinct row stands for weight-many patients: the sums must equal
+    # the reference sums over the patients themselves
+    rng = np.random.default_rng(25)
+    for kind in ("binary", "real", "sparse"):
+        for _ in range(10):
+            n, p = int(rng.integers(12, 60)), int(rng.integers(1, 9))
+            X, times, events = _block_case(rng, kind, n, p)
+            times[10:13], events[10:13] = 8.0, False  # a time block with no event
+            table = _RiskSets(X, times, events)
+            weights = rng.integers(0, 4, size=table.times.size)
+            weights[0] = 0  # a zero-weight row
+            weights[np.flatnonzero(table.events)[0]] = 2  # at least one event left
+            fold = table.weighted(weights)
+            beta = rng.normal(scale=0.5, size=p)
+            lam = float(rng.choice([0.0, 0.1, 2.0]))
+            ll, grad, sums = fold.objective(beta, lam)
+            ref = _expanded(fold)
+            ref_ll, ref_grad = _ref_objective(*ref, beta, lam)
+            assert ll == pytest.approx(ref_ll, rel=1e-12)
+            _close(grad, ref_grad, 1e-12)
+            _close(fold.hessian(*sums, lam), _ref_hessian(*ref, beta, lam), 1e-10)
+            scores = ref[0] @ beta
+            assert fold.concordance(beta) == pytest.approx(
+                concordance_index(scores, ref[1], ref[2]), abs=1e-12
+            )
+
+
+def test_risk_table_holds_each_patient_on_its_own_row():
+    rng = np.random.default_rng(26)
+    for kind in ("binary", "sparse"):
+        X, times, events = _block_case(rng, kind, 300, 12)
+        X = X[rng.integers(0, 40, size=300)]  # many repeated cell rows
+        table = _RiskSets(X, times, events)
+        assert np.all(np.diff(table.times) >= 0)  # rows sorted by time
+        dense = np.zeros((table.times.size, table.p))
+        dense[table.rows, table.cols] = table.vals
+        row = table.row_of
+        assert np.array_equal(dense[row], X)
+        assert np.array_equal(table.times[row], times)
+        assert np.array_equal(table.events[row], events)
+        assert np.array_equal(table.weights, np.bincount(row, minlength=table.times.size))
+        keys = np.column_stack([X, times, events])
+        assert table.times.size == np.unique(keys, axis=0).shape[0]  # one row per distinct key
+
+
+def test_risk_table_survives_hash_collisions(monkeypatch):
+    # equal weights make every row with as many cells collide: rows may split,
+    # never merge, and the fit and every C stay those of the distinct-key table
+    rng = np.random.default_rng(27)
+    X, times, events = _block_case(rng, "sparse", 300, 12)
+    X = X[rng.integers(0, 40, size=300)]
+    matrix = _matrix(X.astype(np.int8), times, events)
+    expected = cross_validate(matrix, k=5, seed=0)
+    monkeypatch.setattr(survival, "_salt", np.ones)
+    table = _RiskSets(X, times, events)
+    dense = np.zeros((table.times.size, table.p))
+    dense[table.rows, table.cols] = table.vals
+    assert np.array_equal(dense[table.row_of], X)
+    assert np.array_equal(table.times[table.row_of], times)
+    assert np.array_equal(table.events[table.row_of], events)
+    cv = cross_validate(matrix, k=5, seed=0)
+    for got, want in ((cv.fold_c, expected.fold_c), (cv.train_c, expected.train_c)):
+        assert got == want
+    assert cv.pooled_c == expected.pooled_c
+    for model, ref in zip(cv.models, expected.models):
+        np.testing.assert_allclose(model.coefficients, ref.coefficients, rtol=0, atol=1e-9)
+
+
+def _expanded(risk):
+    """(X, times, events) of the patients a weighted risk table stands for, one row each."""
     X = np.zeros((risk.times.size, risk.p))
     X[risk.rows, risk.cols] = risk.vals
-    return X
+    return tuple(np.repeat(a, risk.weights, axis=0) for a in (X, risk.times, risk.events))
 
 
 def test_block_fit_matches_reference_fit_on_synth_cohort(tmp_path, monkeypatch):
@@ -423,11 +492,12 @@ def test_block_fit_matches_reference_fit_on_synth_cohort(tmp_path, monkeypatch):
     matrix = build_matrix(results, doc.ids, doc.outcomes())
     assert matrix.cells.shape[1] >= 20
     new = survival.cross_validate(matrix, k=5, seed=0)
+    # the dense per-patient reference follows the same warm-started path
     monkeypatch.setattr(
         survival,
         "_fit_cox",
-        lambda risk, lam, tol, max_iter: _ref_fit_cox(
-            _dense(risk), risk.times, risk.events, lam, tol, max_iter
+        lambda risk, lam, tol, max_iter, beta: _ref_fit_cox(
+            *_expanded(risk), lam, tol, max_iter, beta
         ),
     )
     ref = survival.cross_validate(matrix, k=5, seed=0)
@@ -516,6 +586,38 @@ def test_cross_validate_deterministic_for_seed():
     assert not np.array_equal(one.folds, other.folds)
 
 
+def test_cross_validate_ties_go_to_the_smallest_penalty_in_any_grid_order():
+    # one column: every penalty ranks the patients alike, so the training C ties
+    matrix = _cv_matrix()
+    grids = [(0.01, 0.1, 1.0, 10.0), (10.0, 1.0, 0.1, 0.01), (1.0, 0.01, 10.0, 0.1)]
+    runs = [cross_validate(matrix, k=5, seed=0, lam_grid=grid) for grid in grids]
+    for cv in runs:
+        assert cv.chosen_lambda == (0.01,) * 5
+        assert cv.fold_c == runs[0].fold_c
+        for model, first in zip(cv.models, runs[0].models):
+            assert np.array_equal(model.coefficients, first.coefficients)
+
+
+def test_cross_validate_warm_starts_each_fold_down_the_penalty_path(monkeypatch):
+    fit = survival._fit_cox
+    calls = []
+
+    def recorded(risk, lam, tol, max_iter, beta):
+        calls.append((lam, None if beta is None else beta.copy()))
+        model = fit(risk, lam, tol, max_iter, beta)
+        calls[-1] += (model.coefficients,)
+        return model
+
+    monkeypatch.setattr(survival, "_fit_cox", recorded)
+    cross_validate(_cv_matrix(), k=3, seed=0, lam_grid=(0.1, 10.0, 1.0))
+    assert [lam for lam, *_ in calls] == [10.0, 1.0, 0.1] * 3
+    for f in range(3):
+        path = calls[3 * f : 3 * f + 3]
+        assert path[0][1] is None  # each fold starts from zero
+        for before, after in zip(path, path[1:]):
+            assert np.array_equal(after[1], before[2])
+
+
 def test_cross_validate_stratifies_events():
     matrix = _cv_matrix()
     cv = cross_validate(matrix, k=5, seed=0)
@@ -523,7 +625,7 @@ def test_cross_validate_stratifies_events():
         assert matrix.events[cv.folds == f].any()
 
 
-def test_cross_validate_sorts_each_training_fold_once(monkeypatch):
+def test_cross_validate_builds_one_risk_table_per_cohort(monkeypatch):
     built = []
 
     class Counted(_RiskSets):
@@ -535,7 +637,7 @@ def test_cross_validate_sorts_each_training_fold_once(monkeypatch):
     expected = cross_validate(matrix, k=5, seed=0, lam_grid=(0.1, 1.0, 10.0))
     monkeypatch.setattr(survival, "_RiskSets", Counted)
     cv = cross_validate(matrix, k=5, seed=0, lam_grid=(0.1, 1.0, 10.0))
-    assert built == [int((cv.folds != f).sum()) for f in range(5)]
+    assert built == [60]  # every patient, once; the folds only weigh its rows
     assert cv.fold_c == expected.fold_c and cv.chosen_lambda == expected.chosen_lambda
 
 
@@ -557,30 +659,28 @@ def test_cross_validate_makes_no_dense_float_copy():
     assert peak < 10 * 2**20
 
 
-def test_cross_validate_scores_held_out_folds_over_the_nonzeros(monkeypatch):
+def test_cross_validate_scores_held_out_folds_on_table_rows():
+    # the test patients are scored as weighted table rows; every C must equal
+    # the per-patient C of the dense held-out scores, to the last bit
     rng = np.random.default_rng(5)
     n, p = 400, 30
     cells = rng.random((n, p)) < 0.05
     events = rng.random(n) < 0.3
     times = np.where(events, rng.integers(1, 7, size=n), 6).astype(float)
     matrix = _matrix(cells, times, events)
-    row_sums = survival._row_sums
-    scored = []
-
-    def recorded(cells, weights):
-        scored.append(row_sums(cells, weights))
-        return scored[-1]
-
-    monkeypatch.setattr(survival, "_row_sums", recorded)
     cv = cross_validate(matrix, k=5, seed=0)
-    assert len(scored) == 5
+    assert survival._RiskSets(matrix.cells, times, events).times.size < n  # rows repeat
     dense = matrix.cells.astype(float)
     heldout = np.zeros(n)
-    for f, (model, got) in enumerate(zip(cv.models, scored)):
+    for f, model in enumerate(cv.models):
         test = cv.folds == f
-        np.testing.assert_allclose(got, dense[test] @ model.coefficients, rtol=0, atol=1e-12)
-        heldout[test] = got
+        heldout[test] = survival._row_sums(matrix.cells[test], model.coefficients)
+        np.testing.assert_allclose(
+            heldout[test], dense[test] @ model.coefficients, rtol=0, atol=1e-12
+        )
+    assert cv.fold_c == cv_score_vector(matrix, heldout, cv.folds)
     assert cv.pooled_c == concordance_index(heldout, matrix.times, matrix.events)
+    assert (cv.fold_c, cv.mean_c) == survival._heldout_c(matrix, heldout, cv.folds)
 
 
 def test_cross_validate_rejects_zero_columns():
