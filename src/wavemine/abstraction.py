@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDistributionError, FitError, MappingError
+from .errors import ConfigError, DegenerateDistributionError, FitError, MappingError, utf8_text
 
 log = logging.getLogger(__name__)
 
@@ -198,12 +198,34 @@ def abstract_value(value, spec: FeatureSpec, edges: np.ndarray | None = None) ->
     return _level_names(spec.rule)[code]
 
 
+# a table of at most one cell per run holds less than the lexsort's arrays and takes a
+# seventh of its time (216,702 random runs, one cell per run: 6-7 ms and 6.0 MB traced,
+# against 47-55 ms and 8.0 MB)
+_TABLE_CELLS_PER_RUN = 1
+
+
 def _distinct_runs(label, start, end) -> tuple[np.ndarray, np.ndarray]:
     """Code each run by its distinct (label, start, end): an index of one run per code, the codes.
 
-    The runs are sorted by the triple and a code starts wherever it changes,
-    so codes follow the triples' order, whatever the waves' range.
+    Codes follow the triples' order, and each code's index is its first run.
+    When there are no more labels x wave span^2 cells than
+    ``_TABLE_CELLS_PER_RUN`` per run, each triple is one cell of a dense
+    table and a code is the rank of its cell among those taken.  Otherwise
+    the runs are sorted by the triple and a code starts wherever it changes,
+    whatever the waves' range.
     """
+    if label.size:
+        lo = min(int(start.min()), int(end.min()))
+        span = max(int(start.max()), int(end.max())) - lo + 1
+        cells = (int(label.max()) + 1) * span * span
+        if cells <= _TABLE_CELLS_PER_RUN * label.size:
+            cell = (label.astype(np.intp) * span + (start - lo)) * span + (end - lo)
+            taken = np.zeros(cells, dtype=bool)
+            taken[cell] = True
+            code = np.cumsum(taken)[cell] - 1
+            first = np.full(int(np.count_nonzero(taken)), cell.size, dtype=np.intp)
+            np.minimum.at(first, code, np.arange(cell.size))
+            return first, code
     order = np.lexsort((end, start, label))
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
@@ -382,6 +404,7 @@ def bmi_feature(name: str = "bmi") -> FeatureSpec:
     )
 
 
+@utf8_text(ConfigError, "the feature config")
 def load_feature_config(source) -> list[FeatureSpec]:
     """Parse the feature-config JSON document (path, stream, or parsed list)."""
     try:

@@ -15,12 +15,14 @@ timing fields vary between reruns.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import gc
 import hashlib
 import json
 import logging
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from .encoding import (
     read_intervals_json,
     write_intervals_json,
 )
-from .errors import ConfigError, MatrixFormatError, WaveMineError, typed_setting
+from .errors import ConfigError, MatrixFormatError, WaveMineError, typed_setting, utf8_text
 from .ingest import carry_forward, parse_cohort, parse_outcomes, write_cohort_csv, write_outcomes_csv
 from .matrix import (
     build_matrix,
@@ -51,13 +53,46 @@ log = logging.getLogger(__name__)
 
 
 def _digest(path: Path) -> str:
-    """The file's SHA-256, read 1 MiB at a time into one buffer."""
-    sha, buf = hashlib.sha256(), bytearray(1 << 20)
+    """The file's SHA-256, read 64 KiB at a time into one buffer."""
+    sha, buf = hashlib.sha256(), bytearray(1 << 16)
     view = memoryview(buf)
     with open(path, "rb") as fh:
         while n := fh.readinto(buf):
             sha.update(view[:n])
     return sha.hexdigest()
+
+
+class _Digests:
+    """The SHA-256 of each input, read on one background thread from the moment it is made.
+
+    ``hashlib`` and ``readinto`` release the GIL, so the hashing overlaps the
+    command's own work.  Only regular files are read there: a pipe read by
+    two readers at once would lose data to one of them, so ``result`` hashes
+    any other input when it is called, after the command has read it.  An
+    error on the thread is raised by ``result``.
+    """
+
+    def __init__(self, inputs: dict):
+        self.inputs = {name: Path(p) for name, p in inputs.items()}
+        self.digests: dict[str, str] = {}
+        self.error: Exception | None = None
+        self.thread = threading.Thread(target=self._run, name="wavemine-digests", daemon=True)
+        self.thread.start()
+
+    def _run(self) -> None:
+        try:
+            for name, path in self.inputs.items():
+                if path.is_file():
+                    self.digests[name] = _digest(path)
+        except Exception as exc:  # raised again by result()
+            self.error = exc
+
+    def result(self) -> dict[str, str]:
+        self.thread.join()
+        if self.error is not None:
+            raise self.error
+        return {name: self.digests.get(name) or _digest(path)
+                for name, path in self.inputs.items()}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -67,7 +102,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _read_json(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_text(ConfigError, str(path)):
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -75,7 +110,7 @@ def _read_json(path: Path):
 
 
 def _run_manifest(
-    path: Path, command: str, inputs: dict, config: dict, metrics: dict, timings: dict
+    path: Path, command: str, inputs: _Digests, config: dict, metrics: dict, timings: dict
 ) -> None:
     _write_json(
         path,
@@ -83,7 +118,7 @@ def _run_manifest(
             "tool": "wavemine",
             "version": __version__,
             "command": command,
-            "input_digests": {name: _digest(Path(p)) for name, p in inputs.items()},
+            "input_digests": inputs.result(),
             "config": config,
             "metrics": metrics,
             "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
@@ -234,6 +269,7 @@ def _cmd_synth(args) -> int:
     # flag > config file > SynthConfig's default
     flags = {name: value for name in SYNTH_FLAGS if (value := getattr(args, name)) is not None}
     config = parse_synth_config({**_config_file(args), **flags})
+    inputs = _Digests({"config": args.config} if args.config else {})
     cohort, specs, manifest = generate(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,7 +279,6 @@ def _cmd_synth(args) -> int:
         write_outcomes_csv(cohort.outcomes(), fh)
     _write_json(out_dir / "features.json", feature_config_payload(specs))
     _write_json(out_dir / "manifest.json", manifest)
-    inputs = {"config": args.config} if args.config else {}
     _run_manifest(
         out_dir / "run_manifest.json",
         "synth",
@@ -274,11 +309,12 @@ def _abstract_stage(args, out: Path) -> CohortIntervals:
 
 def _cmd_abstract(args) -> int:
     t0 = time.perf_counter()
+    inputs = _Digests({"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features})
     doc = _abstract_stage(args, Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "abstract",
-        {"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features},
+        inputs,
         _abstract_config(args),
         {},
         {"abstract": time.perf_counter() - t0},
@@ -303,6 +339,7 @@ def _mine_stage(doc: CohortIntervals, config: MinerConfig, out: Path, timings: d
 
 def _cmd_mine(args) -> int:
     t0 = time.perf_counter()
+    inputs = _Digests({"intervals": args.intervals})
     doc = _load_intervals(Path(args.intervals))
     config = _miner_config(_effective(args, MINE_DEFAULTS))
     timings = {"load": time.perf_counter() - t0}
@@ -310,7 +347,7 @@ def _cmd_mine(args) -> int:
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "mine",
-        {"intervals": args.intervals},
+        inputs,
         _mine_config_payload(config),
         _mining_metrics(stats),
         timings,
@@ -332,13 +369,14 @@ def _matrix_stage(results, doc: CohortIntervals, out: Path):
 
 def _cmd_matrix(args) -> int:
     t0 = time.perf_counter()
+    inputs = _Digests({"intervals": args.intervals, "patterns": args.patterns})
     doc = _load_intervals(Path(args.intervals))
     results = _read_patterns(Path(args.patterns))[0]
     matrix, _ = _matrix_stage(results, doc, Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "matrix",
-        {"intervals": args.intervals, "patterns": args.patterns},
+        inputs,
         {},
         {},
         {"matrix": time.perf_counter() - t0},
@@ -381,6 +419,7 @@ def _cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     settings = _eval_config(_effective(args, EVAL_DEFAULTS))
     sidecar_path = Path(args.sidecar if args.sidecar else args.matrix + ".cols.json")
+    inputs = _Digests({"matrix": args.matrix, "sidecar": str(sidecar_path)})
     sidecar = _read_json(sidecar_path)
     with open(args.matrix, "r", encoding="utf-8") as fh:
         matrix = read_matrix_csv(fh, sidecar)
@@ -388,7 +427,7 @@ def _cmd_evaluate(args) -> int:
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "evaluate",
-        {"matrix": args.matrix, "sidecar": str(sidecar_path)},
+        inputs,
         settings,
         metrics,
         {"evaluate": time.perf_counter() - t0},
@@ -410,6 +449,8 @@ def _render_stage(results, severity_of, measure, ranking_keys, top: int, out: Pa
 def _cmd_render(args) -> int:
     t0 = time.perf_counter()
     settings = _render_config(_effective(args, RENDER_DEFAULTS))
+    paths = {"patterns": args.patterns, "report": args.report}
+    inputs = _Digests({name: path for name, path in paths.items() if path})
     results, severity_of, measure = _read_patterns(Path(args.patterns))
     if args.report:
         try:
@@ -421,9 +462,6 @@ def _cmd_render(args) -> int:
     else:
         ranking_keys = [r.pattern.key() for r in results]
     _render_stage(results, severity_of, measure, ranking_keys, settings["top"], Path(args.out))
-    inputs = {"patterns": args.patterns}
-    if args.report:
-        inputs["report"] = args.report
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "render",
@@ -444,6 +482,7 @@ def _cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
+    inputs = _Digests({"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features})
 
     t0 = time.perf_counter()
     doc = _abstract_stage(args, out_dir / "intervals.json")
@@ -469,7 +508,7 @@ def _cmd_pipeline(args) -> int:
     _run_manifest(
         out_dir / "run_manifest.json",
         "pipeline",
-        {"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features},
+        inputs,
         {**_abstract_config(args), **_mine_config_payload(config), **eval_settings,
          **render_settings},
         {**_mining_metrics(stats), **eval_metrics},
@@ -575,8 +614,13 @@ def main(argv=None) -> int:
     """Run one command, in this one process, with the cyclic garbage collector paused.
 
     Reference counting frees everything a command builds, so full collections
-    would only walk it again.
+    would only walk it again.  For the same reason the interpreter's exit
+    freezes what is left (``gc.freeze``, registered once with ``atexit``), so
+    the collections of its teardown skip every object the run kept; the
+    caller's collector state is left as it was found.
     """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

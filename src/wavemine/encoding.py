@@ -28,7 +28,7 @@ from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .abstraction import StateInterval
-from .errors import MatrixFormatError, PairingError
+from .errors import MatrixFormatError, PairingError, utf8_text
 
 
 class Endpoint(NamedTuple):
@@ -311,12 +311,14 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
     code, between separators) joined by one ``"".join`` and one ``write``;
     strings are escaped as ``json`` escapes them.  What
     ``read_intervals_json`` would refuse raises its ``MatrixFormatError``
-    before anything is written: a bad event or time, then a wave that is no
-    integer (a bool, or a float such as 1.5), checked once per table entry
-    and reported for the first patient that holds it.
+    before anything is written: a bad event or time, checked for all
+    patients at once and reported for the first that has one, then a wave
+    that is no integer (a bool, or a float such as 1.5), checked once per
+    table entry and reported for the first patient that holds it.
     """
-    for pid, time, event in zip(doc.ids, doc.times, doc.events):
-        _check_outcome(pid, time, event)
+    if not _outcomes_valid(doc.times, doc.events):
+        for pid, time, event in zip(doc.ids, doc.times, doc.events):
+            _check_outcome(pid, time, event)
     table, code = doc.table, doc.code
     refused = np.array([not (_integral(iv.start) and _integral(iv.end)) for iv in table],
                        dtype=bool)[code]  # per occurrence
@@ -352,7 +354,7 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
         pieces[first] = ',\n    {\n      "patient_id": '
         pieces[first + 1] = _strings(doc.ids[a:b])
         pieces[first + 2] = ',\n      "time": '
-        pieces[first + 3] = list(map(_number, doc.times[a:b]))
+        pieces[first + 3] = list(map(repr, doc.times[a:b]))  # finite ints and floats, checked
         pieces[first + 4] = ',\n      "event": '
         events = np.array(doc.events[a:b], dtype=np.intp)
         pieces[first + 5] = opening[2 * events + (counts > 0)]
@@ -396,6 +398,18 @@ def _check_outcome(pid, time, event) -> None:
         raise MatrixFormatError(f"patient {pid!r}: time must be finite and >= 1, got {time!r}")
 
 
+def _outcomes_valid(times, events) -> bool:
+    """Whether every patient passes ``_check_outcome``, tested on the whole columns."""
+    if not (set(map(type, events)) <= {bool, int} and set(events) <= {0, 1}
+            and set(map(type, times)) <= {int, float}):
+        return False
+    try:
+        t = np.array(times, dtype=float)
+    except OverflowError:  # an int time past float's range, which math.isfinite refuses too
+        return False
+    return bool(np.all(np.isfinite(t) & (t >= 1)))
+
+
 def _read_patient(p) -> tuple:
     """A checked ``intervals.json`` patient entry as (patient_id, time, event, intervals)."""
     pid, time, event = p["patient_id"], p["time"], p["event"]
@@ -409,6 +423,7 @@ def _read_patient(p) -> tuple:
     return pid, float(time), bool(event), intervals
 
 
+@utf8_text(MatrixFormatError, "the intervals file")
 def read_intervals_json(stream: IO[str]) -> CohortIntervals:
     """Read ``intervals.json`` into the encoded form; equal intervals share a table entry.
 

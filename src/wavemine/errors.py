@@ -1,4 +1,5 @@
 """Exception types shared across the toolkit."""
+from contextlib import contextmanager
 
 
 class WaveMineError(Exception):
@@ -41,6 +42,16 @@ def typed_setting(convert, name: str, value):
         return out
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}: cannot read {value!r} as {convert.__name__}") from None
+
+
+@contextmanager
+def utf8_text(error: type[WaveMineError], what: str):
+    """Raise ``error`` naming ``what`` for text read inside the block that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise error(f"{what} is not UTF-8 text: {exc.reason} ({bad!r})") from None
 
 
 class FitError(WaveMineError):

@@ -19,7 +19,13 @@ from typing import IO, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .abstraction import FeatureSpec
-from .errors import CellConflictError, CohortParseError, CohortValidationError, WaveMineError
+from .errors import (
+    CellConflictError,
+    CohortParseError,
+    CohortValidationError,
+    WaveMineError,
+    utf8_text,
+)
 
 COHORT_HEADER = ("patient_id", "wave", "feature", "value")
 OUTCOME_HEADER = ("patient_id", "time", "event")
@@ -181,6 +187,7 @@ def _narrow(ints: np.ndarray) -> np.ndarray:
     return ints.astype(np.int32, copy=False)
 
 
+@utf8_text(CohortParseError, "the outcome file")
 def parse_outcomes(stream: IO[str]) -> dict[str, SurvivalOutcome]:
     """Parse the outcome CSV into a patient_id -> SurvivalOutcome map.
 
@@ -301,7 +308,8 @@ def parse_cohort(
     cells.  Of several faults, the one on the earliest line is reported.
     """
     by_name = {spec.name: spec for spec in features}
-    header = next(csv.reader(stream), None)
+    with utf8_text(CohortParseError, "the cohort file"):
+        header = next(csv.reader(stream), None)
     if header is None or tuple(h.strip() for h in header) != COHORT_HEADER:
         raise CohortParseError(
             f"cohort header must be exactly {','.join(COHORT_HEADER)}", line=1
@@ -312,7 +320,8 @@ def parse_cohort(
     base_of_id = {pid: r << _ROW_SHIFT for r, pid in enumerate(outcome_ids)}
     cells: dict[str, _Cells] = {}
     try:
-        _stream(stream, _Coder(by_name, wave_count, base_of_id, cells))
+        with utf8_text(CohortParseError, "the cohort file"):
+            _stream(stream, _Coder(by_name, wave_count, base_of_id, cells))
     except WaveMineError:
         try:
             _columns(cells, list(base_of_id))

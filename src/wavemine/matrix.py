@@ -10,7 +10,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CohortValidationError, MatrixFormatError
+from .errors import CohortValidationError, MatrixFormatError, utf8_text
 from .miner import PatternResult, odds_ratio, relative_risk
 
 
@@ -145,6 +145,7 @@ def write_sidecar_json(payload: dict, stream: IO[str]) -> None:
     stream.write("\n")
 
 
+@utf8_text(MatrixFormatError, "the matrix file")
 def read_matrix_csv(stream: IO[str], sidecar: dict | None = None) -> BinaryDesignMatrix:
     """Read the matrix CSV back; the sidecar restores canonical pattern keys.
 

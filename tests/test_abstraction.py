@@ -416,3 +416,42 @@ def test_abstract_cohort_holds_no_interval_per_occurrence():
     # bytes (Python 3.11, numpy 2.4); the table of distinct ones at 2,643,860
     assert peak <= 4_500_000
     assert len(doc.table) < doc.code.size // 10
+
+
+def _distinct_runs_reference(label, start, end):
+    """Codes ranking each distinct (label, start, end), and each code's first run, by a dict."""
+    triples = list(zip(label.tolist(), start.tolist(), end.tolist()))
+    rank = {t: c for c, t in enumerate(sorted(set(triples)))}
+    first = {}
+    for k, t in enumerate(triples):
+        first.setdefault(rank[t], k)
+    return [first[c] for c in range(len(rank))], [rank[t] for t in triples]
+
+
+def _random_runs(rng, n, labels, lo, span, dtype):
+    start = rng.integers(lo, lo + span, n).astype(dtype)
+    end = start + rng.integers(0, span, n).astype(dtype)
+    return rng.integers(0, labels, n).astype(np.int32), start, end
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_distinct_runs_equal_the_reference_by_table_and_by_lexsort(dtype):
+    from wavemine.abstraction import _TABLE_CELLS_PER_RUN, _distinct_runs
+    from wavemine.ingest import MAX_WAVE
+
+    rng = np.random.default_rng(31)
+    cases = [(n, labels, 1, span) for n in (1, 7, 400) for labels in (1, 5, 60)
+             for span in (1, 3, 6, 40)]
+    if dtype is np.int64:  # waves past MAX_WAVE: a narrow span far out, and a span wider than int32
+        cases += [(300, 4, MAX_WAVE + 2**33, 3), (300, 4, 1, 2**40)]
+    by_table = 0
+    for n, labels, lo, span in cases:
+        label, start, end = _random_runs(rng, n, labels, lo, span, dtype)
+        at, code = _distinct_runs(label, start, end)
+        assert (at.tolist(), code.tolist()) == _distinct_runs_reference(label, start, end)
+        cells = (int(label.max()) + 1) * (int(end.max()) - int(start.min()) + 1) ** 2
+        by_table += cells <= _TABLE_CELLS_PER_RUN * n
+    assert 0 < by_table < len(cases)  # both sides of the choice were taken
+    empty = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype)
+    at, code = _distinct_runs(*empty)
+    assert at.size == 0 and code.size == 0

@@ -638,3 +638,137 @@ def test_evaluate_rejects_a_bad_sidecar_relative_risk_naming_its_column(mined, t
     err = capsys.readouterr().err
     assert f"error: relative risk for column {key!r} must be a finite number > 0" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def _spoil(src: Path, dst: Path, at: float) -> Path:
+    """``src`` copied to ``dst`` with one 0xff byte put in at fraction ``at`` of its length."""
+    data = src.read_bytes()
+    k = int(len(data) * at)
+    dst.write_bytes(data[:k] + b"\xff" + data[k:])
+    return dst
+
+
+# (id, input file, where its 0xff goes, command line reading {bad} in its place)
+_NOT_UTF8 = [
+    ("cohort-header", "{data}/cohort.csv", 0.0,
+     "pipeline --cohort {bad} --outcomes {data}/outcomes.csv --features {data}/features.json "
+     "--out-dir {tmp}/run"),
+    ("cohort-body", "{data}/cohort.csv", 0.9,
+     "pipeline --cohort {bad} --outcomes {data}/outcomes.csv --features {data}/features.json "
+     "--out-dir {tmp}/run"),
+    ("outcomes", "{data}/outcomes.csv", 0.5,
+     "pipeline --cohort {data}/cohort.csv --outcomes {bad} --features {data}/features.json "
+     "--out-dir {tmp}/run"),
+    ("features", "{data}/features.json", 0.5,
+     "pipeline --cohort {data}/cohort.csv --outcomes {data}/outcomes.csv --features {bad} "
+     "--out-dir {tmp}/run"),
+    ("intervals", "{work}/intervals.json", 0.5, "mine --intervals {bad} --out {tmp}/p.json"),
+    ("patterns", "{work}/patterns.json", 0.5, "render --patterns {bad} --out {tmp}/p.svg"),
+    ("matrix", "{work}/matrix.csv", 0.5, "evaluate --matrix {bad} --sidecar "
+     "{work}/matrix.csv.cols.json --out {tmp}/r.json"),
+    ("sidecar", "{work}/matrix.csv.cols.json", 0.5,
+     "evaluate --matrix {work}/matrix.csv --sidecar {bad} --out {tmp}/r.json"),
+]
+
+
+@pytest.mark.parametrize("source,at,command", [c[1:] for c in _NOT_UTF8],
+                         ids=[c[0] for c in _NOT_UTF8])
+def test_input_that_is_not_utf8_fails_cleanly(mined, tmp_path, capsys, source, at, command):
+    data, work = mined
+    fill = {"data": data, "work": work, "tmp": tmp_path}
+    src = Path(source.format(**fill))
+    bad = _spoil(src, tmp_path / src.name, at)
+    argv = [arg.format(**fill, bad=bad) for arg in command.split()]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not UTF-8 text" in err and "Traceback" not in err
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    # the freeze waits for the interpreter's exit
+    config = _synth_config(tmp_path, patients=30)
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["synth", "--out-dir", str(tmp_path / "a"), "--config", str(config)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_a_spawned_pipeline_writes_what_an_in_process_one_writes(tmp_path):
+    # every writer closes its file in a `with`, so no artifact waits for the
+    # interpreter's exit, which freezes what is left instead of collecting it
+    data = _make_cohort(tmp_path)
+    here = _run_pipeline(tmp_path, data, "here")
+    argv = [sys.executable, "-m", "wavemine.cli", "pipeline", "--cohort", str(data / "cohort.csv"),
+            "--outcomes", str(data / "outcomes.csv"), "--features", str(data / "features.json"),
+            "--out-dir", str(tmp_path / "there"), "--minsup", "0.1", "--risk-threshold", "1.3",
+            "--workers", "1", "--seed", "0"]
+    src = str(Path(wavemine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
+    there = tmp_path / "there"
+    for name in ("intervals.json", "patterns.json", "matrix.csv", "matrix.csv.cols.json",
+                 "report.json", "patterns.svg"):
+        assert (here / name).read_bytes() == (there / name).read_bytes(), name
+    manifests = [json.loads((out / "run_manifest.json").read_text()) for out in (here, there)]
+    for manifest in manifests:
+        manifest.pop("timings_seconds")
+    assert manifests[0] == manifests[1]
+
+
+def test_an_error_on_the_digest_thread_fails_the_command(tmp_path, monkeypatch, capsys):
+    import threading
+
+    data = _make_cohort(tmp_path)
+    threads = []
+
+    def fail(path):
+        threads.append(threading.current_thread())
+        raise OSError(f"cannot read {path.name}")
+
+    monkeypatch.setattr(cli, "_digest", fail)
+    argv = ["pipeline", "--cohort", str(data / "cohort.csv"), "--outcomes",
+            str(data / "outcomes.csv"), "--features", str(data / "features.json"),
+            "--out-dir", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: cannot read cohort.csv\n"
+    assert threads and threads[0] is not threading.main_thread()
+    assert not (tmp_path / "run" / "run_manifest.json").exists()
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="names a pipe through /dev/fd")
+def test_an_input_read_from_a_pipe_is_hashed_after_the_parse(tmp_path, monkeypatch):
+    import hashlib
+    import threading
+
+    data = _make_cohort(tmp_path)
+    expected = _run_pipeline(tmp_path, data, "file")
+    digest, hashed_on = cli._digest, {}
+
+    def recorded(path):
+        hashed_on[path.name] = threading.current_thread() is threading.main_thread()
+        return digest(path)
+
+    monkeypatch.setattr(cli, "_digest", recorded)
+    r, w = os.pipe()
+    cohort = (data / "cohort.csv").read_bytes()
+
+    def feed():
+        with open(w, "wb") as fh:
+            fh.write(cohort)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        assert main(["pipeline", "--cohort", f"/dev/fd/{r}", "--outcomes",
+                     str(data / "outcomes.csv"), "--features", str(data / "features.json"),
+                     "--out-dir", str(tmp_path / "pipe"), "--minsup", "0.1",
+                     "--risk-threshold", "1.3", "--seed", "0"]) == 0
+    finally:
+        feeder.join(timeout=60)
+        os.close(r)
+    assert not feeder.is_alive()
+    for name in ("intervals.json", "patterns.json", "report.json"):
+        assert (expected / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes(), name
+    # the files are hashed on the background thread, the pipe after the parse drained it
+    assert hashed_on == {"outcomes.csv": False, "features.json": False, str(r): True}
+    digests = json.loads((tmp_path / "pipe" / "run_manifest.json").read_text())["input_digests"]
+    assert digests["cohort"] == hashlib.sha256(b"").hexdigest()
