@@ -22,7 +22,6 @@ import hashlib
 import json
 import logging
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -53,46 +52,13 @@ log = logging.getLogger(__name__)
 
 
 def _digest(path: Path) -> str:
-    """The file's SHA-256, read 64 KiB at a time into one buffer."""
-    sha, buf = hashlib.sha256(), bytearray(1 << 16)
+    """The file's SHA-256, read 1 MiB at a time into one buffer."""
+    sha, buf = hashlib.sha256(), bytearray(1 << 20)
     view = memoryview(buf)
     with open(path, "rb") as fh:
         while n := fh.readinto(buf):
             sha.update(view[:n])
     return sha.hexdigest()
-
-
-class _Digests:
-    """The SHA-256 of each input, read on one background thread from the moment it is made.
-
-    ``hashlib`` and ``readinto`` release the GIL, so the hashing overlaps the
-    command's own work.  Only regular files are read there: a pipe read by
-    two readers at once would lose data to one of them, so ``result`` hashes
-    any other input when it is called, after the command has read it.  An
-    error on the thread is raised by ``result``.
-    """
-
-    def __init__(self, inputs: dict):
-        self.inputs = {name: Path(p) for name, p in inputs.items()}
-        self.digests: dict[str, str] = {}
-        self.error: Exception | None = None
-        self.thread = threading.Thread(target=self._run, name="wavemine-digests", daemon=True)
-        self.thread.start()
-
-    def _run(self) -> None:
-        try:
-            for name, path in self.inputs.items():
-                if path.is_file():
-                    self.digests[name] = _digest(path)
-        except Exception as exc:  # raised again by result()
-            self.error = exc
-
-    def result(self) -> dict[str, str]:
-        self.thread.join()
-        if self.error is not None:
-            raise self.error
-        return {name: self.digests.get(name) or _digest(path)
-                for name, path in self.inputs.items()}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -110,7 +76,7 @@ def _read_json(path: Path):
 
 
 def _run_manifest(
-    path: Path, command: str, inputs: _Digests, config: dict, metrics: dict, timings: dict
+    path: Path, command: str, inputs: dict, config: dict, metrics: dict, timings: dict
 ) -> None:
     _write_json(
         path,
@@ -118,7 +84,7 @@ def _run_manifest(
             "tool": "wavemine",
             "version": __version__,
             "command": command,
-            "input_digests": inputs.result(),
+            "input_digests": {name: _digest(Path(p)) for name, p in inputs.items()},
             "config": config,
             "metrics": metrics,
             "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
@@ -269,7 +235,6 @@ def _cmd_synth(args) -> int:
     # flag > config file > SynthConfig's default
     flags = {name: value for name in SYNTH_FLAGS if (value := getattr(args, name)) is not None}
     config = parse_synth_config({**_config_file(args), **flags})
-    inputs = _Digests({"config": args.config} if args.config else {})
     cohort, specs, manifest = generate(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -279,6 +244,7 @@ def _cmd_synth(args) -> int:
         write_outcomes_csv(cohort.outcomes(), fh)
     _write_json(out_dir / "features.json", feature_config_payload(specs))
     _write_json(out_dir / "manifest.json", manifest)
+    inputs = {"config": args.config} if args.config else {}
     _run_manifest(
         out_dir / "run_manifest.json",
         "synth",
@@ -309,12 +275,11 @@ def _abstract_stage(args, out: Path) -> CohortIntervals:
 
 def _cmd_abstract(args) -> int:
     t0 = time.perf_counter()
-    inputs = _Digests({"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features})
     doc = _abstract_stage(args, Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "abstract",
-        inputs,
+        {"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features},
         _abstract_config(args),
         {},
         {"abstract": time.perf_counter() - t0},
@@ -339,7 +304,6 @@ def _mine_stage(doc: CohortIntervals, config: MinerConfig, out: Path, timings: d
 
 def _cmd_mine(args) -> int:
     t0 = time.perf_counter()
-    inputs = _Digests({"intervals": args.intervals})
     doc = _load_intervals(Path(args.intervals))
     config = _miner_config(_effective(args, MINE_DEFAULTS))
     timings = {"load": time.perf_counter() - t0}
@@ -347,7 +311,7 @@ def _cmd_mine(args) -> int:
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "mine",
-        inputs,
+        {"intervals": args.intervals},
         _mine_config_payload(config),
         _mining_metrics(stats),
         timings,
@@ -369,14 +333,13 @@ def _matrix_stage(results, doc: CohortIntervals, out: Path):
 
 def _cmd_matrix(args) -> int:
     t0 = time.perf_counter()
-    inputs = _Digests({"intervals": args.intervals, "patterns": args.patterns})
     doc = _load_intervals(Path(args.intervals))
     results = _read_patterns(Path(args.patterns))[0]
     matrix, _ = _matrix_stage(results, doc, Path(args.out))
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "matrix",
-        inputs,
+        {"intervals": args.intervals, "patterns": args.patterns},
         {},
         {},
         {"matrix": time.perf_counter() - t0},
@@ -419,7 +382,6 @@ def _cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     settings = _eval_config(_effective(args, EVAL_DEFAULTS))
     sidecar_path = Path(args.sidecar if args.sidecar else args.matrix + ".cols.json")
-    inputs = _Digests({"matrix": args.matrix, "sidecar": str(sidecar_path)})
     sidecar = _read_json(sidecar_path)
     with open(args.matrix, "r", encoding="utf-8") as fh:
         matrix = read_matrix_csv(fh, sidecar)
@@ -427,7 +389,7 @@ def _cmd_evaluate(args) -> int:
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "evaluate",
-        inputs,
+        {"matrix": args.matrix, "sidecar": str(sidecar_path)},
         settings,
         metrics,
         {"evaluate": time.perf_counter() - t0},
@@ -449,8 +411,6 @@ def _render_stage(results, severity_of, measure, ranking_keys, top: int, out: Pa
 def _cmd_render(args) -> int:
     t0 = time.perf_counter()
     settings = _render_config(_effective(args, RENDER_DEFAULTS))
-    paths = {"patterns": args.patterns, "report": args.report}
-    inputs = _Digests({name: path for name, path in paths.items() if path})
     results, severity_of, measure = _read_patterns(Path(args.patterns))
     if args.report:
         try:
@@ -462,6 +422,9 @@ def _cmd_render(args) -> int:
     else:
         ranking_keys = [r.pattern.key() for r in results]
     _render_stage(results, severity_of, measure, ranking_keys, settings["top"], Path(args.out))
+    inputs = {"patterns": args.patterns}
+    if args.report:
+        inputs["report"] = args.report
     _run_manifest(
         Path(args.out + ".manifest.json"),
         "render",
@@ -482,7 +445,6 @@ def _cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    inputs = _Digests({"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features})
 
     t0 = time.perf_counter()
     doc = _abstract_stage(args, out_dir / "intervals.json")
@@ -508,7 +470,7 @@ def _cmd_pipeline(args) -> int:
     _run_manifest(
         out_dir / "run_manifest.json",
         "pipeline",
-        inputs,
+        {"cohort": args.cohort, "outcomes": args.outcomes, "features": args.features},
         {**_abstract_config(args), **_mine_config_payload(config), **eval_settings,
          **render_settings},
         {**_mining_metrics(stats), **eval_metrics},

@@ -311,14 +311,12 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
     code, between separators) joined by one ``"".join`` and one ``write``;
     strings are escaped as ``json`` escapes them.  What
     ``read_intervals_json`` would refuse raises its ``MatrixFormatError``
-    before anything is written: a bad event or time, checked for all
-    patients at once and reported for the first that has one, then a wave
-    that is no integer (a bool, or a float such as 1.5), checked once per
-    table entry and reported for the first patient that holds it.
+    before anything is written: a bad event or time, then a wave that is no
+    integer (a bool, or a float such as 1.5), checked once per table entry
+    and reported for the first patient that holds it.
     """
-    if not _outcomes_valid(doc.times, doc.events):
-        for pid, time, event in zip(doc.ids, doc.times, doc.events):
-            _check_outcome(pid, time, event)
+    for pid, time, event in zip(doc.ids, doc.times, doc.events):
+        _check_outcome(pid, time, event)
     table, code = doc.table, doc.code
     refused = np.array([not (_integral(iv.start) and _integral(iv.end)) for iv in table],
                        dtype=bool)[code]  # per occurrence
@@ -354,7 +352,7 @@ def write_intervals_json(doc: CohortIntervals, stream: IO[str]) -> None:
         pieces[first] = ',\n    {\n      "patient_id": '
         pieces[first + 1] = _strings(doc.ids[a:b])
         pieces[first + 2] = ',\n      "time": '
-        pieces[first + 3] = list(map(repr, doc.times[a:b]))  # finite ints and floats, checked
+        pieces[first + 3] = list(map(_number, doc.times[a:b]))
         pieces[first + 4] = ',\n      "event": '
         events = np.array(doc.events[a:b], dtype=np.intp)
         pieces[first + 5] = opening[2 * events + (counts > 0)]
@@ -396,18 +394,6 @@ def _check_outcome(pid, time, event) -> None:
         raise MatrixFormatError(f"patient {pid!r}: event must be 0/1 or a bool, got {event!r}")
     if type(time) not in (int, float) or not (math.isfinite(time) and time >= 1):
         raise MatrixFormatError(f"patient {pid!r}: time must be finite and >= 1, got {time!r}")
-
-
-def _outcomes_valid(times, events) -> bool:
-    """Whether every patient passes ``_check_outcome``, tested on the whole columns."""
-    if not (set(map(type, events)) <= {bool, int} and set(events) <= {0, 1}
-            and set(map(type, times)) <= {int, float}):
-        return False
-    try:
-        t = np.array(times, dtype=float)
-    except OverflowError:  # an int time past float's range, which math.isfinite refuses too
-        return False
-    return bool(np.all(np.isfinite(t) & (t >= 1)))
 
 
 def _read_patient(p) -> tuple:

@@ -419,13 +419,11 @@ def test_abstract_cohort_holds_no_interval_per_occurrence():
 
 
 def _distinct_runs_reference(label, start, end):
-    """Codes ranking each distinct (label, start, end), and each code's first run, by a dict."""
+    """The distinct (label, start, end) in order, and each run's code ranking them, by a dict."""
     triples = list(zip(label.tolist(), start.tolist(), end.tolist()))
-    rank = {t: c for c, t in enumerate(sorted(set(triples)))}
-    first = {}
-    for k, t in enumerate(triples):
-        first.setdefault(rank[t], k)
-    return [first[c] for c in range(len(rank))], [rank[t] for t in triples]
+    distinct = sorted(set(triples))
+    rank = {t: c for c, t in enumerate(distinct)}
+    return distinct, [rank[t] for t in triples]
 
 
 def _random_runs(rng, n, labels, lo, span, dtype):
@@ -448,7 +446,8 @@ def test_distinct_runs_equal_the_reference_by_table_and_by_lexsort(dtype):
     for n, labels, lo, span in cases:
         label, start, end = _random_runs(rng, n, labels, lo, span, dtype)
         at, code = _distinct_runs(label, start, end)
-        assert (at.tolist(), code.tolist()) == _distinct_runs_reference(label, start, end)
+        held = list(zip(label[at].tolist(), start[at].tolist(), end[at].tolist()))
+        assert (held, code.tolist()) == _distinct_runs_reference(label, start, end)
         cells = (int(label.max()) + 1) * (int(end.max()) - int(start.min()) + 1) ** 2
         by_table += cells <= _TABLE_CELLS_PER_RUN * n
     assert 0 < by_table < len(cases)  # both sides of the choice were taken

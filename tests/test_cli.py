@@ -714,14 +714,10 @@ def test_a_spawned_pipeline_writes_what_an_in_process_one_writes(tmp_path):
     assert manifests[0] == manifests[1]
 
 
-def test_an_error_on_the_digest_thread_fails_the_command(tmp_path, monkeypatch, capsys):
-    import threading
-
+def test_an_error_hashing_an_input_fails_the_command(tmp_path, monkeypatch, capsys):
     data = _make_cohort(tmp_path)
-    threads = []
 
     def fail(path):
-        threads.append(threading.current_thread())
         raise OSError(f"cannot read {path.name}")
 
     monkeypatch.setattr(cli, "_digest", fail)
@@ -730,45 +726,4 @@ def test_an_error_on_the_digest_thread_fails_the_command(tmp_path, monkeypatch, 
             "--out-dir", str(tmp_path / "run")]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: cannot read cohort.csv\n"
-    assert threads and threads[0] is not threading.main_thread()
     assert not (tmp_path / "run" / "run_manifest.json").exists()
-
-
-@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="names a pipe through /dev/fd")
-def test_an_input_read_from_a_pipe_is_hashed_after_the_parse(tmp_path, monkeypatch):
-    import hashlib
-    import threading
-
-    data = _make_cohort(tmp_path)
-    expected = _run_pipeline(tmp_path, data, "file")
-    digest, hashed_on = cli._digest, {}
-
-    def recorded(path):
-        hashed_on[path.name] = threading.current_thread() is threading.main_thread()
-        return digest(path)
-
-    monkeypatch.setattr(cli, "_digest", recorded)
-    r, w = os.pipe()
-    cohort = (data / "cohort.csv").read_bytes()
-
-    def feed():
-        with open(w, "wb") as fh:
-            fh.write(cohort)
-
-    feeder = threading.Thread(target=feed)
-    feeder.start()
-    try:
-        assert main(["pipeline", "--cohort", f"/dev/fd/{r}", "--outcomes",
-                     str(data / "outcomes.csv"), "--features", str(data / "features.json"),
-                     "--out-dir", str(tmp_path / "pipe"), "--minsup", "0.1",
-                     "--risk-threshold", "1.3", "--seed", "0"]) == 0
-    finally:
-        feeder.join(timeout=60)
-        os.close(r)
-    assert not feeder.is_alive()
-    for name in ("intervals.json", "patterns.json", "report.json"):
-        assert (expected / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes(), name
-    # the files are hashed on the background thread, the pipe after the parse drained it
-    assert hashed_on == {"outcomes.csv": False, "features.json": False, str(r): True}
-    digests = json.loads((tmp_path / "pipe" / "run_manifest.json").read_text())["input_digests"]
-    assert digests["cohort"] == hashlib.sha256(b"").hexdigest()

@@ -1,7 +1,6 @@
 import dataclasses
 import random
 
-import numpy as np
 import pytest
 
 from wavemine.abstraction import StateInterval
@@ -419,46 +418,6 @@ def test_intervals_json_writer_matches_json_dump(name):
     write_intervals_json(doc, buf)
     assert buf.getvalue() == _reference_intervals_json(doc)
     assert len(read_intervals_json(io.StringIO(buf.getvalue())).patients) == len(doc.patients)
-
-
-_OUTCOME_VALUES = [
-    (3.0, True), (1, False), (2, 1), (1.0, 0), (0.999, 1), (0.0, 0), (-5, 1),
-    (float("nan"), 1), (float("inf"), 0), (float("-inf"), 0), (2**60, 1), (3.0, 2),
-    (3.0, -1), (3.0, 1.0), (3.0, "1"), (3.0, None), ("3", 1), (True, 1), (None, 0),
-    (np.float64(3.0), 1), (3.0, np.int64(1)), (3.0, np.bool_(True)),
-]
-
-
-@pytest.mark.parametrize("time,event", _OUTCOME_VALUES)
-def test_the_outcome_columns_test_agrees_with_the_per_patient_check(time, event):
-    from wavemine.encoding import _check_outcome, _outcomes_valid
-
-    try:
-        _check_outcome("p1", time, event)
-    except MatrixFormatError:
-        passes = False
-    else:
-        passes = True
-    good = (3.0, True)
-    assert _outcomes_valid([good[0], time, good[0]], [good[1], event, good[1]]) is passes
-    assert _outcomes_valid([], []) is True
-
-
-def test_a_time_past_floats_range_fails_as_the_per_patient_check_does():
-    import io
-
-    from wavemine.encoding import (
-        CohortIntervals,
-        PatientIntervals,
-        _outcomes_valid,
-        write_intervals_json,
-    )
-
-    huge = 10**400
-    assert _outcomes_valid([huge], [1]) is False
-    with pytest.raises(OverflowError):
-        write_intervals_json(CohortIntervals(2, {}, (PatientIntervals("p1", huge, True, ()),)),
-                             io.StringIO())
 
 
 def test_cohort_intervals_store_each_distinct_interval_once():
