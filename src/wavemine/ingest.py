@@ -231,7 +231,6 @@ _WIDE = 256  # bytes: a block with a wider field is split by csv.reader
 _PACKED = 1 << 20  # bytes: the most one field's packed items take; a block packs in parts
 _INT32_MAX = 2**31 - 1
 _VOCAB_BYTES = 1 << 20  # a field's vocabulary stops growing at this size
-_SCAN = 16  # a vocabulary of at most this many keys is searched by comparing with each
 # _MASKS[n] keeps the first n bytes in memory of an 8-byte word
 _MASKS = np.frombuffer(b"".join(bytes(n * [255] + (8 - n) * [0]) for n in range(9)), np.uint64)
 
@@ -256,19 +255,15 @@ class _Cells:
         self.chunks.clear()  # a second copy of every cell
         key, values = np.concatenate(keys), np.concatenate(chunk_values)
         del keys, chunk_values
+        order = np.argsort(key, kind="stable")
+        key, values = key[order], values[order]
         categories = None if self.categories is None else tuple(self.categories)
-        ordered = np.all(key[1:] > key[:-1])  # in (row, wave) order, no cell twice
-        if not ordered:
-            lines = np.concatenate(chunk_lines)
-            order = np.argsort(key, kind="stable")
-            key, values, lines = key[order], values[order], lines[order]
         column = _column(key >> _ROW_SHIFT, key & ((1 << _ROW_SHIFT) - 1), values, categories)
-        if ordered:
-            return column, None
         repeats = np.flatnonzero(key[1:] == key[:-1]) + 1
         if not repeats.size:
             return column, None
         # a stable sort keeps a cell's first line first, so each repeat is a later line
+        lines = np.concatenate(chunk_lines)[order]
         i = int(repeats[np.argmin(lines[repeats])])
         line, row, wave = int(lines[i]), int(column.row[i]), int(column.wave[i])
         message = f"line {line}: duplicate cell ({ids[row]!r}, {self.name!r}, wave {wave})"
@@ -451,74 +446,46 @@ def _code_records(records, line: int, coder: _Coder) -> int:
 class _Vocab:
     """The distinct fields of one packing that passed their check, with their values.
 
-    The fields sit in sorted runs of packed fields (uint64 words, ``S{w}``
-    bytes, or strs), each with what its fields code to; a run holds more
-    than twice as many as the next, newer one.  A block's new fields join as
-    a run that merges with the newer runs it outgrows, so a field is copied
-    O(log n) times over the parse, and a lookup searches O(log n) runs.  The
-    vocabulary takes no more runs once it holds ``_VOCAB_BYTES``, so a
-    column of all-distinct numbers costs a block no more than checking them.
+    The fields are packed (uint64 words, ``S{w}`` bytes, or strs) and kept
+    in one sorted array, beside what each codes to.  A block's new fields
+    are merged in, a wider ``S{w}`` block widening the keys, until the
+    vocabulary holds ``_VOCAB_BYTES``; so a column of all-distinct numbers
+    costs a block no more than checking them.
     """
 
-    __slots__ = ("runs", "nbytes", "dtype")
+    __slots__ = ("keys", "values")
 
-    def __init__(self, dtype):
-        self.runs: list[tuple[np.ndarray, np.ndarray]] = []  # (sorted keys, values), oldest first
-        self.nbytes, self.dtype = 0, dtype
+    def __init__(self, key_type, dtype):
+        self.keys, self.values = np.empty(0, key_type), np.empty(0, dtype)  # keys sorted
 
     def find(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each item's value (arbitrary if missing), and whether it is there."""
-        if not self.runs:
-            return np.empty(items.size, self.dtype), np.zeros(items.size, dtype=bool)
-        (keys, values), *newer = self.runs
-        at = _search(keys, items)
-        hit = keys.take(at) == items
-        values = values.take(at)
-        for keys, run_values in newer:
-            missed = np.flatnonzero(~hit)
-            if not missed.size:
-                break
-            at = _search(keys, items[missed])
-            found = keys.take(at) == items[missed]
-            values[missed[found]] = run_values.take(at[found])
-            hit[missed[found]] = True
-        return values, hit
+        if not self.keys.size:
+            return np.empty(items.size, self.values.dtype), np.zeros(items.size, dtype=bool)
+        at = np.searchsorted(self.keys, items)
+        at[at == self.keys.size] = 0  # past the last key: a miss, at a valid index
+        return self.values.take(at), self.keys.take(at) == items
 
     def add(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Add sorted new keys and their values as a run, while there is room."""
-        if self.nbytes >= _VOCAB_BYTES or not keys.size:
+        """Merge in sorted new keys and their values, while there is room."""
+        if self.keys.nbytes + self.values.nbytes >= _VOCAB_BYTES:
             return
-        self.nbytes += keys.nbytes + values.nbytes
-        while self.runs and self.runs[-1][0].size <= 2 * keys.size:
-            old_keys, old_values = self.runs.pop()
-            if keys.dtype.itemsize > old_keys.dtype.itemsize:  # a wider S{w} block
-                old_keys = old_keys.astype(keys.dtype)
-            at = np.searchsorted(old_keys, keys)
-            keys, values = np.insert(old_keys, at, keys), np.insert(old_values, at, values)
-        self.runs.append((keys, values))
-
-
-def _search(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Where each item is or would go in the sorted ``keys``, clipped to a valid index."""
-    if keys.size <= _SCAN:  # a binary search would mispredict a branch at every step
-        at = np.zeros(items.size, dtype=np.uint8)
-        for key in keys[:-1]:
-            at += items > key
-        return at
-    at = np.searchsorted(keys, items)
-    at[at == keys.size] = 0
-    return at
+        if keys.dtype.itemsize > self.keys.dtype.itemsize:  # a wider S{w} block
+            self.keys = self.keys.astype(keys.dtype)
+        at = np.searchsorted(self.keys, keys)
+        self.keys = np.insert(self.keys, at, keys)
+        self.values = np.insert(self.values, at, values)
 
 
 class _Coder:
     """Codes records into each feature's _Cells, checking each distinct field once per parse.
 
     Each field (the patient, the wave, the feature, and each feature's value)
-    keeps a ``_Vocab`` per packing for the whole parse.  A block looks its
-    fields up there; only fields not in it are checked, each once, in order
-    of first appearance, and those that pass join it.  ``base_of_id`` maps
-    each patient id to its row shifted into a key, and gains a row for each
-    patient found without an outcome, in order of first appearance; its
+    keeps a sorted ``_Vocab`` per packing for the whole parse.  A block finds
+    its fields there; only fields not in it are checked, each once, in order
+    of first appearance, and those that pass are merged in.  ``base_of_id``
+    maps each patient id to its row shifted into a key, and gains a row for
+    each patient found without an outcome, in order of first appearance; its
     outcome ids fill the patient vocabularies from the start.
     """
 
@@ -556,7 +523,7 @@ class _Coder:
         for keys, values in ((packed[short].astype("S8").view(np.uint64), bases[short]),
                              (packed, bases)):
             order = np.argsort(keys)
-            vocab = self.vocabs["patient", keys.dtype.kind] = _Vocab(np.int64)
+            vocab = self.vocabs["patient", keys.dtype.kind] = _Vocab(keys.dtype, np.int64)
             vocab.add(keys[order], values[order])
 
     def code(self, fields, lines: np.ndarray, miscount: tuple[int, int] | None) -> None:
@@ -613,7 +580,7 @@ class _Coder:
         """
         vocab = self.vocabs.get((field, items.dtype.kind))
         if vocab is None:
-            vocab = self.vocabs[field, items.dtype.kind] = _Vocab(dtype)
+            vocab = self.vocabs[field, items.dtype.kind] = _Vocab(items.dtype, dtype)
         values, hit = vocab.find(items)
         if hit.all():
             return values

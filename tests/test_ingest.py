@@ -660,19 +660,34 @@ def test_outcome_ids_that_are_no_strs_match_no_cell():
     assert _first_fault(parse_cohort, data, outcomes, None) == expected
 
 
-def test_vocabulary_runs_shrink_geometrically_and_find_every_key():
-    rng = np.random.default_rng(4)
-    vocab, held = ingest._Vocab(np.int64), np.empty(0, dtype=np.uint64)
-    for size in rng.integers(1, 60, 40).tolist():
-        new = np.setdiff1d(rng.integers(0, 10**6, size).astype(np.uint64), held)  # sorted
-        vocab.add(new, new.astype(np.int64) * 3)
-        held = np.union1d(held, new)
-        sizes = [keys.size for keys, _ in vocab.runs]
-        assert all(older > 2 * newer for older, newer in zip(sizes, sizes[1:]))
-    assert 1 < len(vocab.runs) <= 1 + int(np.log2(held.size))
-    values, hit = vocab.find(np.append(held, np.uint64(10**7)))
-    assert hit.tolist() == [True] * held.size + [False]
-    assert values[:-1].tolist() == (held.astype(np.int64) * 3).tolist()
+@pytest.mark.parametrize("vocab_bytes", [1 << 20, 600])
+@pytest.mark.parametrize("widths", [[0], [8, 16, 8, 24]], ids=["words", "bytes"])
+def test_a_vocabulary_finds_every_key_it_took(monkeypatch, widths, vocab_bytes):
+    # widths: each block's S{w} packing in turn, 0 for uint64 words; a wider
+    # block widens the keys, a narrower one is merged in as it is
+    monkeypatch.setattr(ingest, "_VOCAB_BYTES", vocab_bytes)
+    rng, seen, blocks = random.Random(4), set(), []
+    for b in range(40):
+        width = widths[b % len(widths)]
+        fields = {"".join(rng.choices("abcdefgh", k=rng.randint(1, width or 8))).encode()
+                  for _ in range(rng.randint(1, 60))} - seen
+        keys = np.array(sorted(fields), dtype=f"S{width or 8}")
+        keys = np.sort(keys if width else keys.view(np.uint64))
+        blocks.append((keys, np.arange(len(seen), len(seen) + keys.size) * 3))  # distinct
+        seen |= fields
+    vocab = ingest._Vocab(blocks[0][0].dtype, np.int64)
+    for added in range(1, len(blocks) + 1):
+        vocab.add(*blocks[added - 1])
+        taken = []  # whether each block added so far is in the vocabulary
+        for keys, values in blocks[:added]:
+            found, hit = vocab.find(keys)
+            assert hit.all() or not hit.any()
+            assert found[hit].tolist() == values[hit].tolist()
+            taken.append(bool(hit.any()))
+        assert taken == sorted(taken, reverse=True)  # nothing is taken once it is full
+    assert (sum(taken) == len(blocks)) == (vocab_bytes == 1 << 20) and sum(taken) > 1
+    absent = np.array([b"0"], dtype="S8")
+    assert not vocab.find(absent if widths[0] else absent.view(np.uint64))[1].any()
 
 
 def _long_csv(patients=12_500, waves=6):
