@@ -19,7 +19,6 @@ from .abstraction import (
     Level,
     StateInterval,
     abstract_value,
-    build_intervals,
     fit_percentiles,
 )
 from .encoding import (
@@ -83,7 +82,6 @@ __all__ = [
     "TemporalPattern",
     "abstract_value",
     "brute_force_mine",
-    "build_intervals",
     "build_matrix",
     "canonical_form",
     "carry_forward",

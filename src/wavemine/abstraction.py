@@ -299,23 +299,6 @@ def _intervals_by_row(
     return table, row[order].astype(np.intp, copy=False), code[order]
 
 
-def build_intervals(
-    values: Mapping[str, Mapping[int, object]],
-    specs: Sequence[FeatureSpec],
-    edges_by_feature: Mapping[str, np.ndarray] | None = None,
-) -> list[StateInterval]:
-    """Abstract one patient's (carry-forwarded) series into state intervals.
-
-    Maximal runs of the same level over consecutive waves become one interval;
-    a gap in observation breaks the run even if the level matches.
-    """
-    from .ingest import series_columns
-
-    columns = series_columns([values], specs)
-    table, _row, code = _intervals_by_row(columns, specs, edges_by_feature or {})
-    return [table[c] for c in code.tolist()]
-
-
 def fit_cohort_edges(cohort, specs: Sequence[FeatureSpec]):
     """Fit percentile edges per feature over all pooled patient/wave values.
 
@@ -352,7 +335,7 @@ def abstract_cohort(cohort, specs: Sequence[FeatureSpec]):
     }
     table, row, code = _intervals_by_row(cohort.columns, usable, edges)
     outcomes = cohort.patient_outcomes
-    return CohortIntervals.from_table(
+    return CohortIntervals(
         cohort.wave_count,
         severities,
         {name: [float(e) for e in arr] for name, arr in edges.items()},

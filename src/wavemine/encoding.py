@@ -11,15 +11,16 @@ as one dictionary-encoded ``CohortIntervals``: ``table`` holds each distinct
 ``StateInterval`` once, as given (an int wave and a float wave stay apart),
 and two int arrays, ``row`` and ``code``, hold one entry per occurrence, in
 patient order and then in the order given; ``ids``, ``times`` and ``events``
-hold one per patient.  ``patients`` is a view of ``PatientIntervals`` built
-on first use, and ``CohortIntervals(wave_count, levels, patients, edges)``
-still builds a document by encoding the patients it is given.
+hold one per patient.  Its one constructor takes these arrays as they are:
+``abstract_cohort`` and ``read_intervals_json`` build them directly, and
+the miner's store and ``write_intervals_json`` read them as arrays.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -181,29 +182,6 @@ class PatientIntervals:
     intervals: tuple[StateInterval, ...]
 
 
-class _PatientsView:
-    """``CohortIntervals.patients``: encoded when set, decoded into a tuple on first read."""
-
-    def __get__(self, doc, owner=None):
-        if doc is None:
-            raise AttributeError("patients")  # so the dataclass field has no default
-        view = doc.__dict__.get("_patients")
-        if view is None:
-            table, bounds = doc.table, doc.bounds().tolist()
-            flat = list(map(table.__getitem__, doc.code.tolist()))
-            view = tuple(map(
-                PatientIntervals, doc.ids, doc.times, doc.events,
-                [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])],
-            ))
-            object.__setattr__(doc, "_patients", view)
-        return view
-
-    def __set__(self, doc, patients):
-        doc._encoded(*_dictionary_encode(
-            (p.patient_id, p.time, p.event, p.intervals) for p in patients
-        ))
-
-
 def _dictionary_encode(patients: Iterable[tuple]) -> tuple:
     """Encode (patient_id, time, event, intervals) entries: table, row, code, ids, times, events.
 
@@ -231,34 +209,50 @@ def _dictionary_encode(patients: Iterable[tuple]) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohortIntervals:
     """The intermediate intervals artifact handed from abstraction to mining.
 
     Dictionary-encoded (see the module docstring): occurrence k is
     ``table[code[k]]`` of patient ``row[k]``, rows ascending, and per patient
-    ``ids``, ``times`` and ``events``.  ``from_table`` shares encoded arrays.
+    ``ids``, ``times`` and ``events``.  ``row`` and ``code`` are shared, not copied.
     """
 
     wave_count: int
     levels: Mapping[str, Mapping[str, str]]  # feature -> level -> severity
-    patients: tuple[PatientIntervals, ...] = _PatientsView()
-    edges: Mapping[str, Sequence[float]] | None = None
+    edges: Mapping[str, Sequence[float]] | None
+    table: Sequence[StateInterval]
+    row: np.ndarray  # intp, ascending
+    code: np.ndarray  # intp, indexing table
+    ids: Sequence[str]
+    times: Sequence[float]
+    events: Sequence[bool]
 
-    @classmethod
-    def from_table(cls, wave_count, levels, edges, table, row, code, ids, times, events):
-        """A document over encoded intervals: ``row`` ascending, ``code`` indexing ``table``."""
-        doc = cls.__new__(cls)
-        for name, value in (("wave_count", wave_count), ("levels", levels), ("edges", edges)):
-            object.__setattr__(doc, name, value)
-        doc._encoded(table, row, code, ids, times, events)
-        return doc
+    def __post_init__(self):
+        for name in ("table", "ids", "times", "events"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    def _encoded(self, table, row, code, ids, times, events) -> None:
-        for name, value in (("table", tuple(table)), ("row", row), ("code", code),
-                            ("ids", tuple(ids)), ("times", tuple(times)),
-                            ("events", tuple(events))):
-            object.__setattr__(self, name, value)
+    def __eq__(self, other):
+        """The same patients with the same intervals, in order, whatever the table order."""
+        if not isinstance(other, CohortIntervals):
+            return NotImplemented
+        heads = [(d.wave_count, d.levels, d.edges, d.ids, d.times, d.events, d.row.tolist(),
+                  list(map(d.table.__getitem__, d.code.tolist()))) for d in (self, other)]
+        return heads[0] == heads[1]
+
+    @cached_property
+    def patients(self) -> tuple[PatientIntervals, ...]:
+        """Each patient's ``PatientIntervals``, decoded on first read.
+
+        Nothing in the package reads them; they stay for
+        ``perfbench/tracer.py``, which counts intervals through them.
+        """
+        table, bounds = self.table, self.bounds().tolist()
+        flat = list(map(table.__getitem__, self.code.tolist()))
+        return tuple(map(
+            PatientIntervals, self.ids, self.times, self.events,
+            [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])],
+        ))
 
     def bounds(self) -> np.ndarray:
         """Patient i's occurrences are ``bounds[i]`` up to ``bounds[i + 1]``."""
@@ -427,7 +421,7 @@ def read_intervals_json(stream: IO[str]) -> CohortIntervals:
             raise MatrixFormatError(
                 "bad intervals JSON structure: levels must map each feature to an object"
             )
-        return CohortIntervals.from_table(
+        return CohortIntervals(
             int(payload["wave_count"]),
             levels,
             payload.get("edges") or None,

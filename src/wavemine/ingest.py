@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -80,30 +80,20 @@ class Column(NamedTuple):
 class RawCohort:
     """A cohort held as columns: one row per patient, one Column per feature with a cell.
 
-    ``RawCohort(wave_count, features, patients)`` builds the columns from
-    PatientRecords, whose rows keep their order; a feature of a numeric kind
-    holds floats.  ``patients`` gives the records back, built on first use,
-    each with its features by name and each series by wave.
+    The columns are shared, not copied, and kept in feature-name order.
+    ``patients`` gives PatientRecords back, built on first use, each with its
+    features by name and each series by wave.  Nothing in the package reads
+    them; they stay for ``perfbench/tracer.py``, which counts cells through them.
     """
 
     def __init__(
         self,
         wave_count: int,
         features: Sequence[FeatureSpec],
-        patients: Sequence[PatientRecord] = (),
+        patient_ids: Sequence[str],
+        patient_outcomes: Sequence[SurvivalOutcome],
+        columns: Mapping[str, Column],
     ):
-        columns = series_columns([p.values for p in patients], features)
-        self._set(wave_count, features, [p.patient_id for p in patients],
-                  [p.outcome for p in patients], columns)
-
-    @classmethod
-    def from_columns(cls, wave_count, features, patient_ids, patient_outcomes, columns):
-        """A cohort over already ordered columns, which it shares."""
-        cohort = cls.__new__(cls)
-        cohort._set(wave_count, features, patient_ids, patient_outcomes, columns)
-        return cohort
-
-    def _set(self, wave_count, features, patient_ids, patient_outcomes, columns) -> None:
         self.wave_count = wave_count
         self.features = tuple(features)
         self.patient_ids: tuple[str, ...] = tuple(patient_ids)
@@ -121,56 +111,23 @@ class RawCohort:
         return tuple(map(PatientRecord, self.patient_ids, values, self.patient_outcomes))
 
     def __eq__(self, other):
+        """The same patients, outcomes and cells, whatever order categories were coded in."""
         if not isinstance(other, RawCohort):
             return NotImplemented
-        return (self.wave_count, self.features, self.patients) == (
-            other.wave_count, other.features, other.patients
+        heads = [(c.wave_count, c.features, c.patient_ids, c.patient_outcomes, c.columns.keys())
+                 for c in (self, other)]
+        # both columns dicts are in name order, so equal keys pair each column with its own
+        return heads[0] == heads[1] and all(
+            np.array_equal(a.row, b.row) and np.array_equal(a.wave, b.wave) and a.raw() == b.raw()
+            for a, b in zip(self.columns.values(), other.columns.values())
         )
 
     def __repr__(self) -> str:
         return (f"RawCohort(wave_count={self.wave_count}, patients={len(self.patient_ids)}, "
                 f"features={[spec.name for spec in self.features]})")
 
-    @property
-    def censoring_rate(self) -> float:
-        if not self.patient_outcomes:
-            return 0.0
-        censored = sum(1 for o in self.patient_outcomes if not o.event)
-        return censored / len(self.patient_outcomes)
-
     def outcomes(self) -> dict[str, SurvivalOutcome]:
         return dict(zip(self.patient_ids, self.patient_outcomes))
-
-
-def series_columns(
-    rows: Sequence[Mapping[str, Mapping[int, object]]], features: Sequence[FeatureSpec]
-) -> dict[str, Column]:
-    """The Columns of ``feature -> wave -> value`` series, row i holding ``rows[i]``.
-
-    A feature of a numeric kind holds floats; any other is coded by first
-    appearance.  A feature with no cell gets no Column.
-    """
-    numeric = {spec.name for spec in features if spec.kind in NUMERIC_KINDS}
-    cells: dict[str, tuple[list, list, list]] = {}
-    for r, by_feature in enumerate(rows):
-        for name, series in by_feature.items():
-            if series:
-                row, wave, value = cells.setdefault(name, ([], [], []))
-                row.extend(repeat(r, len(series)))
-                wave.extend(series)
-                value.extend(series.values())
-    columns = {}
-    for name, (row, wave, value) in cells.items():
-        if name in numeric:
-            categories, coded = None, np.array(value, dtype=float)
-        else:
-            code_of = {v: code for code, v in enumerate(dict.fromkeys(value))}
-            categories = tuple(code_of)
-            coded = np.fromiter(map(code_of.__getitem__, value), np.int32, len(value))
-        row, wave = np.array(row, dtype=np.int32), np.array(wave, dtype=np.int64)
-        order = np.lexsort((wave, row))  # a series need not be in wave order
-        columns[name] = _column(row[order], wave[order], coded[order], categories)
-    return columns
 
 
 def _column(row: np.ndarray, wave: np.ndarray, values: np.ndarray, categories) -> Column:
@@ -332,7 +289,7 @@ def parse_cohort(
         horizon = max((math.ceil(o.time) for o in outcomes.values()), default=1)
         max_wave = max((int(c.wave.max()) for c in columns.values()), default=0)
         wave_count = max(max_wave, horizon, 1)
-    return RawCohort.from_columns(
+    return RawCohort(
         wave_count, features, outcome_ids, [outcomes[pid] for pid in outcome_ids], columns
     )
 
@@ -691,7 +648,7 @@ def carry_forward(cohort: RawCohort) -> RawCohort:
         filled = _carried(column, horizon)
         if filled is not None:
             columns[name] = filled
-    return RawCohort.from_columns(
+    return RawCohort(
         cohort.wave_count, cohort.features, cohort.patient_ids, cohort.patient_outcomes, columns
     )
 

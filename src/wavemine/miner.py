@@ -725,7 +725,8 @@ def brute_force_mine(doc: CohortIntervals, config: MinerConfig) -> list[PatternR
     if len(doc.ids) > _GUARD_MAX_PATIENTS:
         raise GuardError(f"brute force refuses more than {_GUARD_MAX_PATIENTS} patients")
     severity = doc.severity_of()
-    db = [encode(p.patient_id, p.intervals, severity, p.event) for p in doc.patients]
+    db = [encode(pid, doc.intervals_of(i), severity, event)
+          for i, (pid, event) in enumerate(zip(doc.ids, doc.events))]
     alphabet = sorted({ep for s in db for g in s.groups for ep in g.endpoints})
     max_wave = max((g.time for s in db for g in s.groups), default=0)
     if max_wave > _GUARD_MAX_WAVE:

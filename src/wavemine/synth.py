@@ -187,7 +187,7 @@ def generate(config: SynthConfig):
     }
     outcomes = [SurvivalOutcome(time=float(t), event=bool(e)) for t, e in zip(times, events)]
     specs = _feature_specs(config)
-    cohort = RawCohort.from_columns(w, specs, ids, outcomes, columns)
+    cohort = RawCohort(w, specs, ids, outcomes, columns)
     manifest = _manifest(config, cohort, specs, carrier_ids, ids)
     return cohort, specs, manifest
 

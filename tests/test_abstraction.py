@@ -8,15 +8,18 @@ from wavemine.abstraction import (
     FeatureSpec,
     Level,
     StateInterval,
+    abstract_cohort,
     abstract_value,
     bmi_feature,
-    build_intervals,
     feature_config_payload,
     fit_percentiles,
     load_feature_config,
     percentile_feature,
 )
 from wavemine.errors import ConfigError, DegenerateDistributionError, FitError, MappingError
+from wavemine.ingest import PatientRecord, SurvivalOutcome
+
+from util import raw_cohort
 
 BMI = bmi_feature()
 PCT = percentile_feature("gait")
@@ -108,23 +111,30 @@ def test_unlisted_category_is_mapping_error():
         abstract_value("maybe", spec)
 
 
+def _one_patient(values):
+    """The intervals ``abstract_cohort`` gives a one-patient cohort of BMI ``values``."""
+    waves = max((w for series in values.values() for w in series), default=1)
+    record = PatientRecord("p1", values, SurvivalOutcome(float(waves), False))
+    return list(abstract_cohort(raw_cohort(waves, [BMI], [record]), [BMI]).intervals_of(0))
+
+
 def test_build_intervals_aggregates_runs():
     series = {"bmi": {1: 26.1, 2: 27.3, 3: 27.3, 4: 31.0}}
-    assert build_intervals(series, [BMI]) == [
+    assert _one_patient(series) == [
         StateInterval("bmi", "Overweight", 1, 3),
         StateInterval("bmi", "Obese", 4, 4),
     ]
 
 
 def test_build_intervals_single_wave():
-    assert build_intervals({"bmi": {3: 26.1}}, [BMI]) == [
+    assert _one_patient({"bmi": {3: 26.1}}) == [
         StateInterval("bmi", "Overweight", 3, 3)
     ]
 
 
 def test_build_intervals_alternating_levels():
     series = {"bmi": {1: 17.0, 2: 26.0, 3: 17.0, 4: 26.0}}
-    assert build_intervals(series, [BMI]) == [
+    assert _one_patient(series) == [
         StateInterval("bmi", "Underweight", 1, 1),
         StateInterval("bmi", "Overweight", 2, 2),
         StateInterval("bmi", "Underweight", 3, 3),
@@ -134,7 +144,7 @@ def test_build_intervals_alternating_levels():
 
 def test_build_intervals_gap_breaks_run():
     series = {"bmi": {1: 26.0, 2: 26.0, 5: 26.0}}
-    assert build_intervals(series, [BMI]) == [
+    assert _one_patient(series) == [
         StateInterval("bmi", "Overweight", 1, 2),
         StateInterval("bmi", "Overweight", 5, 5),
     ]
@@ -162,7 +172,7 @@ def test_lossless_aggregation_property():
     for _ in range(200):
         waves = rng.randint(1, 10)
         series = {w: rng.uniform(15, 40) for w in range(1, waves + 1) if rng.random() < 0.8}
-        intervals = build_intervals({"bmi": series}, [BMI])
+        intervals = _one_patient({"bmi": series})
         expanded = {}
         for iv in intervals:
             for w in range(iv.start, iv.end + 1):
@@ -190,22 +200,19 @@ def test_rule_validation():
 def test_degenerate_feature_excluded_with_warning(caplog):
     import logging
 
-    from wavemine.abstraction import abstract_cohort
-    from wavemine.ingest import PatientRecord, RawCohort, SurvivalOutcome
-
     flat = percentile_feature("flat")
     record = PatientRecord(
         "p1",
         {"flat": {1: 4.0, 2: 4.0, 3: 4.0}, "bmi": {1: 22.0, 2: 31.0}},
         SurvivalOutcome(3.0, True),
     )
-    cohort = RawCohort(3, (flat, BMI), (record,))
+    cohort = raw_cohort(3, (flat, BMI), (record,))
     with caplog.at_level(logging.WARNING):
         doc = abstract_cohort(cohort, [flat, BMI])
     assert "flat" in caplog.text
     assert "flat" not in doc.levels
-    assert all(iv.feature != "flat" for p in doc.patients for iv in p.intervals)
-    assert any(iv.feature == "bmi" for p in doc.patients for iv in p.intervals)
+    assert all(iv.feature != "flat" for iv in doc.table)
+    assert any(iv.feature == "bmi" for iv in doc.table)
 
 
 def test_feature_config_round_trip():
@@ -282,8 +289,6 @@ RANDOM_SPECS = (BMI, PCT, SMOKER, SCORE)
 
 
 def _random_cohort(rng, patients, waves):
-    from wavemine.ingest import PatientRecord, RawCohort, SurvivalOutcome
-
     draws = {
         "bmi": lambda: rng.choice([18.5, 25.0, 30.0, 17.0, 24.9, 29.99]) if rng.random() < 0.5
         else round(rng.uniform(15, 40), 1),
@@ -309,11 +314,11 @@ def _random_cohort(rng, patients, waves):
                 series[w] = level_value
             values[name] = series
         records.append(PatientRecord(f"p{i:03d}", values, SurvivalOutcome(float(waves), i % 3 == 0)))
-    return RawCohort(waves, RANDOM_SPECS, tuple(records))
+    return raw_cohort(waves, RANDOM_SPECS, tuple(records))
 
 
 def test_abstract_cohort_matches_per_value_reference():
-    from wavemine.abstraction import abstract_cohort, fit_cohort_edges
+    from wavemine.abstraction import fit_cohort_edges
 
     rng = random.Random(2024)
     on_edge = 0
@@ -327,7 +332,6 @@ def test_abstract_cohort_matches_per_value_reference():
         for record, patient in zip(cohort.patients, doc.patients):
             expected = _reference_intervals(record.values, usable, edges)
             assert list(patient.intervals) == expected
-            assert build_intervals(record.values, usable, edges) == expected
             assert all(type(iv.start) is int and type(iv.end) is int for iv in expected)
             for name, series in record.values.items():
                 on_edge += sum(v in set(edges.get(name, ())) for v in series.values())
@@ -336,9 +340,6 @@ def test_abstract_cohort_matches_per_value_reference():
 
 def test_abstract_cohort_reports_first_unlisted_category():
     """The error names the first patient's unlisted category, as a per-patient pass would."""
-    from wavemine.abstraction import abstract_cohort
-    from wavemine.ingest import PatientRecord, RawCohort, SurvivalOutcome
-
     diet = FeatureSpec(
         name="diet",
         kind="categorical",
@@ -346,18 +347,19 @@ def test_abstract_cohort_reports_first_unlisted_category():
         levels=(Level("ok", "normal"), Level("poor", "high")),
     )
     outcome = SurvivalOutcome(3.0, True)
-    cohort = RawCohort(3, (SMOKER, diet), (
+    records = (
         PatientRecord("p1", {"smoker": {1: "never"}, "diet": {1: "mixed"}}, outcome),
         PatientRecord("p2", {"smoker": {1: "never", 2: "sometimes"}, "diet": {1: "vegan"}}, outcome),
         PatientRecord("p3", {"smoker": {1: "rarely"}, "diet": {2: "raw"}}, outcome),
-    ))
+    )
+    cohort = raw_cohort(3, (SMOKER, diet), records)
     with pytest.raises(MappingError, match="feature 'smoker': category 'sometimes' not listed"):
         abstract_cohort(cohort, [SMOKER, diet])
     with pytest.raises(MappingError, match="feature 'diet': category 'vegan' not listed"):
         abstract_cohort(cohort, [diet, SMOKER])
     # an earlier patient wins over an earlier feature
     p2 = PatientRecord("p2", {"smoker": {1: "never", 2: "sometimes"}, "diet": {1: "fried"}}, outcome)
-    cohort = RawCohort(3, (SMOKER, diet), (cohort.patients[0], p2, cohort.patients[2]))
+    cohort = raw_cohort(3, (SMOKER, diet), (records[0], p2, records[2]))
     with pytest.raises(MappingError, match="feature 'smoker': category 'sometimes' not listed"):
         abstract_cohort(cohort, [diet, SMOKER])
 
@@ -374,13 +376,12 @@ def test_far_apart_waves_are_coded_apart():
     far = 2**40
     values = {"bmi": {1: 20.0, 2: 21.0, far: 31.0, far + 1: 32.0, far + 3: 31.0, far + 4: 17.0}}
     expected = _reference_intervals(values, [BMI], {})
-    assert build_intervals(values, [BMI]) == expected
+    assert _one_patient(values) == expected
     assert expected[1] == StateInterval("bmi", "Obese", far, far + 1)
 
 
 def test_an_empty_column_gives_no_intervals():
-    from wavemine.abstraction import abstract_cohort
-    from wavemine.ingest import Column, RawCohort, SurvivalOutcome
+    from wavemine.ingest import Column, RawCohort
 
     smoker = Column(np.array([0, 0, 1], dtype=np.int32), np.array([1, 2, 1], dtype=np.int32),
                     np.array([0, 1, 0], dtype=np.int32), ("never", "daily"))
@@ -388,20 +389,19 @@ def test_an_empty_column_gives_no_intervals():
     outcomes = [SurvivalOutcome(2.0, True), SurvivalOutcome(1.0, False)]
     specs = [BMI, SMOKER]
     docs = [
-        abstract_cohort(RawCohort.from_columns(2, specs, ["p1", "p2"], outcomes, columns), specs)
+        abstract_cohort(RawCohort(2, specs, ["p1", "p2"], outcomes, columns), specs)
         for columns in ({"bmi": empty, "smoker": smoker}, {"smoker": smoker})
     ]
     assert docs[0] == docs[1]
     assert (docs[0].table, docs[0].row.tolist(), docs[0].code.tolist()) == (
         docs[1].table, docs[1].row.tolist(), docs[1].code.tolist()
     )
-    assert [len(p.intervals) for p in docs[0].patients] == [2, 1]
+    assert np.diff(docs[0].bounds()).tolist() == [2, 1]
 
 
 def test_abstract_cohort_holds_no_interval_per_occurrence():
     import tracemalloc
 
-    from wavemine.abstraction import abstract_cohort
     from wavemine.synth import SynthConfig, generate
 
     config = SynthConfig(patients=2000, waves=6, features=10, noise_rate=0.08, seed=3)

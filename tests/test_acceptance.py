@@ -13,7 +13,7 @@ import pytest
 from wavemine.abstraction import abstract_cohort, bmi_feature, fit_percentiles, abstract_value
 from wavemine.cli import main
 from wavemine.encoding import pattern_key
-from wavemine.ingest import PatientRecord, RawCohort, SurvivalOutcome, carry_forward
+from wavemine.ingest import PatientRecord, SurvivalOutcome, carry_forward
 from wavemine.matrix import build_matrix
 from wavemine.miner import (
     MinerConfig,
@@ -28,7 +28,7 @@ from wavemine.survival import concordance_index, cross_validate, cv_score_vector
 from wavemine.synth import PlantedPattern, SynthConfig, generate
 
 from test_survival import _golden_max, _matrix, _naive_penalized_ll, _toy_cox_matrix
-from util import ep, intervals_doc, random_db, result_fingerprint
+from util import ep, intervals_doc, random_db, raw_cohort, result_fingerprint
 
 
 def _ok(criterion: int, message: str) -> None:
@@ -290,7 +290,7 @@ def test_criterion_8_abstraction_fidelity():
         record = PatientRecord(
             "p", {"bmi": observed}, SurvivalOutcome(float(rng.randint(1, waves)), rng.random() < 0.3)
         )
-        cohort = RawCohort(waves, (spec,), (record,))
+        cohort = raw_cohort(waves, (spec,), (record,))
         once = carry_forward(cohort)
         assert carry_forward(once) == once
     _ok(8, "BMI boundary suite, percentile edges, and LOCF idempotence on 1000 series")

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from wavemine.abstraction import StateInterval
@@ -16,7 +17,7 @@ from wavemine.encoding import (
 )
 from wavemine.errors import MatrixFormatError, PairingError
 
-from util import ep, sequences
+from util import encoded_doc, ep, sequences
 
 
 def test_encode_intervals_to_groups():
@@ -191,15 +192,10 @@ def test_groups_payload_round_trip():
 def test_intervals_json_round_trip():
     import io
 
-    from wavemine.encoding import (
-        CohortIntervals,
-        PatientIntervals,
-        read_intervals_json,
-        write_intervals_json,
-    )
+    from wavemine.encoding import PatientIntervals, read_intervals_json, write_intervals_json
     from wavemine.errors import MatrixFormatError
 
-    doc = CohortIntervals(
+    doc = encoded_doc(
         wave_count=5,
         levels={"A": {"x": "high"}, "B": {"y": "low", "N": "normal"}},
         patients=(
@@ -308,10 +304,10 @@ _ODD_NAMES = ["plain", "naïve", "日本", "quo\"te", "back\\slash", "tab\there"
 
 
 def _writer_cases():
-    from wavemine.encoding import CohortIntervals, PatientIntervals
+    from wavemine.encoding import PatientIntervals
 
     rng = random.Random(17)
-    odd = CohortIntervals(
+    odd = encoded_doc(
         wave_count=7,
         levels={name: {lvl: "high" for lvl in _ODD_NAMES[:4]} for name in _ODD_NAMES},
         patients=tuple(
@@ -335,11 +331,11 @@ def _writer_cases():
     )
     return {
         "odd strings, int and float times": odd,
-        "odd strings, valid times": dataclasses.replace(odd, patients=valid_times),
-        "patient without intervals": CohortIntervals(
+        "odd strings, valid times": encoded_doc(odd.wave_count, odd.levels, valid_times, odd.edges),
+        "patient without intervals": encoded_doc(
             3, {"A": {"x": "high"}}, (PatientIntervals("p1", 2.0, False, ()),), {}
         ),
-        "float and bool waves": CohortIntervals(
+        "float and bool waves": encoded_doc(
             4,
             {"A": {"x": "high"}},
             (PatientIntervals("p1", 3.0, True, (
@@ -350,7 +346,7 @@ def _writer_cases():
             )),),
             {},
         ),
-        "float waves": CohortIntervals(
+        "float waves": encoded_doc(
             4,
             {"A": {"x": "high"}},
             (PatientIntervals("p1", 3.0, True, (
@@ -360,7 +356,7 @@ def _writer_cases():
             )),),
             {},
         ),
-        "fraction wave after valid patients": CohortIntervals(
+        "fraction wave after valid patients": encoded_doc(
             4,
             {"A": {"x": "high"}},
             (
@@ -372,12 +368,12 @@ def _writer_cases():
             ),
             {},
         ),
-        "nan time": CohortIntervals(2, {}, (PatientIntervals("p1", float("nan"), False, ()),)),
-        "no patients": CohortIntervals(3, {"A": {"x": "high"}}, (), {"A": [1.5]}),
-        "no levels, no edges": CohortIntervals(
+        "nan time": encoded_doc(2, {}, (PatientIntervals("p1", float("nan"), False, ()),)),
+        "no patients": encoded_doc(3, {"A": {"x": "high"}}, (), {"A": [1.5]}),
+        "no levels, no edges": encoded_doc(
             2, {}, (PatientIntervals("p1", 1.0, True, (StateInterval("A", "x", 1, 1),)),), None
         ),
-        "long float edges": CohortIntervals(
+        "long float edges": encoded_doc(
             4,
             {"A": {"x": "normal"}},
             (
@@ -421,7 +417,7 @@ def test_intervals_json_writer_matches_json_dump(name):
 
 
 def test_cohort_intervals_store_each_distinct_interval_once():
-    from wavemine.encoding import CohortIntervals, PatientIntervals
+    from wavemine.encoding import PatientIntervals
 
     a, b, c = StateInterval("A", "x", 1, 2), StateInterval("A", "x", 1.0, 2.0), StateInterval(
         "B", "y", 2, 2
@@ -431,7 +427,7 @@ def test_cohort_intervals_store_each_distinct_interval_once():
         PatientIntervals("p2", 2, False, ()),
         PatientIntervals("p3", 4.0, 1, (c, a)),
     )
-    doc = CohortIntervals(4, {"A": {"x": "high"}}, iter(patients))
+    doc = encoded_doc(4, {"A": {"x": "high"}}, iter(patients))
     # an int wave and a float wave are equal, but each keeps its own entry
     assert doc.table == (a, b, c)
     assert [type(iv.start) for iv in doc.table] == [int, float, int]
@@ -443,14 +439,18 @@ def test_cohort_intervals_store_each_distinct_interval_once():
     assert type(doc.patients[1].time) is int
     assert [doc.intervals_of(i) for i in range(3)] == [p.intervals for p in patients]
     assert doc.outcomes() == {"p1": (3.0, True), "p2": (2, False), "p3": (4.0, 1)}
-    # replace encodes the patients it is given, and keeps the others' own
-    fewer = dataclasses.replace(doc, patients=patients[1:])
+    fewer = encoded_doc(4, doc.levels, patients[1:])
     assert (fewer.table, fewer.row.tolist(), fewer.code.tolist()) == ((c, a), [1, 1], [0, 1])
     assert fewer.patients == patients[1:]
+    # replace shares the arrays it is not given
     moved = dataclasses.replace(doc, edges={"A": [1.5]})
-    assert (moved.patients, moved.edges, moved.levels) == (patients, {"A": [1.5]}, doc.levels)
+    assert moved.code is doc.code and (moved.edges, moved.levels) == ({"A": [1.5]}, doc.levels)
     assert dataclasses.replace(moved, edges=None) == doc != fewer
-    empty = CohortIntervals(2, {}, ())
+    # equality is over each patient's intervals in order, whatever the table order
+    reordered = dataclasses.replace(doc, table=(c, b, a), code=np.array([2, 1, 2, 0, 2]))
+    assert reordered == doc
+    assert dataclasses.replace(reordered, code=np.array([2, 1, 2, 2, 0])) != doc  # p3: (a, c)
+    empty = encoded_doc(2, {}, ())
     assert (empty.table, empty.row.size, empty.code.size, empty.patients) == ((), 0, 0, ())
 
 
@@ -478,7 +478,7 @@ def test_read_intervals_json_shares_equal_intervals():
 
 def _many_patients(n=23):
     """Patients with 0 to 3 intervals each, the first and last with none, int and float times."""
-    from wavemine.encoding import CohortIntervals, PatientIntervals
+    from wavemine.encoding import PatientIntervals
 
     rng = random.Random(5)
     patients = tuple(
@@ -491,7 +491,7 @@ def _many_patients(n=23):
         )
         for i in range(n)
     )
-    return CohortIntervals(6, {"A": {"x": "high", "y": "low"}, "B": {"x": "high"}}, patients, {})
+    return encoded_doc(6, {"A": {"x": "high", "y": "low"}, "B": {"x": "high"}}, patients, {})
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5, 1000])
@@ -502,8 +502,7 @@ def test_intervals_json_writer_chunks_join_as_one(monkeypatch, chunk):
 
     monkeypatch.setattr(encoding, "_CHUNK", chunk)
     many = _many_patients()
-    int_ids = dataclasses.replace(many, patients=tuple(
-        dataclasses.replace(p, patient_id=i) for i, p in enumerate(many.patients)))
+    int_ids = dataclasses.replace(many, ids=range(len(many.ids)))
     cases = {**_writer_cases(), "many patients": many, "int ids": int_ids}
     for name, doc in cases.items():
         if name not in _REFUSED:

@@ -19,7 +19,6 @@ from wavemine.errors import (
 )
 from wavemine.ingest import (
     PatientRecord,
-    RawCohort,
     SurvivalOutcome,
     carry_forward,
     parse_cohort,
@@ -27,6 +26,8 @@ from wavemine.ingest import (
     write_cohort_csv,
     write_outcomes_csv,
 )
+
+from util import raw_cohort
 
 SPECS = [bmi_feature()]
 
@@ -121,7 +122,7 @@ def _cohort_one(values, time=4.0, event=False, wave_count=4):
     record = PatientRecord(
         patient_id="p1", values={"bmi": values}, outcome=SurvivalOutcome(time, event)
     )
-    return RawCohort(wave_count=wave_count, features=tuple(SPECS), patients=(record,))
+    return raw_cohort(wave_count, tuple(SPECS), (record,))
 
 
 def test_carry_forward_fills_until_new_value():
@@ -142,7 +143,7 @@ def test_carry_forward_never_backfills():
 
 def test_carry_forward_unobserved_feature_stays_missing():
     record = PatientRecord("p1", {}, SurvivalOutcome(4.0, False))
-    cohort = RawCohort(4, tuple(SPECS), (record,))
+    cohort = raw_cohort(4, tuple(SPECS), (record,))
     assert carry_forward(cohort).patients[0].values == {}
 
 
@@ -200,7 +201,23 @@ def test_parse_serialize_parse_round_trip():
         wave_count=4,
     )
     assert reparsed == cohort
-    assert cohort.censoring_rate == 0.5
+    # equality is over raw values: categories met in another order still compare
+    # equal, and a moved wave or a changed value does not
+    outcome_map = parse_outcomes(io.StringIO("patient_id,time,event\np1,4,1\np2,3,0\n"))
+
+    def smokers(*rows):
+        return parse_cohort(io.StringIO(HEADER + "\n".join(rows) + "\n"), [SMOKER], outcome_map)
+
+    rows = ["p1,1,smoker,never", "p1,2,smoker,daily", "p2,1,smoker,daily"]
+    first, swapped = smokers(*rows), smokers(*rows[::-1])
+    assert first.columns["smoker"].categories != swapped.columns["smoker"].categories
+    assert first == swapped
+    assert smokers(rows[0], "p1,3,smoker,daily", rows[2]) != first
+    assert smokers(rows[0], "p1,2,smoker,never", rows[2]) != first
+    moved = HEADER + "p1,1,bmi,26.1\np1,2,bmi,31.0\np2,2,bmi,19.5\n"
+    changed = HEADER + "p1,1,bmi,26.1\np1,3,bmi,31.5\np2,2,bmi,19.5\n"
+    for text in (moved, changed):
+        assert parse_cohort(io.StringIO(text), SPECS, outcome_map, wave_count=4) != cohort
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "+Infinity"])
@@ -262,7 +279,7 @@ def test_carry_forward_matches_reference_fill():
         values = {"bmi": {w: rng.choice([20.0, 26.0, 31.0]) for w in observed}}
         time = float(rng.randint(1, waves))
         record = PatientRecord("p1", values, SurvivalOutcome(time, rng.random() < 0.5))
-        cohort = RawCohort(waves, tuple(SPECS), (record,))
+        cohort = raw_cohort(waves, tuple(SPECS), (record,))
         got = carry_forward(cohort).patients[0].values
         expected = _reference_locf(values, min(waves, int(time)))
         assert got == expected
@@ -431,7 +448,7 @@ def test_columns_are_coded_arrays():
 
 def test_empty_series_leave_no_column():
     record = PatientRecord("p1", {"bmi": {}}, SurvivalOutcome(2.0, False))
-    cohort = RawCohort(2, tuple(SPECS), (record,))
+    cohort = raw_cohort(2, tuple(SPECS), (record,))
     assert cohort.columns == {}
     assert cohort.patients[0].values == {}
     assert carry_forward(cohort).patients[0].values == {}

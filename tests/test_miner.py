@@ -35,7 +35,7 @@ from wavemine.miner import (
     relative_risk,
 )
 
-from util import ep, intervals_doc, random_db, result_fingerprint, sequences
+from util import ep, encoded_doc, intervals_doc, random_db, result_fingerprint, sequences
 
 # ---------------------------------------------------------------------------
 # risk measures
@@ -467,12 +467,12 @@ def _assert_same_store(doc):
     So does the store of the document built from ``doc.patients``, and of
     the one read back from ``doc``'s ``intervals.json``.
     """
-    from wavemine.encoding import CohortIntervals, read_intervals_json, write_intervals_json
+    from wavemine.encoding import read_intervals_json, write_intervals_json
 
     text = io.StringIO()
     write_intervals_json(doc, text)
     back = read_intervals_json(io.StringIO(text.getvalue()))
-    docs = [doc, CohortIntervals(doc.wave_count, doc.levels, doc.patients, doc.edges), back]
+    docs = [doc, encoded_doc(doc.wave_count, doc.levels, doc.patients, doc.edges), back]
     assert back.patients == doc.patients
     try:
         expected = _store_view(_Store(sequences(doc)))
@@ -542,7 +542,7 @@ def test_waves_at_the_int32_edge_from_the_csv_to_the_store():
     built = [doc, back]
     for dtype in (np.int16, np.int32, np.int64):
         columns = {"bmi": Column(column.row.astype(dtype), column.wave, column.values)}
-        built.append(abstract_cohort(RawCohort.from_columns(
+        built.append(abstract_cohort(RawCohort(
             top, [BMI], filled.patient_ids, filled.patient_outcomes, columns
         ), [BMI]))
     assert {(d.row.dtype, d.code.dtype) for d in built} == {(np.dtype(np.intp),) * 2}
